@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import mpmath
 
-from .errors import PrecisionExceededError
+from .errors import InputError, PrecisionExceededError
 from .intervals import ComplexBox, Interval
 from .polynomials import (
     Polynomial,
@@ -43,7 +43,10 @@ class Precision:
 
     def __init__(self, start_bits: int = 64, max_bits: int = 1 << 16):
         if start_bits < 8 or max_bits < start_bits:
-            raise ValueError("bad precision bounds")
+            raise InputError(
+                f"precision bounds need 8 <= start bits <= max bits, got "
+                f"{start_bits} and {max_bits}"
+            )
         self.start_bits = start_bits
         self.max_bits = max_bits
 
@@ -448,6 +451,8 @@ def alg_equals(
     ctx: Precision = DEFAULT_PRECISION,
 ) -> bool:
     """Exact equality of two algebraic numbers."""
+    if a is b:
+        return True
     if a._rational is not None and b._rational is not None:
         return a._rational == b._rational
     if not a.box.overlaps(b.box):

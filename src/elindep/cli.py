@@ -263,8 +263,9 @@ def _build_function(fs: FunctionSpec, ctx: Precision) -> EFunction:
     if fs.kind == "builtin":
         f = BUILTINS[fs.data["name"]]()
     elif fs.kind == "hypergeometric":
+        # the scale is already the series parameter, not a further z -> scale*z
         params = _hyp_params(fs.data)
-        f = ef_hypergeometric(params.upper, params.lower, params.scale)
+        return ef_hypergeometric(params.upper, params.lower, params.scale)
     else:
         op_spec = fs.data["operator"]
         op = op_from_text(op_spec) if isinstance(op_spec, str) else op_from_json(op_spec)
@@ -298,12 +299,10 @@ def _point_json(p) -> str:
 def _certify_dispatch(spec: ProblemSpec, ctx: Precision) -> Certificate:
     functions = [_build_function(fs, ctx) for fs in spec.functions]
     points = [_build_point(p) for p in spec.points]
-    if len(functions) == 1 and len(points) >= 1:
-        if len(points) == 1:
-            return certify_main(functions, points[0], ctx)
-        return certify_single(functions[0], points, ctx)
-    if len(points) == 1 and len(functions) > 1:
+    if len(points) == 1:
         return certify_main(functions, points[0], ctx)
+    if len(functions) == 1:
+        return certify_single(functions[0], points, ctx)
     if len(functions) == len(points):
         return certify_multi(functions, points, ctx)
     raise InputError(

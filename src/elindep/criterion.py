@@ -30,7 +30,7 @@ from .algebraic import (
     alg_nth_root,
     alg_pow,
 )
-from .efunction import EFunction, HypergeometricParams, ef_sin_integral
+from .efunction import EFunction, HypergeometricParams
 from .errors import InputError, InternalCheckError
 from .rationals import format_rational
 from .singularities import (
@@ -132,12 +132,46 @@ def _point_text(a: AlgebraicNumber) -> str:
 
 def _rootset_text(rs: RootSet) -> str:
     coeffs = ",".join(str(c) for c in rs.poly.int_coeffs())
-    zero = "+{0}" if rs.includes_zero else ""
-    return f"roots([{coeffs}]){zero} ({rs.provenance})"
+    return f"roots([{coeffs}]) ({rs.provenance})"
 
 
-def _function_text(f: EFunction) -> str:
-    return f.name
+def _certificate(statement: str, inputs: dict, eval_items: list) -> Certificate:
+    """An undecided certificate that carries the standing caveat."""
+    return Certificate(
+        verdict=INCONCLUSIVE,
+        statement=statement,
+        hypotheses=[],
+        caveat=CAVEAT,
+        caveat_discharged=False,
+        conditional_on=[CAVEAT],
+        inputs=inputs,
+        eval_items=eval_items,
+    )
+
+
+def _check_nonzero(
+    cert: Certificate, pts: list[AlgebraicNumber], ctx: Precision, shared: bool
+) -> list[bool]:
+    """Append a nonzero-point hypothesis per point, or one for a shared point."""
+    nonzero = []
+    for idx, p in enumerate(pts):
+        ok = not alg_is_zero(p, ctx)
+        nonzero.append(ok)
+        if shared:
+            description = "evaluation point is nonzero"
+            witness = {"point": _point_text(p)}
+        else:
+            description = f"point {idx} is nonzero"
+            witness = {"index": idx, "point": _point_text(p)}
+        cert.hypotheses.append(
+            Hypothesis(
+                description=description,
+                anchor="nonzero-point",
+                outcome=SATISFIED if ok else FAILED,
+                witness=witness,
+            )
+        )
+    return nonzero
 
 
 def _finish(cert: Certificate) -> Certificate:
@@ -177,6 +211,91 @@ def _value_list_statement(labels: list[str]) -> str:
     return f"1, {inner} are linearly independent over the algebraic numbers"
 
 
+def _certify(
+    functions: list[EFunction], points: list, ctx: Precision
+) -> Certificate:
+    """Pipeline behind certify_main, certify_single and certify_multi.
+
+    When all points are one number, a_i/a_j = 1 for every pair, so the
+    ratio condition says the two singularity sets are disjoint: one gcd
+    per pair decides it, and the certificate takes the one-point form.
+    Otherwise each pair tests a_i/a_j against the ratio-set polynomial.
+    Conditions are tested on supersets; a failure involving a superset
+    may come from an apparent singularity and is reported as
+    Inconclusive, never as a dependence.
+    """
+    pts = [_coerce_point(p) for p in points]
+    shared = all(alg_equals(p, pts[0], ctx) for p in pts[1:])
+    listed = pts[:1] if shared else pts
+    cert = _certificate(
+        _value_list_statement(
+            [f"{f.name}({_point_text(p)})" for f, p in zip(functions, pts)]
+        ),
+        {
+            "functions": [f.name for f in functions],
+            "points": [_point_text(p) for p in listed],
+        },
+        [("efunction", f, p) for f, p in zip(functions, pts)],
+    )
+    nonzero = _check_nonzero(cert, listed, ctx, shared)
+    if shared and not nonzero[0]:
+        cert.notes.append("values at 0 are algebraic")
+        return _finish(cert)
+
+    sets = [singularity_superset(f, ctx) for f in functions]
+    superset_failure = False
+    for i in range(len(functions)):
+        for j in range(i + 1, len(functions)):
+            witness = {"pair": [i, j]}
+            if shared:
+                anchor = "disjoint-singularity-sets"
+                description = (
+                    f"singularity sets of {functions[i].name} and "
+                    f"{functions[j].name} are disjoint"
+                )
+            else:
+                anchor = "ratio-condition"
+                description = (
+                    f"point ratio a_{i}/a_{j} avoids all singularity ratios"
+                )
+                witness["point_i"] = _point_text(pts[i])
+                witness["point_j"] = _point_text(pts[j])
+            witness["set_i"] = _rootset_text(sets[i])
+            witness["set_j"] = _rootset_text(sets[j])
+            if not shared and not (nonzero[i] and nonzero[j]):
+                outcome = SKIPPED
+                witness["reason"] = "zero point"
+            else:
+                if shared:
+                    ok = rootsets_disjoint(sets[i], sets[j])
+                else:
+                    ok = ratio_condition(sets[i], sets[j], pts[i], pts[j], ctx)
+                outcome = SATISFIED if ok else FAILED
+                if not ok and SUPERSET in (sets[i].provenance, sets[j].provenance):
+                    superset_failure = True
+            cert.hypotheses.append(
+                Hypothesis(
+                    description=description,
+                    anchor=anchor,
+                    outcome=outcome,
+                    witness=witness,
+                )
+            )
+    if superset_failure:
+        test, could = (
+            ("disjointness", "be disjoint")
+            if shared
+            else ("ratio", "satisfy the condition")
+        )
+        cert.notes.append(
+            f"a failed {test} test involves a superset that may contain "
+            "apparent singularities; the genuine singularity sets could "
+            f"still {could}"
+        )
+    _discharge(cert, functions, pts, ctx)
+    return _finish(cert)
+
+
 def certify_main(
     functions: list[EFunction],
     alpha,
@@ -184,82 +303,13 @@ def certify_main(
 ) -> Certificate:
     """Certify independence of {1, f_1(alpha), ..., f_n(alpha)}.
 
-    Requires a nonzero evaluation point and pairwise disjoint singularity
-    sets of the transformed functions.  Disjointness is tested on supersets;
-    a failure involving a superset may be caused by an apparent singularity
-    and is reported as Inconclusive, never as a dependence.
+    The shared-point form of certify_multi: requires a nonzero evaluation
+    point and pairwise disjoint singularity sets of the transformed
+    functions.
     """
     if not functions:
         raise InputError("need at least one function")
-    point = _coerce_point(alpha)
-    labels = [f"{_function_text(f)}({_point_text(point)})" for f in functions]
-    cert = Certificate(
-        verdict=INCONCLUSIVE,
-        statement=_value_list_statement(labels),
-        hypotheses=[],
-        caveat=CAVEAT,
-        caveat_discharged=False,
-        conditional_on=[CAVEAT],
-        inputs={
-            "functions": [_function_text(f) for f in functions],
-            "points": [_point_text(point)],
-        },
-    )
-    cert.eval_items = [("efunction", f, point) for f in functions]
-
-    if alg_is_zero(point, ctx):
-        cert.hypotheses.append(
-            Hypothesis(
-                description="evaluation point is nonzero",
-                anchor="nonzero-point",
-                outcome=FAILED,
-                witness={"point": _point_text(point)},
-            )
-        )
-        cert.notes.append("values at 0 are algebraic")
-        return _finish(cert)
-    cert.hypotheses.append(
-        Hypothesis(
-            description="evaluation point is nonzero",
-            anchor="nonzero-point",
-            outcome=SATISFIED,
-            witness={"point": _point_text(point)},
-        )
-    )
-
-    sets = [singularity_superset(f, ctx) for f in functions]
-    superset_failure = False
-    for i in range(len(functions)):
-        for j in range(i + 1, len(functions)):
-            ok = rootsets_disjoint(sets[i], sets[j])
-            witness = {
-                "pair": [i, j],
-                "set_i": _rootset_text(sets[i]),
-                "set_j": _rootset_text(sets[j]),
-            }
-            cert.hypotheses.append(
-                Hypothesis(
-                    description=(
-                        f"singularity sets of {_function_text(functions[i])} "
-                        f"and {_function_text(functions[j])} are disjoint"
-                    ),
-                    anchor="disjoint-singularity-sets",
-                    outcome=SATISFIED if ok else FAILED,
-                    witness=witness,
-                )
-            )
-            if not ok and (
-                sets[i].provenance == SUPERSET or sets[j].provenance == SUPERSET
-            ):
-                superset_failure = True
-    if superset_failure:
-        cert.notes.append(
-            "a failed disjointness test involves a superset that may contain "
-            "apparent singularities; the genuine singularity sets could "
-            "still be disjoint"
-        )
-    _discharge(cert, functions, [point] * len(functions), ctx)
-    return _finish(cert)
+    return _certify(functions, [_coerce_point(alpha)] * len(functions), ctx)
 
 
 def certify_multi(
@@ -272,6 +322,7 @@ def certify_multi(
     Requires nonzero points and, for every pair i != j, that a_i/a_j avoids
     every ratio of singularities drawn from the two (superset) singularity
     sets.  Each function may appear several times with different points.
+    When all points are equal the certificate is the one certify_main gives.
     """
     if len(functions) != len(points):
         raise InputError(
@@ -279,83 +330,7 @@ def certify_multi(
         )
     if not functions:
         raise InputError("need at least one function/point pair")
-    pts = [_coerce_point(p) for p in points]
-    labels = [
-        f"{_function_text(f)}({_point_text(p)})" for f, p in zip(functions, pts)
-    ]
-    cert = Certificate(
-        verdict=INCONCLUSIVE,
-        statement=_value_list_statement(labels),
-        hypotheses=[],
-        caveat=CAVEAT,
-        caveat_discharged=False,
-        conditional_on=[CAVEAT],
-        inputs={
-            "functions": [_function_text(f) for f in functions],
-            "points": [_point_text(p) for p in pts],
-        },
-    )
-    cert.eval_items = [("efunction", f, p) for f, p in zip(functions, pts)]
-
-    nonzero = []
-    for idx, p in enumerate(pts):
-        ok = not alg_is_zero(p, ctx)
-        nonzero.append(ok)
-        cert.hypotheses.append(
-            Hypothesis(
-                description=f"point {idx} is nonzero",
-                anchor="nonzero-point",
-                outcome=SATISFIED if ok else FAILED,
-                witness={"index": idx, "point": _point_text(p)},
-            )
-        )
-
-    # Cache supersets per function object; repeated functions share one.
-    sets: list[RootSet] = [singularity_superset(f, ctx) for f in functions]
-    superset_failure = False
-    for i in range(len(functions)):
-        for j in range(i + 1, len(functions)):
-            witness = {
-                "pair": [i, j],
-                "point_i": _point_text(pts[i]),
-                "point_j": _point_text(pts[j]),
-                "set_i": _rootset_text(sets[i]),
-                "set_j": _rootset_text(sets[j]),
-            }
-            if not (nonzero[i] and nonzero[j]):
-                outcome = SKIPPED
-                witness["reason"] = "zero point"
-            else:
-                ok = ratio_condition(sets[i], sets[j], pts[i], pts[j], ctx)
-                outcome = SATISFIED if ok else FAILED
-                if not ok and (
-                    sets[i].provenance == SUPERSET
-                    or sets[j].provenance == SUPERSET
-                ):
-                    superset_failure = True
-            cert.hypotheses.append(
-                Hypothesis(
-                    description=(
-                        f"point ratio {idx_pair(i, j)} avoids all "
-                        "singularity ratios"
-                    ),
-                    anchor="ratio-condition",
-                    outcome=outcome,
-                    witness=witness,
-                )
-            )
-    if superset_failure:
-        cert.notes.append(
-            "a failed ratio test involves a superset that may contain "
-            "apparent singularities; the genuine singularity sets could "
-            "still satisfy the condition"
-        )
-    _discharge(cert, functions, pts, ctx)
-    return _finish(cert)
-
-
-def idx_pair(i: int, j: int) -> str:
-    return f"a_{i}/a_{j}"
+    return _certify(functions, points, ctx)
 
 
 def certify_single(
@@ -434,35 +409,16 @@ def certify_hypergeometric(
     labels = [
         f"{txt}({_point_text(p)})" for txt, p in zip(param_texts, pts)
     ]
-    cert = Certificate(
-        verdict=INCONCLUSIVE,
-        statement=_value_list_statement(labels),
-        hypotheses=[],
-        caveat=CAVEAT,
-        caveat_discharged=False,
-        conditional_on=[CAVEAT],
-        inputs={
+    cert = _certificate(
+        _value_list_statement(labels),
+        {
             "functions": param_texts,
             "powers": ks,
             "points": [_point_text(p) for p in pts],
         },
+        [("hyp_value", params, p) for params, p in zip(params_list, pts)],
     )
-    cert.eval_items = [
-        ("hyp_value", params, p) for params, p in zip(params_list, pts)
-    ]
-
-    nonzero = []
-    for idx, p in enumerate(pts):
-        ok = not alg_is_zero(p, ctx)
-        nonzero.append(ok)
-        cert.hypotheses.append(
-            Hypothesis(
-                description=f"point {idx} is nonzero",
-                anchor="nonzero-point",
-                outcome=SATISFIED if ok else FAILED,
-                witness={"index": idx, "point": _point_text(p)},
-            )
-        )
+    nonzero = _check_nonzero(cert, pts, ctx, shared=False)
     if not all(nonzero):
         cert.notes.append(
             "a zero point gives the value 1, which is already in the list; "
@@ -626,21 +582,14 @@ def certify_si_integrals(
             "algebraic numbers"
         )
 
-    cert = Certificate(
-        verdict=INCONCLUSIVE,
-        statement=statement,
-        hypotheses=[],
-        caveat=CAVEAT,
-        caveat_discharged=True,
-        conditional_on=[],
-        inputs={
-            "pairs": [
-                [_point_text(lo), _point_text(hi)] for lo, hi in coerced
-            ]
-        },
-        relation_scope="linear",
+    cert = _certificate(
+        statement,
+        {"pairs": [[_point_text(lo), _point_text(hi)] for lo, hi in coerced]},
+        [("si_integral", lo, hi) for lo, hi in coerced],
     )
-    cert.eval_items = [("si_integral", lo, hi) for lo, hi in coerced]
+    cert.relation_scope = "linear"
+    cert.caveat_discharged = True
+    cert.conditional_on = []
 
     squares: list[AlgebraicNumber] = []
     square_texts: list[str] = []
@@ -681,8 +630,3 @@ def certify_si_integrals(
             "nonzero algebraic points are transcendental"
         )
     return _finish(cert)
-
-
-def si_function() -> EFunction:
-    """The sine-integral E-function used by the endpoint certificates."""
-    return ef_sin_integral()

@@ -140,11 +140,6 @@ class EFunction:
         return f"EFunction({self.name}, order={self.order})"
 
 
-def psi_series(f: EFunction, count: int) -> list[Fraction]:
-    """First coefficients of sum a_n z^n, the factorial-removed series."""
-    return f.coefficients(count)
-
-
 # -- builtin functions ---------------------------------------------------------
 
 

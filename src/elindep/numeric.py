@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .criterion import CERTIFIED, Certificate
-from .efunction import EFunction, HypergeometricParams, growth_check
+from .efunction import EFunction, HypergeometricParams, ef_sin_integral, growth_check
 from .errors import (
     InputError,
     PrecisionExceededError,
@@ -131,8 +131,11 @@ def eval_efunction(f: EFunction, x, digits: int) -> Ball:
         return Ball(f.coefficient(0))
     if f.coeff_bound is None:
         return _eval_heuristic(f, q, digits)
-    target = Fraction(1, 10**digits)
     y = f.coeff_bound * abs(q)
+    # the loop cannot stop before n + 2 > 2y, and n stops at MAX_TERMS
+    if 2 * y >= MAX_TERMS + 2:
+        raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
+    target = Fraction(1, 10**digits)
     total = Fraction(0)
     xpow = Fraction(1)
     fact = Fraction(1)
@@ -169,7 +172,9 @@ def _eval_heuristic(f: EFunction, q: Fraction, digits: int) -> Ball:
     """No proven coefficient bound: double the truncation until stable."""
     report = growth_check(f)
     c_emp = max(2.0, report.coeff_growth_estimate * 1.5)
-    terms = max(32, int(2 * c_emp * float(abs(q))) + digits)
+    terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
+    if terms > MAX_TERMS:
+        raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
     target = Fraction(1, 10**digits)
     prev = _partial_sum(f, q, terms)
     while terms <= MAX_TERMS:
@@ -206,6 +211,9 @@ def eval_hypergeometric_value(
     n1 = n0
     while kconst > Fraction(n1**k, 2):
         n1 *= 2
+    # the loop cannot stop before n >= n1, and n stops past MAX_TERMS
+    if n1 > MAX_TERMS + 1:
+        raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
     term = Fraction(1)
     total = Fraction(0)
     n = 0
@@ -354,10 +362,12 @@ def _sci_upper(q: Fraction) -> str:
     if q == 0:
         return "0"
     mag = abs(q)
-    e = len(str(mag.numerator)) - len(str(mag.denominator))
-    while 10**e > mag:
+    # log10(2) ~ 0.30103 puts e within one of floor(log10(mag)); the
+    # exact comparisons settle it without floats or decimal strings
+    e = (mag.numerator.bit_length() - mag.denominator.bit_length()) * 30103 // 100000
+    while Fraction(10) ** e > mag:
         e -= 1
-    while 10 ** (e + 1) <= mag:
+    while Fraction(10) ** (e + 1) <= mag:
         e += 1
     mant = mag * 1000 / Fraction(10) ** e
     m = mant.numerator // mant.denominator
@@ -382,6 +392,8 @@ def falsify(
     with a found relation inside the certified scope is flagged as a
     contradiction; that event failing loudly is the falsifier's purpose.
     """
+    if digits < 1:
+        raise InputError("digits must be positive")
     notices: list[str] = []
     values = [Ball.exact(1)]
     eval_digits = digits + 12
@@ -420,7 +432,7 @@ def falsify(
                 if qlo is None or qhi is None:
                     notices.append("skipped an integral with irrational endpoints")
                     continue
-                f = _si_function()
+                f = ef_sin_integral()
                 values.append(
                     eval_efunction(f, qhi, eval_digits)
                     - eval_efunction(f, qlo, eval_digits)
@@ -456,9 +468,3 @@ def falsify(
                     "it does not touch the certified statement"
                 )
     return report
-
-
-def _si_function():
-    from .efunction import ef_sin_integral
-
-    return ef_sin_integral()

@@ -7,9 +7,8 @@ which gives a computable superset; for the curated function families the
 exact set is known in closed form.
 
 A RootSet stores a primitive squarefree integer polynomial not divisible
-by z (the origin is always a regular point of g) plus an includes_zero
-flag kept for generality, and remembers whether it is exact
-("closed_form") or only an upper bound ("superset").
+by z (the origin is always a regular point of g) and remembers whether it
+is exact ("closed_form") or only an upper bound ("superset").
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class RootSet:
     """Roots of a squarefree primitive integer polynomial, z stripped."""
 
     poly: Polynomial
-    includes_zero: bool = False
     provenance: str = CLOSED_FORM
 
     def __post_init__(self):
@@ -47,80 +45,34 @@ class RootSet:
             raise InputError(f"unknown provenance '{self.provenance}'")
 
     @classmethod
-    def from_poly(
-        cls, p: Polynomial, provenance: str = CLOSED_FORM, keep_zero: bool = False
-    ) -> "RootSet":
+    def from_poly(cls, p: Polynomial, provenance: str = CLOSED_FORM) -> "RootSet":
         """Normalize an arbitrary polynomial: squarefree, primitive, z removed."""
         if p.is_zero:
             raise InputError("root set of the zero polynomial is not finite")
-        zmult, stripped = squarefree_part(p).deflate_z()
+        _, stripped = squarefree_part(p).deflate_z()
         if stripped.degree < 0 or stripped.is_zero:
             stripped = Polynomial.one()
-        return cls(
-            stripped.primitive_int(),
-            includes_zero=keep_zero and zmult > 0,
-            provenance=provenance,
-        )
+        return cls(stripped.primitive_int(), provenance=provenance)
 
     @property
     def is_empty(self) -> bool:
-        return self.poly.degree <= 0 and not self.includes_zero
-
-    @property
-    def count_bound(self) -> int:
-        return max(0, self.poly.degree) + (1 if self.includes_zero else 0)
+        return self.poly.degree <= 0
 
     @property
     def is_exact(self) -> bool:
         return self.provenance == CLOSED_FORM
 
-    def scaled_by(self, factor) -> "RootSet":
-        """Root set {r / factor} for a nonzero rational factor.
-
-        (If the singular points of g(z) are r, those of g(factor*z) are
-        r/factor.) Irrational factors do not give Galois-stable sets and
-        cannot be represented; use ratio tests instead.
-        """
-        factor = Fraction(factor)
-        if factor == 0:
-            raise InputError("scaling factor must be nonzero")
-        return RootSet(
-            self.poly.compose_scale(factor).primitive_int(),
-            includes_zero=self.includes_zero,
-            provenance=self.provenance,
-        )
-
     def to_json(self) -> dict:
         return {
             "poly": [int(c) for c in self.poly.int_coeffs()],
-            "includes_zero": self.includes_zero,
+            # the origin is never in a root set; the key keeps the report's shape
+            "includes_zero": False,
             "provenance": self.provenance,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RootSet":
-        try:
-            coeffs = [int(c) for c in obj["poly"]]
-            inc = bool(obj["includes_zero"])
-            prov = str(obj["provenance"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad root set object: {exc}") from exc
-        p = Polynomial(coeffs)
-        if p.is_zero:
-            raise InputError("root set polynomial must be nonzero")
-        base = cls.from_poly(p, provenance=prov, keep_zero=True)
-        # the stored poly has z already stripped, so the flag is authoritative
-        return cls(base.poly, includes_zero=inc or base.includes_zero, provenance=prov)
-
-
-def rootset_scale(rs: RootSet, factor) -> RootSet:
-    return rs.scaled_by(factor)
 
 
 def rootsets_disjoint(a: RootSet, b: RootSet) -> bool:
     """Exact disjointness of the two root sets."""
-    if a.includes_zero and b.includes_zero:
-        return False
     return poly_gcd(a.poly, b.poly).degree <= 0
 
 
@@ -180,8 +132,6 @@ def ratio_condition(
         raise InputError("ratio condition needs nonzero points")
     if set_i.is_empty or set_j.is_empty:
         return True
-    if set_i.includes_zero and set_j.includes_zero:
-        return False
     ratios = ratio_set_poly(set_i.poly, set_j.poly)
     if ratios.degree <= 0:
         return True

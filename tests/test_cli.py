@@ -1,11 +1,17 @@
 """Command-line interface: spec parsing, report rendering, exit codes."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from elindep.cli import main, parse_spec, render
+from elindep.efunction import HypergeometricParams
 from elindep.errors import InputError
+from elindep.singularities import hypergeometric_singularities
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -195,6 +201,24 @@ class TestMain:
         rel = report["relation_report"]
         assert rel["excluded"] and not rel["found"]
 
+    def test_hypergeometric_scale_applied_once(self, tmp_path, capsys):
+        fn = {"type": "hypergeometric", "upper": [], "lower": ["1"], "scale": "2"}
+        doc = {"version": 1, "task": "eval", "functions": [fn], "points": ["1"]}
+        code = main(["eval", "--spec", write_spec(tmp_path, doc), "--digits", "20",
+                     "--format", "json"])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)["results"][0]
+        assert result["function"] == "F[;1]@2"
+        assert result["value"]["re"].startswith("7.3890560989306502272")  # e^2
+        doc = {"version": 1, "task": "singularities", "functions": [fn]}
+        code = main(["singularities", "--spec", write_spec(tmp_path, doc),
+                     "--format", "json"])
+        assert code == 0
+        root_set = json.loads(capsys.readouterr().out)["results"][0]["root_set"]
+        params = HypergeometricParams((), (Fraction(1),), Fraction(2))
+        assert root_set == hypergeometric_singularities(params).to_json()
+        assert root_set["poly"] == [-1, 2]  # the set {1/2}
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_spec(tmp_path, CERTIFY_EXP)
         main(["certify", "--spec", path, "--format", "json"])
@@ -230,6 +254,27 @@ class TestExitCodes:
         assert code == 3
         assert "precision" in capsys.readouterr().err
 
+    def test_precision_bits_below_start(self, tmp_path, capsys):
+        path = write_spec(tmp_path, CERTIFY_EXP)
+        code = main(["certify", "--spec", path, "--max-precision-bits", "4"])
+        assert code == 1
+        assert "input error: precision bounds" in capsys.readouterr().err
+
+    def test_negative_digits_falsify(self, tmp_path, capsys):
+        path = write_spec(tmp_path, dict(CERTIFY_EXP, task="falsify"))
+        code = main(["falsify", "--spec", path, "--digits", "-5"])
+        assert code == 1
+        assert "input error: digits must be positive" in capsys.readouterr().err
+
+    def test_over_budget_series_fails_fast(self, tmp_path, capsys):
+        doc = dict(CERTIFY_EXP, task="eval", points=["1000000"])
+        path = write_spec(tmp_path, doc)
+        start = time.perf_counter()
+        code = main(["eval", "--spec", path, "--digits", "5"])
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert "precision cap exceeded" in capsys.readouterr().err
+
     def test_demo_runs_clean(self, capsys):
         code = main(["demo", "--digits", "25", "--coeff-bound", "50",
                      "--format", "json"])
@@ -241,3 +286,51 @@ class TestExitCodes:
             rel = entry.get("relation_report")
             if rel:
                 assert not rel["contradiction"]
+
+
+RATIONAL = st.builds(
+    lambda n, d: str(Fraction(n, d)), st.integers(-9, 9), st.integers(1, 4)
+)
+NONZERO = RATIONAL.filter(lambda q: q != "0")
+BUILTIN = st.builds(
+    lambda name, scale: {"type": "builtin", "name": name, **scale},
+    st.sampled_from(["exp", "J0", "Si"]),
+    st.one_of(st.just({}), NONZERO.map(lambda q: {"scale": q})),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(["certify", "falsify", "eval"]))
+    functions = draw(st.lists(BUILTIN, min_size=1, max_size=3))
+    if command == "eval" or len(functions) == 1:
+        points = draw(st.lists(RATIONAL, min_size=1, max_size=3))
+    else:  # one shared point, or one point per function
+        count = draw(st.sampled_from([1, len(functions)]))
+        points = draw(st.lists(RATIONAL, min_size=count, max_size=count))
+    doc = {"version": 1, "task": command, "functions": functions, "points": points}
+    # at most one flag out of range, so that valid runs stay common
+    bad = draw(st.sampled_from([None, "digits", "coeff", "bits"]))
+    digits = draw(st.integers(-5, 0) if bad == "digits" else st.integers(1, 200))
+    coeff = draw(st.sampled_from([0, -1] if bad == "coeff" else [10**6, 1000, 1]))
+    bits = draw(st.sampled_from([4, 63] if bad == "bits" else [1 << 16, 256, 64]))
+    flags = ["--digits", str(digits), "--coeff-bound", str(coeff),
+             "--max-precision-bits", str(bits)]
+    return command, doc, flags
+
+
+class TestFuzz:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(("certify", CERTIFY_EXP, ["--max-precision-bits", "4"]))
+    @example(("falsify", dict(CERTIFY_EXP, task="falsify"), ["--digits", "-5"]))
+    @given(cli_calls())
+    def test_exit_codes_and_determinism(self, tmp_path, capsys, call):
+        command, doc, flags = call
+        argv = [command, "--spec", write_spec(tmp_path, doc), "--format", "json", *flags]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        assert main(argv) == code
+        assert capsys.readouterr().out == out

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from elindep import criterion
+from elindep.algebraic import alg_nth_root
 from elindep.criterion import (
     CAVEAT,
     CERTIFIED,
@@ -83,6 +85,57 @@ class TestMain:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             certify_main([], 1)
+
+    def test_one_point_document(self):
+        doc = certify_main([ef_bessel_j0(), ef_sin_integral()], 2).to_json()
+        assert doc["hypotheses"] == [
+            {
+                "description": "evaluation point is nonzero",
+                "anchor": "nonzero-point",
+                "outcome": "satisfied",
+                "witness": {"point": "2"},
+            },
+            {
+                "description": "singularity sets of J0 and Si are disjoint",
+                "anchor": "disjoint-singularity-sets",
+                "outcome": "failed",
+                "witness": {
+                    "pair": [0, 1],
+                    "set_i": "roots([1,0,1]) (closed_form)",
+                    "set_j": "roots([1,0,1]) (closed_form)",
+                },
+            },
+        ]
+        assert doc["inputs"] == {"functions": ["J0", "Si"], "points": ["2"]}
+        zero = certify_main([ef_exp()], 0).to_json()
+        assert zero["hypotheses"] == [
+            {
+                "description": "evaluation point is nonzero",
+                "anchor": "nonzero-point",
+                "outcome": "failed",
+                "witness": {"point": "0"},
+            }
+        ]
+        assert zero["notes"] == ["values at 0 are algebraic"]
+
+    def test_equal_points_give_the_one_point_form(self):
+        funcs = [ef_exp(), ef_bessel_j0(), ef_sin_integral()]
+        shared = certify_main(funcs, Fraction(3, 2)).to_json()
+        equal = [Fraction(3, 2), Fraction(6, 4), Fraction(3, 2)]
+        assert certify_multi(funcs, equal).to_json() == shared
+        root2 = alg_nth_root(2, 2)
+        assert (
+            certify_multi(funcs[:2], [root2, alg_nth_root(2, 2)]).to_json()
+            == certify_main(funcs[:2], root2).to_json()
+        )
+
+    def test_shared_point_needs_no_ratio_sets(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ratio test at a shared point")
+
+        monkeypatch.setattr(criterion, "ratio_condition", refuse)
+        assert certify_main([ef_exp(), ef_bessel_j0()], 1).verdict == CERTIFIED
+        assert certify_multi([ef_exp(), ef_bessel_j0()], [3, 3]).verdict == CERTIFIED
 
 
 class TestMulti:

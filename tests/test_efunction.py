@@ -22,7 +22,6 @@ from elindep.efunction import (
     ef_sum,
     growth_check,
     hypergeometric_annihilator,
-    psi_series,
 )
 from elindep.errors import InputError
 from elindep.polynomials import Polynomial
@@ -63,10 +62,6 @@ class TestBuiltins:
         op = ef_bessel_j0().annihilator
         with pytest.raises(InputError):
             EFunction(op, [1, 1], name="bad")  # J0'(0) = 0, not 1
-
-    def test_coefficient_stream_matches_psi_series(self):
-        f = ef_bessel_j0()
-        assert psi_series(f, 12) == [f.coefficient(n) for n in range(12)]
 
 
 class TestHypergeometric:

@@ -17,7 +17,9 @@ from elindep.efunction import (
 from elindep.errors import InputError, PrecisionExceededError
 from elindep.lattice import lll_reduce
 from elindep.numeric import (
+    MAX_TERMS,
     Ball,
+    _sci_upper,
     eval_efunction,
     eval_hypergeometric_value,
     falsify,
@@ -110,6 +112,20 @@ class TestEvalEFunction:
             truth = mpf_frac(mpmath.e)
         assert abs(b.re - truth) <= b.rad
 
+    def test_over_budget_fails_before_summing(self):
+        from elindep.efunction import EFunction
+
+        unbounded = EFunction(ef_exp().annihilator, [1], name="nb", coeff_bound=None)
+        for f in (ef_exp(), unbounded):
+            with pytest.raises(PrecisionExceededError):
+                eval_efunction(f, MAX_TERMS, 5)
+            # far beyond float range: the budget test stays exact
+            with pytest.raises(PrecisionExceededError):
+                eval_efunction(f, 10**400, 5)
+        params = HypergeometricParams((), (Fraction(1),), Fraction(1))
+        with pytest.raises(PrecisionExceededError):
+            eval_hypergeometric_value(params, 10**7, 5)
+
     def test_irrational_point_rejected(self):
         from elindep.algebraic import alg_nth_root
         from elindep.errors import UnsupportedOperationError
@@ -150,6 +166,24 @@ class TestEvalHypergeometric:
         with mpmath.workdps(60):
             truth = mpf_frac(mpmath.exp(-10))
         assert abs(b.re - truth) <= b.rad
+
+
+class TestSciUpper:
+    def test_below_float_range(self):
+        assert _sci_upper(Fraction(1, 10**400)) == "1.000e-400"
+        assert _sci_upper(Fraction(8957_1, 10**405)) == "8.958e-401"
+        assert _sci_upper(-Fraction(1, 10**320)) == "-1.000e-320"
+
+    def test_beyond_decimal_string_limit(self):
+        # numerator or denominator longer than 4300 decimal digits
+        assert _sci_upper(Fraction(2881_1, 10**5005)) == "2.882e-5001"
+        assert _sci_upper(Fraction(3 * 10**5000 + 1)) == "3.001e+5000"
+
+    def test_rounds_up(self):
+        assert _sci_upper(Fraction(10**5 + 1, 10**10)) == "1.001e-5"
+        assert _sci_upper(Fraction(1, 3)) == "3.334e-1"
+        assert _sci_upper(Fraction(9999_9, 10**4)) == "1.000e+1"
+        assert _sci_upper(Fraction(1000)) == "1.000e+3"
 
 
 class TestIntegerRelation:

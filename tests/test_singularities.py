@@ -18,12 +18,10 @@ from elindep.efunction import (
 from elindep.errors import InputError
 from elindep.polynomials import Polynomial
 from elindep.singularities import (
-    CLOSED_FORM,
     SUPERSET,
     RootSet,
     hypergeometric_singularities,
     ratio_condition,
-    rootset_scale,
     rootsets_disjoint,
     singularity_superset,
 )
@@ -39,33 +37,18 @@ class TestRootSet:
         p = P(0, 0, 1) * P(1, -1) ** 2 * P(-4, 2)
         rs = RootSet.from_poly(p)
         assert rs.poly == P(2, -3, 1) or rs.poly == P(-2, 3, -1)
-        assert not rs.includes_zero
-        rs0 = RootSet.from_poly(p, keep_zero=True)
-        assert rs0.includes_zero
-        assert rs0.count_bound == 3
 
     def test_empty(self):
         rs = RootSet.from_poly(P(5))
         assert rs.is_empty
-        assert rs.count_bound == 0
         with pytest.raises(InputError):
             RootSet.from_poly(Polynomial.zero())
 
-    def test_scaling_round_trip(self):
-        rs = RootSet.from_poly(P(-2, 1) * P(-3, 1))  # {2, 3}
-        half = rootset_scale(rs, 2)  # {1, 3/2}
-        assert not rootsets_disjoint(half, RootSet.from_poly(P(-1, 1)))
-        back = rootset_scale(half, Fraction(1, 2))
-        assert back.poly.monic() == rs.poly.monic()
-        with pytest.raises(InputError):
-            rootset_scale(rs, 0)
-
     def test_json_round_trip(self):
-        rs = RootSet.from_poly(P(0, -2, 1), provenance=SUPERSET, keep_zero=True)
-        again = RootSet.from_json(rs.to_json())
-        assert again == rs
-        with pytest.raises(InputError):
-            RootSet.from_json({"poly": [0], "includes_zero": False, "provenance": CLOSED_FORM})
+        rs = RootSet.from_poly(P(0, -2, 1), provenance=SUPERSET)
+        obj = rs.to_json()
+        assert obj == {"poly": [-2, 1], "includes_zero": False, "provenance": SUPERSET}
+        assert RootSet.from_poly(Polynomial(obj["poly"]), obj["provenance"]) == rs
 
 
 class TestDisjointness:
@@ -83,13 +66,6 @@ class TestDisjointness:
         a = RootSet.from_poly(P(-2, 0, 1))  # +-sqrt2
         b = RootSet.from_poly(P(-2, 0, 1) * P(-7, 1))
         assert not rootsets_disjoint(a, b)
-
-    def test_zero_only_collides_with_zero(self):
-        a = RootSet.from_poly(P(0, 1), keep_zero=True)
-        b = RootSet.from_poly(P(0, 1) * P(-1, 1), keep_zero=True)
-        assert not rootsets_disjoint(a, b)
-        c = RootSet.from_poly(P(-1, 1))
-        assert rootsets_disjoint(a, c)
 
 
 class TestClosedForms:
