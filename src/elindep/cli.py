@@ -356,7 +356,8 @@ def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
             f = _build_function(fs, ctx)
             for p in spec.points:
                 point = _build_point(p)
-                ball = eval_efunction(f, point, digits)
+                # one guard digit keeps the widened printed radius <= 10^-digits
+                ball = eval_efunction(f, point, digits + 1)
                 results.append(
                     {
                         "function": f.name,

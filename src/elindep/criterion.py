@@ -185,25 +185,22 @@ def _finish(cert: Certificate) -> Certificate:
     return cert
 
 
-def _discharge(cert: Certificate, functions, points, ctx) -> None:
+def _discharge(cert: Certificate, functions) -> None:
     """Resolve the algebraicity caveat when every value is transcendental.
 
-    The built-ins carry values_transcendental = True (classical results for
-    exp, J0 and Si at nonzero algebraic points).  In that case no two of
-    {1, f_1(a_1), ...} can be algebraic, since only the constant is.
+    Called only once every hypothesis holds, so every point is proven
+    nonzero.  The built-ins carry values_transcendental = True (classical
+    results for exp, J0 and Si at nonzero algebraic points).  In that case
+    no two of {1, f_1(a_1), ...} can be algebraic, since only the constant is.
     """
-    if all(f.values_transcendental for f in functions) and functions:
-        if all(not alg_is_zero(p, ctx) for p in points):
-            cert.caveat_discharged = True
-            cert.conditional_on = []
-            cert.notes.append(
-                "caveat discharged: each value is transcendental at nonzero "
-                "algebraic points, so the constant 1 is the only algebraic "
-                "number in the list"
-            )
-            return
-    cert.caveat_discharged = False
-    cert.conditional_on = [CAVEAT]
+    if functions and all(f.values_transcendental for f in functions):
+        cert.caveat_discharged = True
+        cert.conditional_on = []
+        cert.notes.append(
+            "caveat discharged: each value is transcendental at nonzero "
+            "algebraic points, so the constant 1 is the only algebraic "
+            "number in the list"
+        )
 
 
 def _value_list_statement(labels: list[str]) -> str:
@@ -292,7 +289,8 @@ def _certify(
             "apparent singularities; the genuine singularity sets could "
             f"still {could}"
         )
-    _discharge(cert, functions, pts, ctx)
+    if cert.all_satisfied():
+        _discharge(cert, functions)
     return _finish(cert)
 
 

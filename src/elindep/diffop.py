@@ -1,7 +1,7 @@
-"""Linear differential operators with Laurent polynomial coefficients.
+"""Linear differential operators with polynomial coefficients.
 
 Operators are finite sums  sum_b  p_b(z) * D^b  where D = d/dz and each p_b
-is a Laurent polynomial over Q. The module provides the noncommutative
+is a polynomial over Q. The module provides the noncommutative
 composition algebra (D z = z D + 1), application to truncated power series,
 and the coefficient-transform that sends an annihilator of
 f = sum a_n z^n / n!  to an annihilator of  g = sum a_n z^n.
@@ -12,11 +12,13 @@ The transform rests on two identities, with W = z^2 D + z:
                       r_b = a_0 + a_1 z + ... + a_{b-1} z^{b-1}
     g-of-z-shift:     multiplying f by z corresponds to applying W to g
 
-so p(z) D^b f maps to p(W) applied to z^-b (g - r_b). Summing over the
-terms of the annihilator yields M~ g = r~ with M~ in the Laurent-Weyl
-algebra and r~ an explicit Laurent polynomial; clearing powers of z and,
-when r~ is nonzero, left-composing with D^(deg r + 1) gives a homogeneous
-annihilator of g.
+so p(z) D^b f maps to p(W) applied to z^-b (g - r_b). With B the order,
+z^B W = T z^B for T = z^2 D + (1 - B) z, so after multiplying by z^B the
+term becomes p(T) applied to z^(B-b) (g - r_b), and B - b >= 0 keeps every
+step polynomial. Summing over the terms of the annihilator yields M g = r
+with polynomial M and r; dividing out the power of z they share (at most
+z^B) and, when r is nonzero, left-composing with D^(deg r + 1) gives a
+homogeneous annihilator of g.
 """
 
 from __future__ import annotations
@@ -32,167 +34,48 @@ from .polynomials import Polynomial
 from .rationals import format_rational, parse_rational
 
 
-class LaurentPoly:
-    """Laurent polynomial over Q: coeffs[i] is the coefficient of z^(zmin+i)."""
-
-    __slots__ = ("zmin", "coeffs")
-
-    def __init__(self, zmin: int, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
-            lead += 1
-        cs = cs[lead:]
-        zmin += lead
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            zmin = 0
-        self.zmin = zmin
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls(0, ())
-
-    @classmethod
-    def constant(cls, c) -> "LaurentPoly":
-        return cls(0, (c,))
-
-    @classmethod
-    def monomial(cls, c, power: int) -> "LaurentPoly":
-        return cls(power, (c,))
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "LaurentPoly":
-        return cls(0, p.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def zmax(self) -> int:
-        return self.zmin + len(self.coeffs) - 1
-
-    def __getitem__(self, power: int) -> Fraction:
-        i = power - self.zmin
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def items(self):
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                yield self.zmin + i, c
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.zmin == other.zmin and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.zmin, self.coeffs))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.zmin, other.zmin)
-        hi = max(self.zmax, other.zmax)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for m, c in self.items():
-            out[m - lo] += c
-        for m, c in other.items():
-            out[m - lo] += c
-        return LaurentPoly(lo, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.zmin, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            if self.is_zero or other.is_zero:
-                return LaurentPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b != 0:
-                        out[i + j] += a * b
-            return LaurentPoly(self.zmin + other.zmin, out)
-        c = Fraction(other)
-        return LaurentPoly(self.zmin, tuple(v * c for v in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by z^k."""
-        if self.is_zero:
-            return self
-        return LaurentPoly(self.zmin + k, self.coeffs)
-
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly(
-            self.zmin - 1,
-            tuple((self.zmin + i) * c for i, c in enumerate(self.coeffs)),
-        )
-
-    def as_polynomial(self) -> Polynomial:
-        if self.is_zero:
-            return Polynomial.zero()
-        if self.zmin < 0:
-            raise ValueError("Laurent polynomial has negative powers")
-        return Polynomial((0,) * self.zmin + self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({_poly_text(self)})"
+MAX_Z_POWER = 256
+"""Largest power of z an operator read from text or JSON may carry."""
 
 
-def _apply_w(h: LaurentPoly) -> LaurentPoly:
-    """(z^2 D + z) applied to a Laurent polynomial: z^m -> (m+1) z^(m+1)."""
-    return LaurentPoly(
-        h.zmin + 1,
-        tuple((h.zmin + i + 1) * c for i, c in enumerate(h.coeffs)),
-    )
+def _monomials(p: Polynomial):
+    """(power, coefficient) for the nonzero coefficients of p."""
+    return ((m, c) for m, c in enumerate(p.coeffs) if c != 0)
+
+
+def _content(polys: Iterable[Polynomial]) -> Fraction:
+    """Positive rational content of a family of polynomials; 0 if all are zero."""
+    return Polynomial([p.content() for p in polys]).content()
 
 
 class DiffOperator:
-    """sum over b of coeff[b](z) * D^b with Laurent polynomial coefficients."""
+    """sum over b of coeff[b](z) * D^b with polynomial coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, LaurentPoly]):
-        clean: dict[int, LaurentPoly] = {}
-        for b, lp in terms.items():
+    def __init__(self, terms: Mapping[int, Polynomial]):
+        clean: dict[int, Polynomial] = {}
+        for b, p in terms.items():
             if b < 0:
                 raise ValueError("negative derivative order")
-            if not lp.is_zero:
-                clean[b] = lp
+            if not p.is_zero:
+                clean[b] = p
         self.terms = dict(sorted(clean.items()))
 
     @classmethod
     def from_poly_coeffs(cls, coeffs: Sequence) -> "DiffOperator":
-        """Build sum coeffs[b] * D^b from ordinary polynomial coefficients.
+        """Build sum coeffs[b] * D^b.
 
-        Each entry may be a Polynomial, a LaurentPoly, a coefficient list, or
-        a scalar.
+        Each entry may be a Polynomial, a coefficient list, or a scalar.
         """
         terms = {}
         for b, c in enumerate(coeffs):
-            if isinstance(c, LaurentPoly):
+            if isinstance(c, Polynomial):
                 terms[b] = c
-            elif isinstance(c, Polynomial):
-                terms[b] = LaurentPoly.from_polynomial(c)
             elif isinstance(c, (list, tuple)):
-                terms[b] = LaurentPoly(0, c)
+                terms[b] = Polynomial(c)
             else:
-                terms[b] = LaurentPoly.constant(c)
+                terms[b] = Polynomial.constant(c)
         return cls(terms)
 
     @classmethod
@@ -207,17 +90,13 @@ class DiffOperator:
     def order(self) -> int:
         return max(self.terms) if self.terms else -1
 
-    def coefficient(self, b: int) -> LaurentPoly:
-        return self.terms.get(b, LaurentPoly.zero())
+    def coefficient(self, b: int) -> Polynomial:
+        return self.terms.get(b, Polynomial.zero())
 
-    def leading_coefficient(self) -> LaurentPoly:
+    def leading_coefficient(self) -> Polynomial:
         if self.is_zero:
             raise ValueError("zero operator has no leading coefficient")
         return self.terms[self.order]
-
-    @property
-    def zmin(self) -> int:
-        return min((lp.zmin for lp in self.terms.values()), default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
@@ -229,12 +108,12 @@ class DiffOperator:
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         out = dict(self.terms)
-        for b, lp in other.terms.items():
-            out[b] = out.get(b, LaurentPoly.zero()) + lp
+        for b, p in other.terms.items():
+            out[b] = self.coefficient(b) + p
         return DiffOperator(out)
 
     def __neg__(self) -> "DiffOperator":
-        return DiffOperator({b: -lp for b, lp in self.terms.items()})
+        return DiffOperator({b: -p for b, p in self.terms.items()})
 
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
         return self + (-other)
@@ -243,29 +122,15 @@ class DiffOperator:
         c = Fraction(c)
         if c == 0:
             return DiffOperator.zero()
-        return DiffOperator({b: lp * c for b, lp in self.terms.items()})
+        return DiffOperator({b: p * c for b, p in self.terms.items()})
 
     def shift_z(self, k: int) -> "DiffOperator":
-        """Left-multiply by z^k (as a function)."""
-        return DiffOperator({b: lp.shift(k) for b, lp in self.terms.items()})
+        """Left-multiply by z^k (as a function), k >= 0."""
+        return DiffOperator({b: p.shifted(k) for b, p in self.terms.items()})
 
     def primitive_normalized(self) -> "DiffOperator":
         """Divide by the positive rational content; sign is preserved."""
-        if self.is_zero:
-            return self
-        nums: list[int] = []
-        dens: list[int] = []
-        for lp in self.terms.values():
-            for _, c in lp.items():
-                nums.append(abs(c.numerator))
-                dens.append(c.denominator)
-        g = 0
-        for n in nums:
-            g = math.gcd(g, n)
-        l = 1
-        for d in dens:
-            l = l * d // math.gcd(l, d)
-        content = Fraction(g, l)
+        content = _content(self.terms.values())
         if content in (0, 1):
             return self
         return self.scale(1 / content)
@@ -278,9 +143,9 @@ def op_compose(left: DiffOperator, right: DiffOperator) -> DiffOperator:
     """Operator product left∘right, using D^b z^c = sum_k C(b,k) ff(c,k) z^(c-k) D^(b-k)."""
     acc: dict[int, dict[int, Fraction]] = {}
     for i, la in left.terms.items():
-        for a, ca in la.items():
+        for a, ca in _monomials(la):
             for j, lb in right.terms.items():
-                for c, cb in lb.items():
+                for c, cb in _monomials(lb):
                     base = ca * cb
                     ff = Fraction(1)
                     for k in range(0, i + 1):
@@ -293,37 +158,25 @@ def op_compose(left: DiffOperator, right: DiffOperator) -> DiffOperator:
                         zpow = a + c - k
                         row = acc.setdefault(order, {})
                         row[zpow] = row.get(zpow, Fraction(0)) + coeff
-    return _from_sparse(acc)
-
-
-def _from_sparse(acc: Mapping[int, Mapping[int, Fraction]]) -> DiffOperator:
-    terms = {}
-    for order, row in acc.items():
-        live = {p: c for p, c in row.items() if c != 0}
-        if not live:
-            continue
-        lo = min(live)
-        hi = max(live)
-        coeffs = [live.get(p, Fraction(0)) for p in range(lo, hi + 1)]
-        terms[order] = LaurentPoly(lo, coeffs)
-    return DiffOperator(terms)
+    return DiffOperator(
+        {
+            order: Polynomial(row.get(m, 0) for m in range(max(row) + 1))
+            for order, row in acc.items()
+        }
+    )
 
 
 def op_apply(op: DiffOperator, series: Sequence, keep: int) -> dict[int, Fraction]:
     """Apply op to the ordinary power series sum series[t] z^t.
 
-    Returns the coefficients of the image for all exponents below `keep`
-    (exponents may be negative for Laurent coefficients). Raises
-    InsufficientTruncationError when the input prefix is too short to
-    determine them all.
+    Returns the coefficients of the image for all exponents 0 .. keep-1.
+    Raises InsufficientTruncationError when the input prefix is too short
+    to determine them all.
     """
     series = [Fraction(s) for s in series]
-    out: dict[int, Fraction] = {}
-    lowest = min((lp.zmin - b for b, lp in op.terms.items()), default=0)
-    for s in range(lowest, keep):
-        out[s] = Fraction(0)
-    for b, lp in op.terms.items():
-        for a, c in lp.items():
+    out = {s: Fraction(0) for s in range(keep)}
+    for b, p in op.terms.items():
+        for a, c in _monomials(p):
             # z^a D^b maps z^t to ff(t,b) z^(t-b+a)
             for t in range(b, len(series) + 1):
                 e = t - b + a
@@ -336,9 +189,8 @@ def op_apply(op: DiffOperator, series: Sequence, keep: int) -> dict[int, Fractio
                 ff = 1
                 for q in range(b):
                     ff *= t - q
-                out[e] = out.get(e, Fraction(0)) + c * ff * series[t]
-    # exponents >= keep were never fully accumulated; drop any strays
-    return {e: v for e, v in out.items() if e < keep}
+                out[e] += c * ff * series[t]
+    return out
 
 
 @dataclass(frozen=True)
@@ -352,8 +204,6 @@ class InhomogeneousResult:
 def _validate_transform_input(op: DiffOperator, initial_values: Sequence) -> list[Fraction]:
     if op.is_zero:
         raise InputError("cannot transform the zero operator")
-    if op.zmin < 0:
-        raise InputError("transform input must have polynomial coefficients")
     order = op.order
     vals = [Fraction(v) for v in initial_values]
     if len(vals) < order:
@@ -373,76 +223,55 @@ def psi_transform_with_remainder(
     normalized by a single positive rational.
     """
     a = _validate_transform_input(op, initial_values)
+    order = op.order
 
     acc = DiffOperator.zero()
-    rem = LaurentPoly.zero()
+    rem = Polynomial.zero()
     for b, p_b in op.terms.items():
-        r_b = LaurentPoly(0, a[:b])
-        # ladder of W^a ∘ z^(-b) as an operator, and W^a (r_b z^(-b)) as a value
-        ladder_op = DiffOperator({0: LaurentPoly.monomial(1, -b)})
-        ladder_val = r_b.shift(-b)
-        amax = p_b.zmax
-        for power in range(0, amax + 1):
-            c = p_b[power]
+        # ladder of T^k ∘ z^(B-b) as an operator, and T^k (z^(B-b) r_b) as a value
+        ladder_op = DiffOperator({0: Polynomial.x_power(order - b)})
+        ladder_val = Polynomial(a[:b]).shifted(order - b)
+        for power, c in enumerate(p_b.coeffs):
             if c != 0:
                 acc = acc + ladder_op.scale(c)
                 rem = rem + ladder_val * c
-            if power < amax:
-                ladder_op = _compose_w(ladder_op)
-                ladder_val = _apply_w(ladder_val)
+            if power < p_b.degree:
+                ladder_op = _compose_t(ladder_op, order)
+                ladder_val = _apply_t(ladder_val, order)
 
     if acc.is_zero:
         raise InternalCheckError("transform produced the zero operator")
 
-    clear = max(0, -acc.zmin, -(rem.zmin if not rem.is_zero else 0))
-    acc = acc.shift_z(clear)
-    rem = rem.shift(clear)
-    remainder = rem.as_polynomial()
+    # z^order was multiplied in; divide out whatever power of z M and r share
+    shared = min(
+        [order] + [p.deflate_z()[0] for p in [*acc.terms.values(), rem] if not p.is_zero]
+    )
+    acc = DiffOperator({b: Polynomial(p.coeffs[shared:]) for b, p in acc.terms.items()})
+    remainder = Polynomial(rem.coeffs[shared:])
 
     # one positive scalar for the pair, so the identity M g = r is preserved
-    content = _pair_content(acc, remainder)
+    content = _content([*acc.terms.values(), remainder])
     if content not in (0, 1):
         acc = acc.scale(1 / content)
         remainder = remainder * (1 / content)
     return InhomogeneousResult(acc, remainder)
 
 
-def _compose_w(x: DiffOperator) -> DiffOperator:
-    """W∘X for W = z^2 D + z, computed termwise.
+def _apply_t(h: Polynomial, order: int) -> Polynomial:
+    """T h for T = z^2 D + (1 - order) z."""
+    return h.derivative().shifted(2) + h.shifted(1) * (1 - order)
 
-    z^2 D (L D^o) = z^2 L' D^o + z^2 L D^(o+1), plus z L D^o.
+
+def _compose_t(x: DiffOperator, order: int) -> DiffOperator:
+    """T∘X for T = z^2 D + (1 - order) z, computed termwise.
+
+    z^2 D (L D^o) = z^2 L' D^o + z^2 L D^(o+1), plus (1 - order) z L D^o.
     """
-    out: dict[int, LaurentPoly] = {}
-
-    def add(order: int, lp: LaurentPoly):
-        if lp.is_zero:
-            return
-        out[order] = out.get(order, LaurentPoly.zero()) + lp
-
-    for o, lp in x.terms.items():
-        add(o, lp.derivative().shift(2) + lp.shift(1))
-        add(o + 1, lp.shift(2))
+    out: dict[int, Polynomial] = {}
+    for o, p in x.terms.items():
+        out[o] = out.get(o, Polynomial.zero()) + _apply_t(p, order)
+        out[o + 1] = out.get(o + 1, Polynomial.zero()) + p.shifted(2)
     return DiffOperator(out)
-
-
-def _pair_content(op: DiffOperator, rem: Polynomial) -> Fraction:
-    nums: list[int] = []
-    dens: list[int] = []
-    for lp in op.terms.values():
-        for _, c in lp.items():
-            nums.append(abs(c.numerator))
-            dens.append(c.denominator)
-    for c in rem.coeffs:
-        if c != 0:
-            nums.append(abs(c.numerator))
-            dens.append(c.denominator)
-    g = 0
-    for n in nums:
-        g = math.gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // math.gcd(l, d)
-    return Fraction(g, l)
 
 
 def psi_transform(op: DiffOperator, initial_values: Sequence) -> DiffOperator:
@@ -451,7 +280,7 @@ def psi_transform(op: DiffOperator, initial_values: Sequence) -> DiffOperator:
     result = pair.operator
     if not pair.remainder.is_zero:
         d = pair.remainder.degree
-        killer = DiffOperator({d + 1: LaurentPoly.constant(1)})
+        killer = DiffOperator({d + 1: Polynomial.one()})
         result = op_compose(killer, result)
     if result.is_zero:
         raise InternalCheckError("homogenized transform collapsed to zero")
@@ -485,12 +314,10 @@ def recurrence_from_ode(op: DiffOperator) -> Recurrence:
     """
     if op.is_zero:
         raise InputError("zero operator has no recurrence")
-    if op.zmin < 0:
-        raise InputError("recurrence needs polynomial coefficients")
     bands: dict[int, Polynomial] = {}
     t = Polynomial.x()
-    for b, lp in op.terms.items():
-        for a, c in lp.items():
+    for b, p in op.terms.items():
+        for a, c in _monomials(p):
             j = b - a
             ff = Polynomial.one()
             for i in range(b):
@@ -505,23 +332,37 @@ def recurrence_from_ode(op: DiffOperator) -> Recurrence:
 # -- serialization ------------------------------------------------------------
 
 
-def laurent_to_json(lp: LaurentPoly) -> dict:
-    return {"zmin": lp.zmin, "coeffs": [format_rational(c) for c in lp.coeffs]}
-
-
-def laurent_from_json(obj: dict) -> LaurentPoly:
+def _z_power(value) -> int:
+    """A power of z read from input, checked to lie in 0 .. MAX_Z_POWER."""
     try:
-        zmin = int(obj["zmin"])
+        power = int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad power of z: {value!r}") from exc
+    if not 0 <= power <= MAX_Z_POWER:
+        raise InputError(f"power of z must lie in 0..{MAX_Z_POWER}, got {power}")
+    return power
+
+
+def _poly_to_json(p: Polynomial) -> dict:
+    zmin, rest = p.deflate_z()
+    return {"zmin": zmin, "coeffs": [format_rational(c) for c in rest.coeffs]}
+
+
+def _poly_from_json(obj: dict) -> Polynomial:
+    try:
+        zmin = obj["zmin"]
         coeffs = [parse_rational(c) for c in obj["coeffs"]]
     except (KeyError, TypeError) as exc:
-        raise InputError(f"bad Laurent polynomial object: {exc}") from exc
-    return LaurentPoly(zmin, coeffs)
+        raise InputError(f"bad polynomial object: {exc}") from exc
+    p = Polynomial([Fraction(0)] * _z_power(zmin) + coeffs)
+    _z_power(max(p.degree, 0))
+    return p
 
 
 def op_to_json(op: DiffOperator) -> dict:
     return {
         "terms": [
-            {"dorder": b, "poly": laurent_to_json(lp)} for b, lp in op.terms.items()
+            {"dorder": b, "poly": _poly_to_json(p)} for b, p in op.terms.items()
         ]
     }
 
@@ -529,7 +370,7 @@ def op_to_json(op: DiffOperator) -> dict:
 def op_from_json(obj: dict) -> DiffOperator:
     if not isinstance(obj, dict) or "terms" not in obj:
         raise InputError("operator object needs a 'terms' list")
-    terms: dict[int, LaurentPoly] = {}
+    terms: dict[int, Polynomial] = {}
     if not isinstance(obj["terms"], list):
         raise InputError("'terms' must be a list")
     for entry in obj["terms"]:
@@ -538,18 +379,18 @@ def op_from_json(obj: dict) -> DiffOperator:
         b = entry["dorder"]
         if not isinstance(b, int) or b < 0:
             raise InputError("'dorder' must be a nonnegative integer")
-        lp = laurent_from_json(entry["poly"])
+        p = _poly_from_json(entry["poly"])
         if b in terms:
             raise InputError(f"duplicate derivative order {b}")
-        terms[b] = lp
+        terms[b] = p
     return DiffOperator(terms)
 
 
-def _poly_text(lp: LaurentPoly) -> str:
-    if lp.is_zero:
+def _poly_text(p: Polynomial) -> str:
+    if p.is_zero:
         return "0"
     parts = []
-    for m, c in lp.items():
+    for m, c in _monomials(p):
         if m == 0:
             body = format_rational(abs(c))
         else:
@@ -599,13 +440,13 @@ def _split_signed_monomials(text: str) -> list[str]:
     return chunks
 
 
-def _parse_laurent_text(text: str) -> LaurentPoly:
+def _parse_poly_text(text: str) -> Polynomial:
     text = text.strip().replace(" ", "")
     if not text:
         raise InputError("empty polynomial")
+    result = Polynomial.zero()
     if text == "0":
-        return LaurentPoly.zero()
-    result = LaurentPoly.zero()
+        return result
     for chunk in _split_signed_monomials(text):
         sign = Fraction(1)
         if chunk and chunk[0] in "+-":
@@ -621,8 +462,8 @@ def _parse_laurent_text(text: str) -> LaurentPoly:
         elif m.group("exp") is None:
             power = 1
         else:
-            power = int(m.group("exp"))
-        result = result + LaurentPoly.monomial(sign * coef, power)
+            power = _z_power(m.group("exp"))
+        result = result + Polynomial.x_power(power) * (sign * coef)
     return result
 
 
@@ -631,7 +472,7 @@ def op_from_text(text: str) -> DiffOperator:
     text = text.strip()
     if text == "0":
         return DiffOperator.zero()
-    terms: dict[int, LaurentPoly] = {}
+    terms: dict[int, Polynomial] = {}
     depth = 0
     start = 0
     pieces = []
@@ -653,9 +494,5 @@ def op_from_text(text: str) -> DiffOperator:
         if not m:
             raise InputError(f"cannot parse operator term '{piece.strip()}'")
         b = int(m.group("ord")) if m.group("ord") else 0
-        lp = _parse_laurent_text(m.group("poly"))
-        if b in terms:
-            terms[b] = terms[b] + lp
-        else:
-            terms[b] = lp
+        terms[b] = terms.get(b, Polynomial.zero()) + _parse_poly_text(m.group("poly"))
     return DiffOperator(terms)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebraic import AlgebraicNumber, Precision, DEFAULT_PRECISION, alg_pow
-from .diffop import DiffOperator, LaurentPoly, Recurrence, op_compose, recurrence_from_ode
+from .diffop import DiffOperator, Recurrence, op_compose, recurrence_from_ode
 from .errors import InputError, InternalCheckError, UnsupportedOperationError
 from .polynomials import Polynomial
 
@@ -48,8 +48,6 @@ class EFunction:
     ):
         if annihilator.is_zero:
             raise InputError("annihilator must be nonzero")
-        if annihilator.zmin < 0:
-            raise InputError("annihilator must have polynomial coefficients")
         if annihilator.order < 1:
             raise InputError("annihilator must involve at least one derivative")
         self.annihilator = annihilator
@@ -170,13 +168,7 @@ def ef_bessel_j0() -> EFunction:
 
 
 def ef_sin_integral() -> EFunction:
-    op = DiffOperator(
-        {
-            3: LaurentPoly(1, (1,)),
-            2: LaurentPoly.constant(2),
-            1: LaurentPoly(1, (1,)),
-        }
-    )
+    op = DiffOperator.from_poly_coeffs([0, [0, 1], 2, [0, 1]])
     return EFunction(
         op,
         [0, 1, 0],
@@ -216,10 +208,10 @@ class HypergeometricParams:
 
 def _theta_poly_operator(roots: Sequence[Fraction], extra_theta: bool) -> DiffOperator:
     """prod (theta + root) as an operator, optionally times theta, theta = z D."""
-    theta = DiffOperator({1: LaurentPoly(1, (1,))})
-    acc = DiffOperator({0: LaurentPoly.constant(1)})
+    theta = DiffOperator.from_poly_coeffs([0, [0, 1]])
+    acc = DiffOperator.from_poly_coeffs([1])
     for r in roots:
-        factor = theta + DiffOperator({0: LaurentPoly.constant(r)})
+        factor = DiffOperator.from_poly_coeffs([r, [0, 1]])
         acc = op_compose(acc, factor)
     if extra_theta:
         acc = op_compose(theta, acc)
@@ -327,10 +319,7 @@ def ef_hypergeometric(
 
 
 def _poly_coeff_list(op: DiffOperator) -> list[Polynomial]:
-    out = [Polynomial.zero()] * (op.order + 1)
-    for b, lp in op.terms.items():
-        out[b] = lp.as_polynomial()
-    return out
+    return [op.coefficient(b) for b in range(op.order + 1)]
 
 
 def _singular_seed_length(op: DiffOperator) -> int:
@@ -603,7 +592,7 @@ def _solve_annihilator_ansatz(
     for (a, b), v in zip(unknowns, kernel):
         if v != 0:
             terms.setdefault(b, [Fraction(0)] * (degree + 1))[a] = v
-    op = DiffOperator({b: LaurentPoly(0, cs) for b, cs in terms.items()})
+    op = DiffOperator({b: Polynomial(cs) for b, cs in terms.items()})
     if op.is_zero or op.order < 1:
         return None
     # fresh-row validation: the solved rows used c up to rows-1+order

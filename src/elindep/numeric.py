@@ -85,10 +85,15 @@ class Ball:
         return self.re**2 + self.im**2 <= self.rad**2
 
     def to_json(self, digits: int = 30) -> dict:
+        re = decimal_string(self.re, digits)
+        im = decimal_string(self.im, digits)
+        # widen by the rounding of the printed midpoint, so the printed ball
+        # still contains every point of this one
+        rad = self.rad + abs(Fraction(re) - self.re) + abs(Fraction(im) - self.im)
         return {
-            "re": decimal_string(self.re, digits),
-            "im": decimal_string(self.im, digits),
-            "radius": _sci_upper(self.rad),
+            "re": re,
+            "im": im,
+            "radius": _sci_upper(rad),
             "heuristic_tail": self.heuristic_tail,
         }
 

@@ -91,7 +91,7 @@ def singularity_superset(
     if cached is not None:
         return cached
     op = psi_transform(f.annihilator, f.coefficients(f.order))
-    lead = op.leading_coefficient().as_polynomial()
+    lead = op.leading_coefficient()
     result = RootSet.from_poly(lead, provenance=SUPERSET)
     f._singularity_cache = result
     return result

@@ -4,6 +4,7 @@ import json
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -163,6 +164,25 @@ class TestMain:
         value = report["results"][0]["value"]
         assert value["re"].startswith("2.71828182845904523536")
 
+    def test_eval_ball_contains_value(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "task": "eval",
+            "functions": [{"type": "builtin", "name": "exp"}],
+            "points": ["5/7"],
+        }
+        path = write_spec(tmp_path, doc)
+        code = main(["eval", "--spec", path, "--digits", "300", "--format", "json"])
+        assert code == 0
+        value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+        mant, exp = value["radius"].split("e")
+        radius = Fraction(mant) * Fraction(10) ** int(exp)
+        assert radius <= Fraction(1, 10**300)
+        with mpmath.workdps(330):
+            want = mpmath.exp(mpmath.mpf(5) / 7)
+        want = Fraction(want.man) * Fraction(2) ** want.exp
+        assert abs(want - Fraction(value["re"])) <= radius
+
     def test_certify_si(self, tmp_path, capsys):
         doc = {
             "version": 1,
@@ -274,6 +294,22 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2
         assert code == 3
         assert "precision cap exceeded" in capsys.readouterr().err
+
+    def test_huge_power_of_z_rejected_fast(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "task": "transform",
+            "functions": [{"type": "ode", "operator": "(1)*D^1 + (-z^100000000)",
+                           "initial": ["1"]}],
+        }
+        path = write_spec(tmp_path, doc)
+        start = time.perf_counter()
+        code = main(["transform", "--spec", path])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "input error: power of z" in err
+        assert "Traceback" not in err
 
     def test_demo_runs_clean(self, capsys):
         code = main(["demo", "--digits", "25", "--coeff-bound", "50",

@@ -107,6 +107,7 @@ class TestMain:
             },
         ]
         assert doc["inputs"] == {"functions": ["J0", "Si"], "points": ["2"]}
+        assert doc["notes"] == []
         zero = certify_main([ef_exp()], 0).to_json()
         assert zero["hypotheses"] == [
             {

@@ -12,8 +12,9 @@ import pytest
 
 from elindep.diffop import (
     DiffOperator,
-    LaurentPoly,
+    MAX_Z_POWER,
     Recurrence,
+    _apply_t,
     op_apply,
     op_compose,
     op_from_json,
@@ -27,7 +28,7 @@ from elindep.diffop import (
 from elindep.errors import InputError, InsufficientTruncationError
 from elindep.polynomials import Polynomial
 
-from support import random_operator
+from support import random_operator, random_polynomial
 
 
 def exp_op():
@@ -53,33 +54,28 @@ def geometric(n):
     return [Fraction(1)] * n
 
 
-class TestLaurentPoly:
-    def test_arithmetic(self):
-        a = LaurentPoly(-1, [1, 2])  # z^-1 + 2
-        b = LaurentPoly(0, [3, 1])  # 3 + z
-        assert (a + b)[0] == 5
-        assert (a * b)[-1] == 3
-        assert (a * b)[1] == 2
-        assert (-a)[-1] == -1
-
+class TestPolynomialCoefficients:
     def test_shift_and_derivative(self):
-        a = LaurentPoly(0, [0, 0, 1])  # z^2
-        assert a.derivative() == LaurentPoly(1, [2])
-        assert a.shift(-3) == LaurentPoly(-1, [1])
-        inv = LaurentPoly(-1, [1])  # z^-1
-        assert inv.derivative() == LaurentPoly(-2, [-1])
+        """z^B W h = T z^B h with W = z^2 D + z and T = z^2 D + (1 - B) z."""
+        rng = random.Random(3)
+        z = Polynomial.x()
+        for _ in range(20):
+            h = random_polynomial(rng, 5)
+            big_b = rng.randint(0, 4)
+            w_h = z * z * h.derivative() + z * h
+            assert _apply_t(h.shifted(big_b), big_b) == w_h.shifted(big_b)
 
-    def test_as_polynomial_rejects_poles(self):
+    def test_rejects_poles(self):
         with pytest.raises(ValueError):
-            LaurentPoly(-1, [1]).as_polynomial()
-        assert LaurentPoly(1, [2, 3]).as_polynomial() == Polynomial((0, 2, 3))
+            exp_op().shift_z(-1)
+        assert j0_op().shift_z(1).coefficient(2) == Polynomial((0, 0, 1))
 
 
 class TestOperatorAlgebra:
     def test_order_and_leading(self):
         op = j0_op()
         assert op.order == 2
-        assert op.leading_coefficient() == LaurentPoly(1, [1])
+        assert op.leading_coefficient() == Polynomial((0, 1))
 
     def test_compose_matches_sequential_apply(self):
         """(L1 L2) f == L1 (L2 f) coefficientwise, on random operators."""
@@ -91,9 +87,7 @@ class TestOperatorAlgebra:
             comp = op_compose(l1, l2)
             direct = op_apply(comp, series, 12)
             mid = op_apply(l2, series, 30)
-            mid_series = [mid.get(e, Fraction(0)) for e in range(30)]
-            if any(e < 0 and v != 0 for e, v in mid.items()):
-                continue  # inner image has a pole, prefix trick doesn't apply
+            mid_series = [mid[e] for e in range(30)]
             via = op_apply(l1, mid_series, 12)
             for e in range(12):
                 assert direct.get(e, 0) == via.get(e, 0)
@@ -120,13 +114,6 @@ class TestApply:
     def test_insufficient_prefix(self):
         with pytest.raises(InsufficientTruncationError):
             op_apply(exp_op(), [1, 1, 1], 10)
-
-    def test_negative_exponents_from_poles(self):
-        op = DiffOperator({0: LaurentPoly(-1, [1])})  # multiplication by 1/z
-        img = op_apply(op, [1, 2, 3], 2)
-        assert img[-1] == 1
-        assert img[0] == 2
-        assert img[1] == 3
 
 
 class TestTransform:
@@ -172,9 +159,63 @@ class TestTransform:
             psi_transform(DiffOperator.zero(), [])
         with pytest.raises(InputError):
             psi_transform(exp_op(), [])  # needs one initial value
-        pole = DiffOperator({1: LaurentPoly(-1, [1]), 0: LaurentPoly.constant(1)})
         with pytest.raises(InputError):
-            psi_transform(pole, [1])
+            op_from_text("(z^-1)*D^1 + (1)")
+        pole = {"dorder": 1, "poly": {"zmin": -1, "coeffs": ["1"]}}
+        with pytest.raises(InputError):
+            op_from_json({"terms": [pole]})
+
+    # reference psi_transform outputs, computed independently through
+    # Laurent-polynomial intermediates: (op_to_text, [(dorder, zmin, coeffs)])
+    PINNED = {
+        "exp": ("(1 - z)*∂^1 + (-1)", [(0, 0, ["-1"]), (1, 0, ["1", "-1"])]),
+        "J0": ("(1 + z^2)*∂^1 + (z)", [(0, 1, ["1"]), (1, 0, ["1", "0", "1"])]),
+        "Si": ("(1 + z^2)*∂^2 + (2*z)*∂^1", [(1, 1, ["2"]), (2, 0, ["1", "0", "1"])]),
+        "F[;1,1]": (
+            "(z^3 - 4*z^5)*∂^3 + (3*z^2 - 32*z^4)*∂^2 + (z - 56*z^3)*∂^1 + (-16*z^2)",
+            [(0, 2, ["-16"]), (1, 1, ["1", "0", "-56"]), (2, 2, ["3", "0", "-32"]),
+             (3, 3, ["1", "0", "-4"])],
+        ),
+        "F[1/3;1/2,2/5]": (
+            "(30*z^3 - 30*z^4)*∂^3 + (57*z^2 - 160*z^3)*∂^2 + (6*z - 150*z^2)*∂^1 + (-10*z)",
+            [(0, 1, ["-10"]), (1, 1, ["6", "-150"]), (2, 2, ["57", "-160"]),
+             (3, 3, ["30", "-30"])],
+        ),
+        "exp(3z)": ("(1 - 3*z)*∂^1 + (-3)", [(0, 0, ["-3"]), (1, 0, ["1", "-3"])]),
+        "I0": ("(1 - z^2)*∂^1 + (-z)", [(0, 1, ["-1"]), (1, 0, ["1", "0", "-1"])]),
+    }
+
+    def test_pinned_outputs(self):
+        from elindep.efunction import (
+            EFunction,
+            ef_bessel_j0,
+            ef_exp,
+            ef_hypergeometric,
+            ef_scale,
+            ef_sin_integral,
+        )
+
+        functions = {
+            "exp": ef_exp(),
+            "J0": ef_bessel_j0(),
+            "Si": ef_sin_integral(),
+            "F[;1,1]": ef_hypergeometric([], [1, 1]),
+            "F[1/3;1/2,2/5]": ef_hypergeometric(
+                [Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 5)]
+            ),
+            "exp(3z)": ef_scale(ef_exp(), 3),
+            "I0": EFunction(op_from_text("(z)*D^2 + (1)*D^1 + (-z)"), [1, 0]),
+        }
+        for name, f in functions.items():
+            op = psi_transform(f.annihilator, f.coefficients(f.order))
+            text, terms = self.PINNED[name]
+            assert op_to_text(op) == text, name
+            assert op_to_json(op) == {
+                "terms": [
+                    {"dorder": b, "poly": {"zmin": zmin, "coeffs": coeffs}}
+                    for b, zmin, coeffs in terms
+                ]
+            }, name
 
 
 class TestRecurrence:
@@ -224,6 +265,19 @@ class TestSerialization:
 
     def test_text_accepts_plain_d(self):
         assert op_from_text("(1 - z)*D^1 + (-1)") == op_from_text("(1 - z)*∂^1 + (-1)")
+
+    def test_power_bound(self):
+        top = f"(z^{MAX_Z_POWER})*D^1 + (1)"
+        assert op_from_text(top).leading_coefficient().degree == MAX_Z_POWER
+        for text in (f"(1)*D^1 + (-z^{MAX_Z_POWER + 1})", "(1)*D^1 + (-z^100000000)",
+                     "(1)*D^1 + (z^" + "9" * 5000 + ")"):
+            with pytest.raises(InputError):
+                op_from_text(text)
+        for zmin, coeffs in ((MAX_Z_POWER + 1, ["1"]), (MAX_Z_POWER, ["1", "1"]),
+                             ("many", ["1"])):
+            term = {"dorder": 1, "poly": {"zmin": zmin, "coeffs": coeffs}}
+            with pytest.raises(InputError):
+                op_from_json({"terms": [term]})
 
     def test_text_rejects_garbage(self):
         with pytest.raises(InputError):
