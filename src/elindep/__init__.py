@@ -21,6 +21,7 @@ from .algebraic import (
     is_root_of,
     isolate_roots,
 )
+from .balls import Ball
 from .criterion import (
     CAVEAT,
     CERTIFIED,
@@ -71,9 +72,7 @@ from .errors import (
     PrecisionExceededError,
     UnsupportedOperationError,
 )
-from .intervals import ComplexBox, Interval
 from .numeric import (
-    Ball,
     RelationReport,
     eval_efunction,
     eval_hypergeometric_value,
@@ -97,7 +96,6 @@ __all__ = [
     "CAVEAT",
     "CERTIFIED",
     "Certificate",
-    "ComplexBox",
     "DEFAULT_PRECISION",
     "DiffOperator",
     "EFunction",
@@ -110,7 +108,6 @@ __all__ = [
     "InputError",
     "InsufficientTruncationError",
     "InternalCheckError",
-    "Interval",
     "Polynomial",
     "Precision",
     "PrecisionExceededError",

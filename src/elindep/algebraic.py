@@ -1,14 +1,16 @@
 """Certified algebraic numbers: isolation, refinement, and exact decisions.
 
 An algebraic number is a squarefree integer polynomial together with a
-certified isolating box. Root isolation pairs a numeric proposer
+certified isolating disc (a `Ball`). Root isolation pairs a numeric proposer
 (mpmath.polyroots) with an exact-rational Krawczyk contraction test; the
-proposer only suggests boxes, it never enters the soundness argument:
+proposer only suggests discs, it never enters the soundness argument:
 
-  * Krawczyk contraction K(B) strictly inside B, with p'(B) excluding zero,
-    proves B contains exactly one root (Brouwer for existence, a
-    divided-difference argument for uniqueness).
-  * Pairwise disjointness plus box count == degree proves every root was
+  * For a disc B with midpoint m and any nonzero Y, the Krawczyk disc
+    K = m - Y p(m) + (1 - Y p'(B)) (B - m) strictly inside B proves that B
+    holds exactly one root of p, and that the root lies in K: the map
+    z -> z - Y p(z) sends the convex set B into K (Brouwer gives a root),
+    and |1 - Y p'| < 1 on B makes it a contraction (uniqueness).
+  * Pairwise disjointness plus disc count == degree proves every root was
     captured.
 
 All decision loops escalate working precision from Precision.start_bits by
@@ -24,8 +26,8 @@ from typing import Callable, Iterable
 
 import mpmath
 
+from .balls import Ball
 from .errors import InputError, PrecisionExceededError
-from .intervals import ComplexBox, Interval
 from .polynomials import (
     Polynomial,
     is_squarefree,
@@ -66,66 +68,55 @@ DEFAULT_PRECISION = Precision()
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    # read the mpf's own bits: mpmath.mpf(x) would round to the context's
+    sign, man, exp, _ = x._mpf_
     if man == 0:
         return Fraction(0)
     frac = Fraction(man) * Fraction(2) ** exp
     return -frac if sign else frac
 
 
-def _krawczyk_step(p: Polynomial, dp: Polynomial, box: ComplexBox, mid_bits: int):
-    """One Krawczyk contraction test.
+def _krawczyk_step(p: Polynomial, dp: Polynomial, ball: Ball, bits: int) -> Ball | None:
+    """One Krawczyk contraction test on the disc `ball`.
 
-    Returns a strictly smaller certified box (containing exactly one root of
-    p, the same root as any root of p in `box`) or None if the test fails.
+    Returns a disc inside `ball` that holds the one root of p in `ball`
+    (its midpoint on the 2^-bits grid when that stays inside), or None if
+    the test fails.
     """
-    m = box.dyadic_midpoint(mid_bits)
+    m = Ball(ball.re, ball.im)
     dpm = dp(m)
     if dpm.contains_zero():
         return None
-    pm = p(m)
     y = dpm.recip()
-    db = dp(box)
-    if db.contains_zero():
+    k = m - y * p(m) + (1 - y * dp(ball)) * (ball - m)
+    if not ball.contains_interior(k):
         return None
-    one = ComplexBox.point(1)
-    k = m - y * pm + (one - y * db) * (box - m)
-    if box.contains_interior(k):
-        # round outward onto a dyadic grid so endpoint sizes stay bounded
-        # across iterations; the root stays inside
-        rounded = k.outer_dyadic(mid_bits + 8)
-        refined = rounded.intersect(box)
-        return refined if refined is not None else rounded
-    return None
+    rounded = k.rounded(bits)
+    return rounded if ball.contains_interior(rounded) else k
 
 
 def _refine_certified(
     p: Polynomial,
     dp: Polynomial,
-    box: ComplexBox,
+    ball: Ball,
     target_radius: Fraction,
     max_steps: int = 256,
-) -> ComplexBox | None:
-    """Shrink a certified box below target_radius by repeated contraction."""
-    current = box
+) -> Ball | None:
+    """Shrink a certified disc below target_radius by repeated contraction;
+    every disc lies inside the one before."""
     # midpoint granularity a little finer than the target radius
     mid_bits = max(96, _radius_bits(target_radius) + 32)
     for _ in range(max_steps):
-        if current.radius <= target_radius:
-            return current
-        nxt = _krawczyk_step(p, dp, current, mid_bits)
-        if nxt is None:
+        if ball.rad <= target_radius:
+            return ball
+        ball = _krawczyk_step(p, dp, ball, mid_bits)
+        if ball is None:
             return None
-        if nxt.radius > current.radius * Fraction(15, 16):
-            # stalled; give the caller a chance to re-isolate instead
-            current = nxt
-            continue
-        current = nxt
-    return current if current.radius <= target_radius else None
+    return ball if ball.rad <= target_radius else None
 
 
 def _radius_bits(radius: Fraction) -> int:
-    """Smallest b with 2^-b <= radius ... inverted: bits so 2^-bits <= radius."""
+    """A b >= 0 with 2^-b <= radius, at most one more than the least such b."""
     if radius <= 0:
         return 0
     num, den = radius.numerator, radius.denominator
@@ -135,12 +126,12 @@ def _radius_bits(radius: Fraction) -> int:
 class _IsolationCache:
     """Per-polynomial cache of the tightest certified isolation so far.
 
-    Refinement always contracts inside the previously returned boxes, so
-    repeated calls at increasing precision yield nested boxes.
+    Refinement always contracts inside the previously returned discs, so
+    repeated calls at increasing precision yield nested discs.
     """
 
     def __init__(self):
-        self._store: dict[tuple, tuple[int, tuple[ComplexBox, ...]]] = {}
+        self._store: dict[tuple, tuple[int, tuple[Ball, ...]]] = {}
 
     def key(self, p: Polynomial) -> tuple:
         return tuple(p.int_coeffs())
@@ -148,36 +139,39 @@ class _IsolationCache:
     def get(self, p: Polynomial):
         return self._store.get(self.key(p))
 
-    def put(self, p: Polynomial, bits: int, boxes: tuple[ComplexBox, ...]):
-        self._store[self.key(p)] = (bits, boxes)
+    def put(self, p: Polynomial, bits: int, balls: tuple[Ball, ...]):
+        self._store[self.key(p)] = (bits, balls)
 
 
 _CACHE = _IsolationCache()
 
 
-def _propose_roots(p: Polynomial, dps: int):
-    coeffs = [
-        mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-        for c in reversed(p.coeffs)
-    ]
+def _propose_roots(p: Polynomial, bits: int):
+    """Untrusted root approximations at about `bits` bits of precision."""
+    dps = max(30, int(bits * 0.302) + 10 + 2 * p.degree)
+    # coefficients and roots must both live at the working precision
     with mpmath.workdps(dps):
+        coeffs = [
+            mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+            for c in reversed(p.coeffs)
+        ]
         try:
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps * 4)
         except (mpmath.libmp.NoConvergence, ZeroDivisionError):
             return None
-    return [mpmath.mpc(r) for r in roots]
+        return [mpmath.mpc(r) for r in roots]
 
 
 def isolate_roots(
     p: Polynomial,
     precision_bits: int = 64,
     ctx: Precision = DEFAULT_PRECISION,
-) -> list[ComplexBox]:
-    """Certified isolating boxes for all complex roots of a squarefree p.
+) -> list[Ball]:
+    """Certified isolating discs for all complex roots of a squarefree p.
 
-    Each returned box contains exactly one root, boxes are pairwise
+    Each returned disc contains exactly one root, discs are pairwise
     disjoint, there is one per root, and every radius is at most
-    2^-precision_bits. Repeated calls at higher precision give boxes nested
+    2^-precision_bits. Repeated calls at higher precision give discs nested
     inside earlier ones.
     """
     if p.is_zero:
@@ -192,112 +186,98 @@ def isolate_roots(
 
     cached = _CACHE.get(p)
     if cached is not None:
-        bits, boxes = cached
+        bits, balls = cached
         if bits >= precision_bits:
-            return list(boxes)
-        refined = _refine_boxes(p, dp, boxes, target, ctx)
+            return list(balls)
+        refined = _refine_balls(p, dp, balls, target, ctx)
         if refined is not None:
             _CACHE.put(p, precision_bits, tuple(refined))
-            return list(refined)
+            return refined
 
     if p.degree == 1:
-        root = -p[0] / p[1]
-        boxes = (ComplexBox.point(root),)
-        _CACHE.put(p, max(precision_bits, ctx.max_bits), boxes)
-        return list(boxes)
+        balls = (Ball.point(-p[0] / p[1]),)
+        _CACHE.put(p, max(precision_bits, ctx.max_bits), balls)
+        return list(balls)
 
     for bits in ctx.ladder():
-        dps = max(30, int(bits * 0.302) + 10 + 2 * p.degree)
-        proposals = _propose_roots(p, dps)
-        if proposals is None:
-            continue
-        boxes = _certify_proposals(p, dp, proposals, target, bits)
-        if boxes is not None:
-            _CACHE.put(p, precision_bits, tuple(boxes))
-            return list(boxes)
+        balls = _isolate_at(p, dp, target, bits)
+        if balls is not None:
+            _CACHE.put(p, precision_bits, tuple(balls))
+            return balls
     raise ctx.exhausted(f"root isolation for degree {p.degree}")
 
 
-def _certify_proposals(p, dp, proposals, target, bits):
+def _isolate_at(p, dp, target, bits):
+    """Isolating discs of radius <= target from proposals at one rung, or None.
+
+    Krawczyk starts at a radius tied to the proposals' separation and, while
+    it fails, retries at radii 64 times smaller down to 2^-(bits/2), which
+    lies between the proposals' error and their separation.
+    """
+    proposals = _propose_roots(p, bits)
     n = p.degree
-    if len(proposals) != n:
+    if proposals is None or len(proposals) != n:
         return None
-    sep = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(proposals[i] - proposals[j])
-            sep = d if sep is None else min(sep, d)
-    if sep is not None and sep <= 0:
+    sep = min(abs(a - b) for i, a in enumerate(proposals) for b in proposals[i + 1:])
+    if sep <= 0:
         return None
-    r0 = Fraction(1, 1 << min(bits, 256))
-    if sep is not None:
-        r0 = max(r0, min(_mpf_to_fraction(sep) / 8, Fraction(1, 4)))
-    r0 = min(r0, Fraction(1, 16)) if sep is None else r0
+    r0 = max(Fraction(1, 1 << min(bits, 256)), min(_mpf_to_fraction(sep) / 8, Fraction(1, 4)))
+    floor = Fraction(1, 1 << (bits // 2))
     mid_bits = _radius_bits(target) + 32
-    boxes = []
+    balls = []
     for z in proposals:
-        re = _mpf_to_fraction(z.real)
-        im = _mpf_to_fraction(z.imag)
-        box = ComplexBox.from_midpoint(re, im, r0)
-        cert = _krawczyk_step(p, dp, box, mid_bits)
-        if cert is None:
-            # try a tighter initial guess before giving up on this ladder rung
-            cert = _krawczyk_step(p, dp, ComplexBox.from_midpoint(re, im, r0 / 64), mid_bits)
-        if cert is None:
-            return None
+        centre = Ball(_mpf_to_fraction(z.real), _mpf_to_fraction(z.imag)).rounded(mid_bits)
+        r = r0
+        while (cert := _krawczyk_step(p, dp, Ball(centre.re, centre.im, r), mid_bits)) is None:
+            r /= 64
+            if r <= floor:
+                return None
         tight = _refine_certified(p, dp, cert, target)
         if tight is None:
             return None
-        boxes.append(tight)
+        balls.append(tight)
     for i in range(n):
         for j in range(i + 1, n):
-            if boxes[i].overlaps(boxes[j]):
+            if balls[i].overlaps(balls[j]):
                 return None
-    return boxes
+    return balls
 
 
-def _refine_boxes(p, dp, boxes, target, ctx):
+def _refine_balls(p, dp, balls, target, ctx):
     out = []
-    for box in boxes:
-        tight = _refine_certified(p, dp, box, target)
+    for ball in balls:
+        tight = _refine_certified(p, dp, ball, target)
         if tight is None:
-            tight = _reisolate_inside(p, dp, box, target, ctx)
+            tight = _reisolate_inside(p, dp, ball, target, ctx)
             if tight is None:
                 return None
         out.append(tight)
     return out
 
 
-def _reisolate_inside(p, dp, box, target, ctx):
-    """Fresh isolation, then pick the root living inside `box` (which is
-    certified to contain exactly one root); the result is intersected with
-    `box` so nesting is preserved."""
+def _reisolate_inside(p, dp, ball, target, ctx):
+    """Fresh isolation, then the one fresh disc inside `ball` (which is
+    certified to contain exactly one root), so nesting is preserved."""
     for bits in ctx.ladder():
-        dps = max(30, int(bits * 0.302) + 10 + 2 * p.degree)
-        proposals = _propose_roots(p, dps)
-        if proposals is None:
-            continue
-        fresh = _certify_proposals(p, dp, proposals, target, bits)
+        fresh = _isolate_at(p, dp, target, bits)
         if fresh is None:
             continue
-        hits = [b for b in fresh if b.overlaps(box)]
-        if len(hits) != 1:
-            continue
-        merged = hits[0].intersect(box)
-        return merged if merged is not None else hits[0]
+        hits = [b for b in fresh if ball.contains_interior(b)]
+        if len(hits) == 1:
+            return hits[0]
     return None
 
 
 def refine_root_box(
     p: Polynomial,
-    box: ComplexBox,
+    box: Ball,
     precision_bits: int,
     ctx: Precision = DEFAULT_PRECISION,
-) -> ComplexBox:
-    """Refine a certified isolating box of p below 2^-precision_bits."""
+) -> Ball:
+    """Refine a certified isolating disc of p below 2^-precision_bits."""
     p = p.primitive_int()
     target = Fraction(1, 1 << precision_bits)
-    if box.radius <= target:
+    if box.rad <= target:
         return box
     dp = p.derivative()
     tight = _refine_certified(p, dp, box, target)
@@ -309,11 +289,12 @@ def refine_root_box(
 
 
 class AlgebraicNumber:
-    """A root of a squarefree integer polynomial, pinned by a certified box."""
+    """A root of a squarefree integer polynomial, pinned by a certified
+    isolating disc `box`."""
 
     __slots__ = ("poly", "box", "_rational")
 
-    def __init__(self, poly: Polynomial, box: ComplexBox, _rational: Fraction | None = None):
+    def __init__(self, poly: Polynomial, box: Ball, _rational: Fraction | None = None):
         self.poly = poly
         self.box = box
         self._rational = _rational
@@ -324,23 +305,37 @@ class AlgebraicNumber:
     def from_rational(cls, q) -> "AlgebraicNumber":
         q = Fraction(q)
         poly = Polynomial((-q.numerator, q.denominator)).primitive_int()
-        return cls(poly, ComplexBox.point(q), q)
+        return cls(poly, Ball.point(q), q)
 
     @classmethod
     def root_in_box(
         cls,
         poly: Polynomial,
-        box: ComplexBox,
+        re_lo,
+        re_hi,
+        im_lo,
+        im_hi,
         ctx: Precision = DEFAULT_PRECISION,
     ) -> "AlgebraicNumber":
-        """The unique root of poly inside `box`; raises if the box does not
-        isolate exactly one root."""
+        """The unique root of poly in the rectangle [re_lo, re_hi] x
+        [im_lo, im_hi]: the one whose isolating disc meets it.  Raises if no
+        disc meets it, or if several still do at the precision cap."""
+        re_lo, re_hi, im_lo, im_hi = map(Fraction, (re_lo, re_hi, im_lo, im_hi))
+        if re_lo > re_hi or im_lo > im_hi:
+            raise ValueError("rectangle bounds out of order")
         poly = squarefree_part(poly).primitive_int()
         if poly.degree <= 0:
             raise ValueError("polynomial has no roots")
+
+        def meets(b: Ball) -> bool:
+            # the point of the rectangle nearest the disc's centre
+            x = min(max(b.re, re_lo), re_hi)
+            y = min(max(b.im, im_lo), im_hi)
+            return (b.re - x) ** 2 + (b.im - y) ** 2 <= b.rad * b.rad
+
         for bits in ctx.ladder():
             candidates = isolate_roots(poly, bits, ctx)
-            hits = [b for b in candidates if b.overlaps(box)]
+            hits = [b for b in candidates if meets(b)]
             if not hits:
                 raise ValueError("box contains no root of the polynomial")
             if len(hits) == 1:
@@ -351,12 +346,12 @@ class AlgebraicNumber:
     def _from_enclosure(
         cls,
         poly: Polynomial,
-        shrink: Callable[[int], ComplexBox],
+        shrink: Callable[[int], Ball],
         ctx: Precision = DEFAULT_PRECISION,
     ) -> "AlgebraicNumber":
         """Select the root of poly pinned by a shrinking guaranteed enclosure.
 
-        shrink(bits) must return a box certain to contain the value; as bits
+        shrink(bits) must return a ball certain to contain the value; as bits
         grow the enclosure must shrink to the point.
         """
         poly = poly.primitive_int()
@@ -406,10 +401,9 @@ class AlgebraicNumber:
     def __repr__(self) -> str:
         if self._rational is not None:
             return f"AlgebraicNumber({self._rational})"
-        mid = self.box.midpoint()
         return (
             f"AlgebraicNumber(deg<={self.poly.degree},"
-            f" ~{float(mid[0]):.6g}{float(mid[1]):+.6g}i)"
+            f" ~{float(self.box.re):.6g}{float(self.box.im):+.6g}i)"
         )
 
 
@@ -517,7 +511,7 @@ def alg_is_zero(a: AlgebraicNumber, ctx: Precision = DEFAULT_PRECISION) -> bool:
     return is_root_of(a, Polynomial.x(), ctx)
 
 
-def _nonzero_poly_part(a: AlgebraicNumber, ctx: Precision) -> tuple[Polynomial, ComplexBox]:
+def _nonzero_poly_part(a: AlgebraicNumber, ctx: Precision) -> tuple[Polynomial, Ball]:
     """Defining data of a known-nonzero a with any z factor stripped."""
     k, q = a.poly.deflate_z()
     if k == 0:
@@ -544,7 +538,7 @@ def alg_div(
     bpoly, bbox = _nonzero_poly_part(b, ctx)
     rpoly = ratio_set_poly(a.poly, bpoly)
 
-    def shrink(bits: int) -> ComplexBox:
+    def shrink(bits: int) -> Ball:
         na = refine_root_box(a.poly, a.box, bits, ctx)
         # refinement nests inside bbox, which already excludes zero
         nb = refine_root_box(b.poly, bbox, bits, ctx)
@@ -571,9 +565,9 @@ def alg_pow(
     first = [Polynomial.constant(c) for c in a.poly.coeffs]
     rpoly = squarefree_part(resultant_bivariate(first, second))
 
-    def shrink(bits: int) -> ComplexBox:
+    def shrink(bits: int) -> Ball:
         base = refine_root_box(a.poly, a.box, bits, ctx)
-        acc = ComplexBox.point(1)
+        acc = Ball.point(1)
         for _ in range(n):
             acc = acc * base
         return acc
@@ -590,7 +584,7 @@ def _alg_invert(a: AlgebraicNumber, ctx: Precision) -> AlgebraicNumber:
     poly, box = _nonzero_poly_part(a, ctx)
     rpoly = poly.reversed_coeffs().primitive_int()
 
-    def shrink(bits: int) -> ComplexBox:
+    def shrink(bits: int) -> Ball:
         nb = refine_root_box(a.poly, box, bits, ctx)
         return nb.recip()
 
@@ -608,26 +602,26 @@ def canonical_root(
     if poly.degree <= 0:
         raise ValueError("polynomial has no roots")
     for bits in ctx.ladder():
-        boxes = isolate_roots(poly, bits, ctx)
-        order = _try_order_boxes(boxes)
+        balls = isolate_roots(poly, bits, ctx)
+        order = _try_order(balls)
         if order is not None:
-            return AlgebraicNumber(poly, boxes[order[-1]])
+            return AlgebraicNumber(poly, balls[order[-1]])
     raise ctx.exhausted("canonical root selection")
 
 
-def _try_order_boxes(boxes: list[ComplexBox]) -> list[int] | None:
-    """Total order on disjoint boxes by (re, im) when every pair separates
-    cleanly in one coordinate; None if some pair is still ambiguous."""
-    n = len(boxes)
+def _try_order(balls: list[Ball]) -> list[int] | None:
+    """Total order on disjoint discs by (re, im) when every pair separates
+    cleanly in one coordinate (re +- rad, then im +- rad); None if some pair
+    is still ambiguous."""
+    n = len(balls)
     if n == 1:
         return [0]
 
     def cmp(i: int, j: int) -> int | None:
-        a, b = boxes[i], boxes[j]
-        if not a.re.overlaps(b.re):
-            return -1 if a.re.hi < b.re.lo else 1
-        if not a.im.overlaps(b.im):
-            return -1 if a.im.hi < b.im.lo else 1
+        a, b = balls[i], balls[j]
+        for x, y in ((a.re, b.re), (a.im, b.im)):
+            if abs(x - y) > a.rad + b.rad:
+                return -1 if x < y else 1
         return None
 
     keys = {}
@@ -689,13 +683,13 @@ def is_root_of_unity(
     if deg <= 0:
         return None
     # quick certified modulus screen
-    box = a.box
+    ball = a.box
     for bits in ctx.ladder():
-        if box.mag_hi < 1 or box.mag_lo > 1:
+        if ball.mag_lt(1) or ball.mag_gt(1):
             return None
-        if box.radius < Fraction(1, 64):
+        if ball.rad < Fraction(1, 64):
             break
-        box = refine_root_box(a.poly, box, bits, ctx)
+        ball = refine_root_box(a.poly, ball, bits, ctx)
     one = AlgebraicNumber.from_rational(1)
     m = 1
     bound = 2 * deg * deg + 8

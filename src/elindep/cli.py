@@ -40,7 +40,6 @@ from .errors import (
     InternalCheckError,
     PrecisionExceededError,
 )
-from .intervals import ComplexBox, Interval
 from .numeric import eval_efunction, falsify
 from .polynomials import Polynomial
 from .rationals import parse_decimal
@@ -197,7 +196,7 @@ def parse_spec(text: str) -> ProblemSpec:
     """Parse and validate a problem document (strict: unknown fields fail)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past Python's digit limit
         raise InputError(f"not valid JSON: {exc}") from None
     _require_keys(
         doc, "$", ("version", "task"), ("functions", "points", "pairs")
@@ -285,11 +284,12 @@ def _build_point(p) -> AlgebraicNumber:
     if isinstance(p, str):
         return AlgebraicNumber.from_rational(parse_decimal(p))
     poly = Polynomial([Fraction(c) for c in p["poly"]])
-    box = ComplexBox(
-        Interval(parse_decimal(p["box"]["re"][0]), parse_decimal(p["box"]["re"][1])),
-        Interval(parse_decimal(p["box"]["im"][0]), parse_decimal(p["box"]["im"][1])),
-    )
-    return AlgebraicNumber.root_in_box(poly, box)
+    re_lo, re_hi = (parse_decimal(x) for x in p["box"]["re"])
+    im_lo, im_hi = (parse_decimal(x) for x in p["box"]["im"])
+    try:
+        return AlgebraicNumber.root_in_box(poly, re_lo, re_hi, im_lo, im_hi)
+    except ValueError as exc:  # no root in the box, bounds out of order, ...
+        raise InputError(f"point {_point_json(p)}: {exc}") from None
 
 
 def _point_json(p) -> str:

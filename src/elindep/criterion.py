@@ -124,8 +124,8 @@ def _point_text(a: AlgebraicNumber) -> str:
     q = a.as_rational()
     if q is not None:
         return format_rational(q)
-    re = a.box.re_mid
-    im = a.box.im_mid
+    re = a.box.re
+    im = a.box.im
     coeffs = ",".join(str(c) for c in a.poly.int_coeffs())
     return f"root([{coeffs}]) near ({float(re):.6g},{float(im):.6g})"
 

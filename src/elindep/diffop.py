@@ -35,7 +35,8 @@ from .rationals import format_rational, parse_rational
 
 
 MAX_Z_POWER = 256
-"""Largest power of z an operator read from text or JSON may carry."""
+"""Largest power of z an operator read from text or JSON may carry; also the
+largest derivative order in the text form."""
 
 
 def _monomials(p: Polynomial):
@@ -332,15 +333,16 @@ def recurrence_from_ode(op: DiffOperator) -> Recurrence:
 # -- serialization ------------------------------------------------------------
 
 
-def _z_power(value) -> int:
-    """A power of z read from input, checked to lie in 0 .. MAX_Z_POWER."""
+def _exponent(value, what: str = "power of z") -> int:
+    """A power of z or a derivative order read from input, checked to lie in
+    0 .. MAX_Z_POWER (int() of a numeral past 4300 digits raises too)."""
     try:
-        power = int(value)
+        n = int(value)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"bad power of z: {value!r}") from exc
-    if not 0 <= power <= MAX_Z_POWER:
-        raise InputError(f"power of z must lie in 0..{MAX_Z_POWER}, got {power}")
-    return power
+        raise InputError(f"bad {what}: {value!r:.40}") from exc
+    if not 0 <= n <= MAX_Z_POWER:
+        raise InputError(f"{what} must lie in 0..{MAX_Z_POWER}, got {n}")
+    return n
 
 
 def _poly_to_json(p: Polynomial) -> dict:
@@ -354,8 +356,8 @@ def _poly_from_json(obj: dict) -> Polynomial:
         coeffs = [parse_rational(c) for c in obj["coeffs"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad polynomial object: {exc}") from exc
-    p = Polynomial([Fraction(0)] * _z_power(zmin) + coeffs)
-    _z_power(max(p.degree, 0))
+    p = Polynomial([Fraction(0)] * _exponent(zmin) + coeffs)
+    _exponent(max(p.degree, 0))
     return p
 
 
@@ -462,7 +464,7 @@ def _parse_poly_text(text: str) -> Polynomial:
         elif m.group("exp") is None:
             power = 1
         else:
-            power = _z_power(m.group("exp"))
+            power = _exponent(m.group("exp"))
         result = result + Polynomial.x_power(power) * (sign * coef)
     return result
 
@@ -493,6 +495,6 @@ def op_from_text(text: str) -> DiffOperator:
         m = _TERM_RE.match(piece.strip())
         if not m:
             raise InputError(f"cannot parse operator term '{piece.strip()}'")
-        b = int(m.group("ord")) if m.group("ord") else 0
+        b = _exponent(m.group("ord"), "derivative order") if m.group("ord") else 0
         terms[b] = terms.get(b, Polynomial.zero()) + _parse_poly_text(m.group("poly"))
     return DiffOperator(terms)

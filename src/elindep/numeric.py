@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .balls import Ball
 from .criterion import CERTIFIED, Certificate
 from .efunction import EFunction, HypergeometricParams, ef_sin_integral, growth_check
 from .errors import (
@@ -26,76 +27,9 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .lattice import lll_reduce
-from .rationals import decimal_string, format_rational
+from .rationals import format_rational, sci_upper
 
 MAX_TERMS = 500_000
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Complex ball with exact rational midpoint and radius."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-    rad: Fraction = Fraction(0)
-    heuristic_tail: bool = False
-
-    def __post_init__(self):
-        if self.rad < 0:
-            raise InputError("radius must be nonnegative")
-
-    @classmethod
-    def exact(cls, q) -> "Ball":
-        return cls(Fraction(q))
-
-    def __add__(self, other: "Ball") -> "Ball":
-        return Ball(
-            self.re + other.re,
-            self.im + other.im,
-            self.rad + other.rad,
-            self.heuristic_tail or other.heuristic_tail,
-        )
-
-    def __sub__(self, other: "Ball") -> "Ball":
-        return Ball(
-            self.re - other.re,
-            self.im - other.im,
-            self.rad + other.rad,
-            self.heuristic_tail or other.heuristic_tail,
-        )
-
-    def scaled(self, c) -> "Ball":
-        c = Fraction(c)
-        return Ball(self.re * c, self.im * c, self.rad * abs(c), self.heuristic_tail)
-
-    def mag_sq_upper(self) -> Fraction:
-        """Upper bound for |value|^2 over the ball (L1 over-approximation)."""
-        m = abs(self.re) + abs(self.im) + self.rad
-        return m * m
-
-    def mag_le(self, x) -> bool:
-        """True when every point of the ball has modulus <= x."""
-        x = Fraction(x)
-        if x < self.rad:
-            return False
-        # |mid| <= x - rad, squared to stay rational
-        return self.re**2 + self.im**2 <= (x - self.rad) ** 2
-
-    def contains_zero(self) -> bool:
-        return self.re**2 + self.im**2 <= self.rad**2
-
-    def to_json(self, digits: int = 30) -> dict:
-        re = decimal_string(self.re, digits)
-        im = decimal_string(self.im, digits)
-        # widen by the rounding of the printed midpoint, so the printed ball
-        # still contains every point of this one
-        rad = self.rad + abs(Fraction(re) - self.re) + abs(Fraction(im) - self.im)
-        return {
-            "re": re,
-            "im": im,
-            "radius": _sci_upper(rad),
-            "heuristic_tail": self.heuristic_tail,
-        }
 
 
 def _coerce_rational_point(x) -> Fraction:
@@ -322,16 +256,17 @@ def find_integer_relation(
         resid = Ball(Fraction(0))
         for c, v in zip(coeffs, values):
             resid = resid + v.scaled(c)
-        if resid.mag_sq_upper() <= tol * tol:
-            best = (coeffs, resid)
+        # L1 upper bound for |residual| over the ball
+        bound = abs(resid.re) + abs(resid.im) + resid.rad
+        if bound <= tol:
+            best = (coeffs, bound)
             break
     if best is not None:
-        coeffs, resid = best
-        bound = abs(resid.re) + abs(resid.im) + resid.rad
+        coeffs, bound = best
         return RelationReport(
             found=True,
             coefficients=list(coeffs),
-            residual_bound=_sci_upper(bound),
+            residual_bound=sci_upper(bound),
             digits=digits,
             coeff_bound=coeff_bound,
         )
@@ -349,7 +284,7 @@ def find_integer_relation(
             digits=digits,
             coeff_bound=coeff_bound,
             excluded=True,
-            min_lattice_norm=_sci_upper(min_norm_sq),
+            min_lattice_norm=sci_upper(min_norm_sq),
         )
     raise PrecisionExceededError(
         "cannot exclude relations at this precision/coefficient bound; "
@@ -359,30 +294,6 @@ def find_integer_relation(
 
 def _round_frac(q: Fraction) -> int:
     return (2 * q.numerator + q.denominator) // (2 * q.denominator)
-
-
-def _sci_upper(q: Fraction) -> str:
-    """Scientific-notation upper bound like '3.142e-52' (rounded away from 0)."""
-    q = Fraction(q)
-    if q == 0:
-        return "0"
-    mag = abs(q)
-    # log10(2) ~ 0.30103 puts e within one of floor(log10(mag)); the
-    # exact comparisons settle it without floats or decimal strings
-    e = (mag.numerator.bit_length() - mag.denominator.bit_length()) * 30103 // 100000
-    while Fraction(10) ** e > mag:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= mag:
-        e += 1
-    mant = mag * 1000 / Fraction(10) ** e
-    m = mant.numerator // mant.denominator
-    if m * mant.denominator < mant.numerator:
-        m += 1
-    if m >= 10000:
-        m //= 10
-        e += 1
-    sign = "-" if q < 0 else ""
-    return f"{sign}{m // 1000}.{m % 1000:03d}e{e:+d}"
 
 
 def falsify(
@@ -400,7 +311,7 @@ def falsify(
     if digits < 1:
         raise InputError("digits must be positive")
     notices: list[str] = []
-    values = [Ball.exact(1)]
+    values = [Ball.point(1)]
     eval_digits = digits + 12
     for item in cert.eval_items:
         kind = item[0]

@@ -73,3 +73,27 @@ def parse_decimal(text: str) -> Fraction:
         return Fraction(int(t))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a number: {text!r}") from exc
+
+
+def sci_upper(q: Fraction) -> str:
+    """Scientific-notation upper bound like '3.142e-52' (rounded away from 0)."""
+    q = Fraction(q)
+    if q == 0:
+        return "0"
+    mag = abs(q)
+    # log10(2) ~ 0.30103 puts e within one of floor(log10(mag)); the
+    # exact comparisons settle it without floats or decimal strings
+    e = (mag.numerator.bit_length() - mag.denominator.bit_length()) * 30103 // 100000
+    while Fraction(10) ** e > mag:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= mag:
+        e += 1
+    mant = mag * 1000 / Fraction(10) ** e
+    m = mant.numerator // mant.denominator
+    if m * mant.denominator < mant.numerator:
+        m += 1
+    if m >= 10000:
+        m //= 10
+        e += 1
+    sign = "-" if q < 0 else ""
+    return f"{sign}{m // 1000}.{m % 1000:03d}e{e:+d}"

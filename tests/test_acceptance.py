@@ -253,8 +253,8 @@ def test_08_ratio_set_oracle():
                 x = Fraction(mpmath.nstr(r.real, 25, strip_zeros=False))
                 y = Fraction(mpmath.nstr(r.imag, 25, strip_zeros=False))
                 hit = any(
-                    (x - b.re_mid) ** 2 + (y - b.im_mid) ** 2
-                    <= (2 * b.radius + tol) ** 2
+                    (x - b.re) ** 2 + (y - b.im) ** 2
+                    <= (2 * b.rad + tol) ** 2
                     for b in boxes
                 )
                 assert hit, (p, q, r)

@@ -1,0 +1,136 @@
+"""Ball arithmetic: containment and exact queries on random rational balls."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elindep.balls import Ball
+from elindep.polynomials import Polynomial
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+RATIONAL = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))
+RADIUS = st.builds(Fraction, st.integers(0, 30), st.integers(1, 9))
+BALL = st.builds(Ball, RATIONAL, RATIONAL, RADIUS)
+# (s, t) with s, t in [-1, 1] picks the point re + rad*s + i(im + rad*t*(1-|s|))
+UNIT = st.builds(Fraction, st.integers(-8, 8), st.just(8))
+
+
+def point_in(ball, s, t):
+    # the offset has L1 norm <= 1, hence lies in the unit disc
+    return ball.re + ball.rad * s, ball.im + ball.rad * t * (1 - abs(s))
+
+
+def holds(ball, x, y):
+    return (x - ball.re) ** 2 + (y - ball.im) ** 2 <= ball.rad**2
+
+
+def cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+class TestContainment:
+    @PROPERTY
+    @given(BALL, BALL, UNIT, UNIT, UNIT, UNIT)
+    def test_arithmetic(self, a, b, s, t, u, v):
+        x, y = point_in(a, s, t), point_in(b, u, v)
+        assert holds(a + b, x[0] + y[0], x[1] + y[1])
+        assert holds(a - b, x[0] - y[0], x[1] - y[1])
+        assert holds(a * b, *cmul(x, y))
+        assert holds(a.scaled(Fraction(-7, 3)), x[0] * Fraction(-7, 3), x[1] * Fraction(-7, 3))
+        if not b.contains_zero():
+            n = y[0] ** 2 + y[1] ** 2
+            inv = (y[0] / n, -y[1] / n)
+            assert holds(b.recip(), *inv)
+            assert holds(a / b, *cmul(x, inv))
+
+    @PROPERTY
+    @given(BALL, st.lists(st.integers(-20, 20), min_size=1, max_size=6), st.integers(1, 20), UNIT, UNIT)
+    def test_horner(self, a, coeffs, lead, s, t):
+        p = Polynomial(coeffs + [lead])
+        x = point_in(a, s, t)
+        acc = (Fraction(0), Fraction(0))
+        for c in reversed(p.coeffs):
+            acc = cmul(acc, x)
+            acc = (acc[0] + c, acc[1])
+        assert holds(p(a), *acc)
+
+    @PROPERTY
+    @given(BALL, st.integers(0, 12), UNIT, UNIT)
+    def test_rounded(self, a, bits, s, t):
+        r = a.rounded(bits)
+        assert holds(r, *point_in(a, s, t))
+        # the whole disc, not just sampled points: |shift| + rad <= new rad
+        gap = r.rad - a.rad
+        assert gap >= 0 and (r.re - a.re) ** 2 + (r.im - a.im) ** 2 <= gap**2
+        for q in (r.re, r.im, r.rad):
+            assert (q * 2**bits).denominator == 1
+
+
+class TestQueries:
+    @PROPERTY
+    @given(BALL, RATIONAL, RADIUS, st.booleans())
+    def test_axis_shift_facts(self, a, d, rb, along_re):
+        # b's centre sits at distance |d| from a's, so every fact is exact
+        b = Ball(a.re + d, a.im, rb) if along_re else Ball(a.re, a.im + d, rb)
+        assert a.overlaps(b) == (abs(d) <= a.rad + rb)
+        assert b.overlaps(a) == a.overlaps(b)
+        assert a.contains_interior(b) == (abs(d) + rb < a.rad)
+        # tangent discs: one shared point, inside the closed disc only
+        if abs(d) < a.rad:
+            inner = Ball(a.re + d, a.im, a.rad - abs(d))
+            assert a.overlaps(inner) and not a.contains_interior(inner)
+        if abs(d) > a.rad:
+            outer = Ball(a.re, a.im + d, abs(d) - a.rad)
+            assert a.overlaps(outer)
+            assert not a.overlaps(Ball(outer.re, outer.im, outer.rad / 2))
+
+    @PROPERTY
+    @given(BALL, BALL, UNIT, UNIT)
+    def test_sampled_points(self, a, b, s, t):
+        x = point_in(b, s, t)
+        if holds(a, *x):
+            assert a.overlaps(b)
+        if a.contains_interior(b):
+            assert (x[0] - a.re) ** 2 + (x[1] - a.im) ** 2 < a.rad**2
+        mod_sq = x[0] ** 2 + x[1] ** 2
+        if b.mag_lt(2):
+            assert mod_sq < 4
+        if b.mag_gt(2):
+            assert mod_sq > 4
+
+    @PROPERTY
+    @given(BALL)
+    def test_zero_and_modulus(self, a):
+        assert a.contains_zero() == (a.re**2 + a.im**2 <= a.rad**2)
+        assert a.contains_zero() == a.overlaps(Ball.point(0))
+        # |mid| +- rad against x, squared
+        m2 = a.re**2 + a.im**2
+        for x in (Fraction(1), Fraction(5, 2), Fraction(40)):
+            assert a.mag_lt(x) == (a.rad < x and m2 < (x - a.rad) ** 2)
+            assert a.mag_gt(x) == (m2 > (x + a.rad) ** 2)
+
+
+class TestBall:
+    def test_arithmetic(self):
+        a = Ball(Fraction(1), Fraction(0), Fraction(1, 100))
+        b = Ball(Fraction(2), Fraction(1), Fraction(1, 100))
+        s = a + b
+        assert s.re == 3 and s.im == 1 and s.rad == Fraction(1, 50)
+        d = a - b
+        assert d.re == -1 and d.im == -1
+        sc = a.scaled(3)
+        assert sc.re == 3 and sc.rad == Fraction(3, 100)
+
+    def test_zero_and_magnitude(self):
+        assert Ball(Fraction(0), Fraction(0), Fraction(1, 10)).contains_zero()
+        assert not Ball(Fraction(1), Fraction(0), Fraction(1, 10)).contains_zero()
+        b = Ball(Fraction(3), Fraction(4), Fraction(0))
+        assert b.mag_lt(Fraction(11, 2)) and not b.mag_lt(5)
+        assert b.mag_gt(Fraction(9, 2)) and not b.mag_gt(5)
+
+    def test_json_uses_scientific_radius(self):
+        b = Ball(Fraction(1, 3), Fraction(0), Fraction(1, 10**40))
+        obj = b.to_json(digits=20)
+        assert obj["radius"].endswith("e-40") or "e-" in obj["radius"]

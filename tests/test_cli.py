@@ -183,6 +183,30 @@ class TestMain:
         want = Fraction(want.man) * Fraction(2) ** want.exp
         assert abs(want - Fraction(value["re"])) <= radius
 
+    def test_certify_close_roots(self, tmp_path, capsys):
+        # exp at the two roots of z^4 - 2(100z - 1)^2 that lie 1.4e-6 apart;
+        # their ratio set has degree 13 and coefficients near 8e16
+        close = [-2, 400, -20000, 0, 1]
+        doc = {
+            "version": 1,
+            "task": "certify",
+            "functions": [{"type": "builtin", "name": "exp"}],
+            "points": [
+                {"poly": close, "box": {"re": ["0.0099992", "0.0099994"],
+                                        "im": ["-0.0000001", "0.0000001"]}},
+                {"poly": close, "box": {"re": ["0.0100006", "0.0100008"],
+                                        "im": ["-0.0000001", "0.0000001"]}},
+            ],
+        }
+        path = write_spec(tmp_path, doc)
+        start = time.perf_counter()
+        code = main(["certify", "--spec", path, "--format", "json",
+                     "--max-precision-bits", "256"])
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["verdict"] == "CertifiedIndependent"
+
     def test_certify_si(self, tmp_path, capsys):
         doc = {
             "version": 1,
@@ -309,6 +333,33 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "input error: power of z" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("box", [
+        {"re": ["5", "6"], "im": ["0", "0"]},  # no root of z^2 - 2 in it
+        {"re": ["2", "1"], "im": ["0", "0"]},  # bounds out of order
+    ])
+    def test_point_box_rejected(self, tmp_path, capsys, box):
+        doc = dict(CERTIFY_EXP, points=[{"poly": [-2, 0, 1], "box": box}, "1"])
+        code = main(["certify", "--spec", write_spec(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error: point")
+
+    @pytest.mark.parametrize("command, text", [
+        # json.loads raises a plain ValueError past Python's 4300-digit limit
+        ("eval", '{"version": 1, "task": "eval", "functions": [{"type": "builtin", '
+                 '"name": "exp"}], "points": ["1"], "x": ' + "9" * 5000 + "}"),
+        ("transform", json.dumps({"version": 1, "task": "transform", "functions": [
+            {"type": "ode", "operator": "(1)*D^" + "9" * 5000 + " + (1)", "initial": ["1"]}]})),
+    ], ids=["json-integer", "derivative-order"])
+    def test_oversized_integer_rejected(self, tmp_path, capsys, command, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code = main([command, "--spec", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error:")
         assert "Traceback" not in err
 
     def test_demo_runs_clean(self, capsys):

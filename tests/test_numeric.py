@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from elindep.balls import Ball
 from elindep.criterion import certify_multi, certify_si_integrals, certify_single
 from elindep.efunction import (
     HypergeometricParams,
@@ -18,13 +19,12 @@ from elindep.errors import InputError, PrecisionExceededError
 from elindep.lattice import lll_reduce
 from elindep.numeric import (
     MAX_TERMS,
-    Ball,
-    _sci_upper,
     eval_efunction,
     eval_hypergeometric_value,
     falsify,
     find_integer_relation,
 )
+from elindep.rationals import sci_upper
 
 from support import mp_direct_sum
 
@@ -33,30 +33,6 @@ def mpf_frac(x, n=55):
     # enough digits that the decimal conversion error sits far below the
     # radii compared against (evaluations run at <= 45 digits here)
     return Fraction(mpmath.nstr(x, n, strip_zeros=False))
-
-
-class TestBall:
-    def test_arithmetic(self):
-        a = Ball(Fraction(1), Fraction(0), Fraction(1, 100))
-        b = Ball(Fraction(2), Fraction(1), Fraction(1, 100))
-        s = a + b
-        assert s.re == 3 and s.im == 1 and s.rad == Fraction(1, 50)
-        d = a - b
-        assert d.re == -1 and d.im == -1
-        sc = a.scaled(3)
-        assert sc.re == 3 and sc.rad == Fraction(3, 100)
-
-    def test_zero_and_magnitude(self):
-        assert Ball(Fraction(0), Fraction(0), Fraction(1, 10)).contains_zero()
-        assert not Ball(Fraction(1), Fraction(0), Fraction(1, 10)).contains_zero()
-        b = Ball(Fraction(3), Fraction(4), Fraction(0))
-        assert b.mag_sq_upper() >= 25
-        assert b.mag_le(Fraction(11, 2))
-
-    def test_json_uses_scientific_radius(self):
-        b = Ball(Fraction(1, 3), Fraction(0), Fraction(1, 10**40))
-        obj = b.to_json(digits=20)
-        assert obj["radius"].endswith("e-40") or "e-" in obj["radius"]
 
 
 class TestEvalEFunction:
@@ -170,20 +146,20 @@ class TestEvalHypergeometric:
 
 class TestSciUpper:
     def test_below_float_range(self):
-        assert _sci_upper(Fraction(1, 10**400)) == "1.000e-400"
-        assert _sci_upper(Fraction(8957_1, 10**405)) == "8.958e-401"
-        assert _sci_upper(-Fraction(1, 10**320)) == "-1.000e-320"
+        assert sci_upper(Fraction(1, 10**400)) == "1.000e-400"
+        assert sci_upper(Fraction(8957_1, 10**405)) == "8.958e-401"
+        assert sci_upper(-Fraction(1, 10**320)) == "-1.000e-320"
 
     def test_beyond_decimal_string_limit(self):
         # numerator or denominator longer than 4300 decimal digits
-        assert _sci_upper(Fraction(2881_1, 10**5005)) == "2.882e-5001"
-        assert _sci_upper(Fraction(3 * 10**5000 + 1)) == "3.001e+5000"
+        assert sci_upper(Fraction(2881_1, 10**5005)) == "2.882e-5001"
+        assert sci_upper(Fraction(3 * 10**5000 + 1)) == "3.001e+5000"
 
     def test_rounds_up(self):
-        assert _sci_upper(Fraction(10**5 + 1, 10**10)) == "1.001e-5"
-        assert _sci_upper(Fraction(1, 3)) == "3.334e-1"
-        assert _sci_upper(Fraction(9999_9, 10**4)) == "1.000e+1"
-        assert _sci_upper(Fraction(1000)) == "1.000e+3"
+        assert sci_upper(Fraction(10**5 + 1, 10**10)) == "1.001e-5"
+        assert sci_upper(Fraction(1, 3)) == "3.334e-1"
+        assert sci_upper(Fraction(9999_9, 10**4)) == "1.000e+1"
+        assert sci_upper(Fraction(1000)) == "1.000e+3"
 
 
 class TestIntegerRelation:
@@ -191,13 +167,13 @@ class TestIntegerRelation:
         return eval_efunction(ef_exp(), 1, digits)
 
     def one_ball(self):
-        return Ball.exact(1)
+        return Ball.point(1)
 
     def test_planted_relation_found(self):
         # 1 - e + (e - 1) = 0; balls need radius below the search guard
         e = self.exp_ball(55)
-        em1 = e - Ball.exact(1)
-        rep = find_integer_relation([Ball.exact(1), e, em1], 100, 40)
+        em1 = e - Ball.point(1)
+        rep = find_integer_relation([Ball.point(1), e, em1], 100, 40)
         assert rep.found
         c = rep.coefficients
         assert c is not None
@@ -212,8 +188,8 @@ class TestIntegerRelation:
             p = rng.randrange(-20, 21)
             q = rng.randrange(1, 20)
             # value v = p + q e: relation p * 1 + q * e - v = 0
-            v = e.scaled(q) + Ball.exact(p)
-            rep = find_integer_relation([Ball.exact(1), e, v], 200, 40)
+            v = e.scaled(q) + Ball.point(p)
+            rep = find_integer_relation([Ball.point(1), e, v], 200, 40)
             assert rep.found
             c = rep.coefficients
             # c0 + c1 e + c2 (p + q e) = 0 forces c = t(p, q, -1)
@@ -223,7 +199,7 @@ class TestIntegerRelation:
 
     def test_no_relation_excluded(self):
         e = self.exp_ball(65)
-        rep = find_integer_relation([Ball.exact(1), e], 10**6, 50)
+        rep = find_integer_relation([Ball.point(1), e], 10**6, 50)
         assert not rep.found
         assert rep.excluded
         assert rep.min_lattice_norm is not None
@@ -231,13 +207,13 @@ class TestIntegerRelation:
     def test_fat_radius_rejected(self):
         fat = Ball(Fraction(1), Fraction(0), Fraction(1, 100))
         with pytest.raises(InputError):
-            find_integer_relation([fat, Ball.exact(1)], 10, 40)
+            find_integer_relation([fat, Ball.point(1)], 10, 40)
 
     def test_low_precision_neither_found_nor_excluded(self):
         # two digits cannot exclude relations with million-size coefficients
         e = eval_efunction(ef_exp(), 1, 14)
         with pytest.raises(PrecisionExceededError):
-            find_integer_relation([Ball.exact(1), e], 10**12, 2)
+            find_integer_relation([Ball.point(1), e], 10**12, 2)
 
     def test_complex_values(self):
         # i and 2i are related: 2*(i) - (2i) = 0
