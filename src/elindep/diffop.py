@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, InsufficientTruncationError, InternalCheckError
 from .polynomials import Polynomial
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_decimal
 
 
 MAX_Z_POWER = 256
@@ -353,7 +353,7 @@ def _poly_to_json(p: Polynomial) -> dict:
 def _poly_from_json(obj: dict) -> Polynomial:
     try:
         zmin = obj["zmin"]
-        coeffs = [parse_rational(c) for c in obj["coeffs"]]
+        coeffs = [parse_decimal(c) for c in obj["coeffs"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad polynomial object: {exc}") from exc
     p = Polynomial([Fraction(0)] * _exponent(zmin) + coeffs)
@@ -458,7 +458,7 @@ def _parse_poly_text(text: str) -> Polynomial:
         m = _MONO_RE.match(chunk)
         if not m or (m.group("coef") is None and m.group("z") is None):
             raise InputError(f"cannot parse monomial '{chunk}'")
-        coef = parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = parse_decimal(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("z") is None:
             power = 0
         elif m.group("exp") is None:

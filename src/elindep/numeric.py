@@ -77,11 +77,10 @@ def eval_efunction(f: EFunction, x, digits: int) -> Ball:
     target = Fraction(1, 10**digits)
     total = Fraction(0)
     xpow = Fraction(1)
-    fact = Fraction(1)
     n = 0
     tail = Fraction(1)  # y^(n+1) / (n+1)!
     while True:
-        total += f.coefficient(n) * xpow / fact
+        total += f.series_coefficient(n) * xpow
         tail = tail * y / (n + 1)
         if n + 2 > 2 * y and 2 * tail < target:
             break
@@ -91,19 +90,16 @@ def eval_efunction(f: EFunction, x, digits: int) -> Ball:
                 f"series truncation beyond {MAX_TERMS} terms"
             )
         xpow *= q
-        fact *= n
     return Ball(total, Fraction(0), 2 * tail)
 
 
 def _partial_sum(f: EFunction, q: Fraction, terms: int) -> Fraction:
     total = Fraction(0)
     xpow = Fraction(1)
-    fact = Fraction(1)
     for n in range(terms):
         if n:
             xpow *= q
-            fact *= n
-        total += f.coefficient(n) * xpow / fact
+        total += f.series_coefficient(n) * xpow
     return total
 
 

@@ -6,15 +6,12 @@ from fractions import Fraction
 
 from .errors import InputError
 
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational from a "p/q" or integer string."""
-    if not isinstance(text, str):
-        raise InputError(f"expected a rational string, got {text!r}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational: {text!r}") from exc
+# A spec may spell out integers of up to 4300 digits (Python's int-string
+# limit, which also bounds what the reports can print), so parse_decimal
+# keeps exponent forms inside it: the exponent is checked before the power
+# is built, and the result's numerator and denominator after.
+MAX_DECIMAL_DIGITS = 4300
+_DIGITS_LIMIT = 10**MAX_DECIMAL_DIGITS
 
 
 def format_rational(q: Fraction) -> str:
@@ -61,7 +58,14 @@ def parse_decimal(text: str) -> Fraction:
             return Fraction(t)
         if "e" in t:
             mant, _, exp = t.partition("e")
-            return parse_decimal(mant) * Fraction(10) ** int(exp)
+            e = int(exp)
+            if abs(e) < MAX_DECIMAL_DIGITS:
+                value = parse_decimal(mant) * Fraction(10) ** e
+                if max(abs(value.numerator), value.denominator) < _DIGITS_LIMIT:
+                    return value
+            raise InputError(
+                f"{text[:40]!r} has more than {MAX_DECIMAL_DIGITS} digits"
+            )
         if "." in t:
             whole, _, frac = t.partition(".")
             if whole in ("", "-", "+"):

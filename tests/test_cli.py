@@ -335,6 +335,29 @@ class TestExitCodes:
         assert "input error: power of z" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, doc", [
+        ("certify", dict(CERTIFY_EXP, points=["1e40000000", "1"])),
+        # 10^4300 parses quickly but has too many digits to print
+        ("certify", dict(CERTIFY_EXP, points=["1e4300", "1"])),
+        ("transform", {
+            "version": 1,
+            "task": "transform",
+            "functions": [{"type": "ode", "initial": ["1"], "operator": {"terms": [
+                {"dorder": 1, "poly": {"zmin": 0, "coeffs": ["1"]}},
+                {"dorder": 0, "poly": {"zmin": 0, "coeffs": ["-1e40000000"]}},
+            ]}}],
+        }),
+    ])
+    def test_huge_decimal_exponent_rejected_fast(self, tmp_path, capsys, command, doc):
+        path = write_spec(tmp_path, doc)
+        start = time.perf_counter()
+        code = main([command, "--spec", path])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("box", [
         {"re": ["5", "6"], "im": ["0", "0"]},  # no root of z^2 - 2 in it
         {"re": ["2", "1"], "im": ["0", "0"]},  # bounds out of order
