@@ -1,17 +1,34 @@
 """Certified algebraic numbers: isolation, refinement, and exact decisions.
 
 An algebraic number is a squarefree integer polynomial together with a
-certified isolating disc (a `Ball`). Root isolation pairs a numeric proposer
-(mpmath.polyroots) with an exact-rational Krawczyk contraction test; the
-proposer only suggests discs, it never enters the soundness argument:
+certified isolating disc (a `Ball`).  Every certificate rests on one
+exact-rational Krawczyk test:
 
   * For a disc B with midpoint m and any nonzero Y, the Krawczyk disc
     K = m - Y p(m) + (1 - Y p'(B)) (B - m) strictly inside B proves that B
     holds exactly one root of p, and that the root lies in K: the map
     z -> z - Y p(z) sends the convex set B into K (Brouwer gives a root),
     and |1 - Y p'| < 1 on B makes it a contraction (uniqueness).
-  * Pairwise disjointness plus disc count == degree proves every root was
-    captured.
+
+Decisions about one known value prove only that value's root:
+
+  * One root from an enclosure (`alg_div`, `alg_pow`, inverses): the value
+    is a root of p and lies in a guaranteed enclosure.  One successful
+    Krawczyk step on the enclosure, radius doubled, proves the disc holds
+    one root of p only, so that root is the value.
+  * Membership (`is_root_of`): with g = gcd(p_x, q) and h = p_x / g, the
+    squarefree p_x = g h makes x a root of exactly one of g and h.  The
+    other one's value on x's shrinking disc (Horner over balls) must drop
+    0, which decides the question with no root of g or h isolated.
+  * Equality (`alg_equals`): once a is known to be a root of p_b, a and b
+    differ if their discs part, and are equal if one Krawczyk step for p_b
+    succeeds on a disc covering both.
+
+Full isolation of every root serves only `AlgebraicNumber.root_in_box`,
+`canonical_root` and the fallback of `refine_root_box`.  There a numeric
+proposer (mpmath.polyroots) suggests discs; it never enters the soundness
+argument: the Krawczyk test certifies each disc, and pairwise disjointness
+plus disc count == degree proves every root was captured.
 
 All decision loops escalate working precision from Precision.start_bits by
 doubling up to Precision.max_bits and then raise PrecisionExceededError, so
@@ -349,18 +366,23 @@ class AlgebraicNumber:
         shrink: Callable[[int], Ball],
         ctx: Precision = DEFAULT_PRECISION,
     ) -> "AlgebraicNumber":
-        """Select the root of poly pinned by a shrinking guaranteed enclosure.
+        """The root of poly that a shrinking guaranteed enclosure pins down.
 
-        shrink(bits) must return a ball certain to contain the value; as bits
-        grow the enclosure must shrink to the point.
+        shrink(bits) must return a ball certain to contain the value, a root
+        of poly; as bits grow the enclosure must shrink to the point.  A
+        Krawczyk step that succeeds on the enclosure, widened so the root
+        need not sit at its centre, proves it holds one root only: the value.
         """
         poly = poly.primitive_int()
+        if poly.degree == 1:
+            return cls.from_rational(-Fraction(poly[0], poly[1]))
+        dp = poly.derivative()
         for bits in ctx.ladder():
-            candidates = isolate_roots(poly, bits, ctx)
-            enclosure = shrink(bits)
-            hits = [b for b in candidates if b.overlaps(enclosure)]
-            if len(hits) == 1:
-                return cls(poly, hits[0])
+            e = shrink(bits)
+            wide = Ball(e.re, e.im, 2 * e.rad)
+            cert = _krawczyk_step(poly, dp, wide, _radius_bits(wide.rad) + 32)
+            if cert is not None:
+                return cls(poly, cert)
         raise ctx.exhausted("root selection from enclosure")
 
     # -- views ---------------------------------------------------------------
@@ -378,25 +400,20 @@ class AlgebraicNumber:
     def as_rational(self, ctx: Precision = DEFAULT_PRECISION) -> Fraction | None:
         """Exact rational value if this number is rational, else None.
 
-        Uses the rational-root theorem on the defining polynomial; the
-        divisor enumeration is capped, so irrational is also returned as
-        None only when provably no rational root matches this box.
+        A rational root n/d of the primitive integer polynomial has d
+        dividing its leading coefficient L, and two such fractions lie at
+        least 1/L^2 apart.  So once the disc's radius is below 1/(2 L^2)
+        the only candidate is the fraction nearest the midpoint with
+        denominator at most L, and the number is rational exactly when that
+        candidate is a root of the polynomial inside the isolating disc.
         """
-        if self._rational is not None:
-            return self._rational
-        if self.poly.degree == 1:
-            val = -Fraction(self.poly[0], self.poly[1])
-            self._rational = val
-            return val
-        candidates = _rational_root_candidates(self.poly)
-        if candidates is None:
-            return None
-        live = [c for c in candidates if self.poly(c) == 0]
-        for cand in live:
-            if alg_equals(self, AlgebraicNumber.from_rational(cand), ctx):
+        if self._rational is None:
+            lead = abs(int(self.poly.primitive_int().lc))
+            box = refine_root_box(self.poly, self.box, 2 * lead.bit_length() + 2, ctx)
+            cand = box.re.limit_denominator(lead)
+            if self.poly(cand) == 0 and box.overlaps(Ball.point(cand)):
                 self._rational = cand
-                return cand
-        return None
+        return self._rational
 
     def __repr__(self) -> str:
         if self._rational is not None:
@@ -405,38 +422,6 @@ class AlgebraicNumber:
             f"AlgebraicNumber(deg<={self.poly.degree},"
             f" ~{float(self.box.re):.6g}{float(self.box.im):+.6g}i)"
         )
-
-
-def _divisors_capped(n: int, cap: int = 4096) -> list[int] | None:
-    n = abs(n)
-    if n == 0:
-        return [0]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-            if len(out) > cap:
-                return None
-        d += 1
-    return sorted(set(out))
-
-
-def _rational_root_candidates(p: Polynomial) -> list[Fraction] | None:
-    k, q = p.deflate_z()
-    nums = _divisors_capped(int(q[0]))
-    dens = _divisors_capped(int(q.lc))
-    if nums is None or dens is None:
-        return None
-    cands = set()
-    if k > 0:
-        cands.add(Fraction(0))
-    for n in nums:
-        for d in dens:
-            cands.add(Fraction(n, d))
-            cands.add(Fraction(-n, d))
-    return sorted(cands)
 
 
 def alg_equals(
@@ -449,28 +434,24 @@ def alg_equals(
         return True
     if a._rational is not None and b._rational is not None:
         return a._rational == b._rational
-    if not a.box.overlaps(b.box):
+    if not a.box.overlaps(b.box) or not is_root_of(a, b.poly, ctx):
         return False
-    g = poly_gcd(a.poly, b.poly)
-    if g.degree <= 0:
-        return False
-    gi = g.primitive_int()
-    if not is_root_of(a, gi, ctx) or not is_root_of(b, gi, ctx):
-        return False
-    ia = _root_index(a, gi, ctx)
-    ib = _root_index(b, gi, ctx)
-    return ia == ib
-
-
-def _root_index(x: AlgebraicNumber, g: Polynomial, ctx: Precision) -> int:
-    """Index of x among the isolated roots of g; x must be a root of g."""
+    if b.poly.degree == 1:
+        return True
+    # a and b are both roots of b.poly: equal once one disc holding both
+    # holds only one root of it, different once their discs part
+    p = b.poly.primitive_int()
+    dp = p.derivative()
     for bits in ctx.ladder():
-        boxes = isolate_roots(g, bits, ctx)
-        xb = refine_root_box(x.poly, x.box, bits, ctx)
-        hits = [i for i, b in enumerate(boxes) if b.overlaps(xb)]
-        if len(hits) == 1:
-            return hits[0]
-    raise ctx.exhausted("root identification")
+        ab = refine_root_box(a.poly, a.box, bits, ctx)
+        bb = refine_root_box(b.poly, b.box, bits, ctx)
+        if not ab.overlaps(bb):
+            return False
+        # the discs overlap, so this one covers both
+        both = Ball(bb.re, bb.im, 2 * (ab.rad + bb.rad))
+        if _krawczyk_step(p, dp, both, bits) is not None:
+            return True
+    raise ctx.exhausted("equality")
 
 
 def is_root_of(
@@ -483,22 +464,20 @@ def is_root_of(
         raise ValueError("membership in the zero polynomial")
     if x._rational is not None:
         return q(x._rational) == 0
-    qs = squarefree_part(q) if not is_squarefree(q) else q
-    g = poly_gcd(x.poly, qs)
+    g = poly_gcd(x.poly, q)
     if g.degree <= 0:
         return False
-    gi = g.primitive_int()
-    h = x.poly.exact_div(g).primitive_int()
+    h = x.poly.exact_div(g)
     if h.degree <= 0:
         return True
-    # x is a root of exactly one of g, h (x.poly squarefree); separate boxes.
+    # x.poly = g h is squarefree, so x is a root of exactly one of g, h and
+    # the other one's value on x's shrinking disc drops 0
+    g, h = g.primitive_int(), h.primitive_int()
     for bits in ctx.ladder():
         xb = refine_root_box(x.poly, x.box, bits, ctx)
-        gboxes = isolate_roots(gi, bits, ctx)
-        if not any(b.overlaps(xb) for b in gboxes):
+        if not g(xb).contains_zero():
             return False
-        hboxes = isolate_roots(h, bits, ctx)
-        if not any(b.overlaps(xb) for b in hboxes):
+        if not h(xb).contains_zero():
             return True
     raise ctx.exhausted("root membership")
 
@@ -653,49 +632,3 @@ def alg_nth_root(q, k: int, ctx: Precision = DEFAULT_PRECISION) -> AlgebraicNumb
         return AlgebraicNumber.from_rational(q)
     poly = Polynomial((-q.numerator,) + (0,) * (k - 1) + (q.denominator,))
     return canonical_root(poly, ctx)
-
-
-def _totient(m: int) -> int:
-    result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
-def is_root_of_unity(
-    a: AlgebraicNumber,
-    ctx: Precision = DEFAULT_PRECISION,
-) -> int | None:
-    """Order of a as a root of unity, or None.
-
-    The search is bounded: a root of unity of order m has degree phi(m) over
-    the rationals, so only m with phi(m) <= deg(defining poly) can occur.
-    """
-    deg = a.poly.degree
-    if deg <= 0:
-        return None
-    # quick certified modulus screen
-    ball = a.box
-    for bits in ctx.ladder():
-        if ball.mag_lt(1) or ball.mag_gt(1):
-            return None
-        if ball.rad < Fraction(1, 64):
-            break
-        ball = refine_root_box(a.poly, ball, bits, ctx)
-    one = AlgebraicNumber.from_rational(1)
-    m = 1
-    bound = 2 * deg * deg + 8
-    while m <= bound:
-        if _totient(m) <= deg:
-            if alg_equals(alg_pow(a, m, ctx), one, ctx):
-                return m
-        m += 1
-    return None

@@ -159,16 +159,6 @@ class Ball:
     def contains_zero(self) -> bool:
         return self.re * self.re + self.im * self.im <= self.rad * self.rad
 
-    def mag_lt(self, x) -> bool:
-        """True when every point of the ball has modulus < x."""
-        gap = Fraction(x) - self.rad
-        return gap > 0 and self.re * self.re + self.im * self.im < gap * gap
-
-    def mag_gt(self, x) -> bool:
-        """True when every point of the ball has modulus > x (x >= 0)."""
-        reach = Fraction(x) + self.rad
-        return self.re * self.re + self.im * self.im > reach * reach
-
     def to_json(self, digits: int = 30) -> dict:
         re = decimal_string(self.re, digits)
         im = decimal_string(self.im, digits)

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .numeric import eval_efunction, falsify
 from .polynomials import Polynomial
-from .rationals import parse_decimal
+from .rationals import MAX_DECIMAL_DIGITS, parse_decimal
 from .singularities import singularity_superset
 
 SPEC_VERSION = 1
@@ -404,8 +404,10 @@ def _render_text(report: dict) -> str:
                 f"no relation with |c| <= {rel['coeff_bound']} at "
                 f"{rel['digits']} digits (exclusion proven for the given balls)"
             )
-        else:
+        elif rel["skipped"]:
             lines.append("relation search skipped")
+        else:
+            lines.append("no relation found (exclusion not proven)")
         if rel["contradiction"]:
             lines.append("CONTRADICTION: certified independence vs found relation")
         for n in rel["notices"]:
@@ -484,8 +486,16 @@ def _run_demo(digits: int, coeff_bound: int) -> tuple[dict, int]:
     return {"version": SPEC_VERSION, "task": "demo", "demos": demos}, exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (invalid input); exit 2 means a contradiction."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elindep",
         description=(
             "Certify linear independence over the algebraic numbers for "
@@ -507,6 +517,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if not 1 <= args.digits <= MAX_DECIMAL_DIGITS:
+            raise InputError(
+                f"digits must be positive and at most {MAX_DECIMAL_DIGITS}, "
+                f"got {args.digits}"
+            )
         if args.command == "demo":
             report, code = _run_demo(args.digits, args.coeff_bound)
         else:

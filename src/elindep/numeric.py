@@ -267,6 +267,15 @@ def find_integer_relation(
             coeff_bound=coeff_bound,
         )
 
+    if any(v.heuristic_tail for v in values):
+        return RelationReport(
+            found=False,
+            coefficients=None,
+            residual_bound=None,
+            digits=digits,
+            coeff_bound=coeff_bound,
+            notices=["no exclusion: a value's radius rests on an unproven series tail"],
+        )
     # exclusion argument: a true relation sum c_k v_k = 0 with
     # |c_k| <= coeff_bound embeds to a lattice vector whose extra
     # coordinates are bounded by rounding plus scaled radii

@@ -9,7 +9,8 @@ from .errors import InputError
 # A spec may spell out integers of up to 4300 digits (Python's int-string
 # limit, which also bounds what the reports can print), so parse_decimal
 # keeps exponent forms inside it: the exponent is checked before the power
-# is built, and the result's numerator and denominator after.
+# is built, and the result's numerator and denominator after.  The CLI
+# bounds --digits by it, and decimal_string refuses to print more digits.
 MAX_DECIMAL_DIGITS = 4300
 _DIGITS_LIMIT = 10**MAX_DECIMAL_DIGITS
 
@@ -41,6 +42,8 @@ def decimal_string(q: Fraction, digits: int, round_up: bool = False) -> str:
             units += 1
     elif 2 * rem >= 1:
         units += 1
+    if units >= _DIGITS_LIMIT:
+        raise InputError(f"a printed number has more than {MAX_DECIMAL_DIGITS} digits")
     text = str(units).rjust(digits + 1, "0")
     whole, frac = text[: len(text) - digits], text[len(text) - digits:]
     if digits == 0:

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -17,10 +18,10 @@ from elindep.algebraic import (
     alg_pow,
     canonical_root,
     is_root_of,
-    is_root_of_unity,
     isolate_roots,
     refine_root_box,
 )
+from elindep.balls import Ball
 from elindep.errors import PrecisionExceededError
 from elindep.polynomials import Polynomial
 
@@ -127,6 +128,17 @@ class TestAlgebraicNumber:
         a = AlgebraicNumber.root_in_box(P(-3, 4) * P(-5, 1), 0, 1, 0, 0)
         assert a.as_rational() == Fraction(3, 4)
 
+    def test_rational_recognized_past_large_coefficients(self):
+        # candidates come from the refined disc, not from divisors of the
+        # 2^200-sized coefficients, so this stays fast
+        start = time.perf_counter()
+        p = P(-3, 2**200) * P(-2, 0, 1)
+        q = Fraction(3, 2**200)
+        assert AlgebraicNumber(p, Ball(q, rad=Fraction(1, 2**210))).as_rational() == q
+        s = AlgebraicNumber(p, Ball(Fraction(7, 5), rad=Fraction(1, 10)))
+        assert s.as_rational() is None
+        assert time.perf_counter() - start < 1
+
 
 class TestArithmetic:
     def test_alg_equals_cross_polynomial(self):
@@ -161,6 +173,107 @@ class TestArithmetic:
         assert not is_root_of(s, P(-3, 0, 1))
 
 
+F4 = P(2, -1, 0, 1, 1)  # the bench's quartics
+F5 = P(-3, 1, 0, 0, 1)
+
+
+def roots_of(p):
+    return [AlgebraicNumber(p, b) for b in isolate_roots(p, 64)]
+
+
+class TestOneRoot:
+    """Decisions that prove only the root of the value they are about."""
+
+    def test_rational_in_reducible_poly(self):
+        a = AlgebraicNumber.root_in_box(P(-3, 4) * P(-5, 1), 0, 1, 0, 0)
+        b = AlgebraicNumber.from_rational(Fraction(3, 4))
+        assert alg_equals(a, b) and alg_equals(b, a)
+        five = AlgebraicNumber.root_in_box(P(-3, 4) * P(-5, 1), 4, 6, 0, 0)
+        assert not alg_equals(a, five) and not alg_equals(five, b)
+
+    def test_sqrt2_in_reducible_poly(self):
+        p = P(-2, 0, 1) * P(-3, 0, 1)
+        a = AlgebraicNumber.root_in_box(p, 1, Fraction(3, 2), 0, 0)
+        s = alg_nth_root(2, 2)
+        assert alg_equals(a, s) and alg_equals(s, a)
+        assert is_root_of(a, P(-2, 0, 1))
+        assert not is_root_of(a, P(-3, 0, 1))
+        t = AlgebraicNumber.root_in_box(p, Fraction(3, 2), 2, 0, 0)
+        assert not alg_equals(a, t) and not alg_equals(t, s)
+        # discs that overlap at first: refinement parts or certifies them
+        wide_s = AlgebraicNumber(P(-2, 0, 1), Ball(Fraction(3, 2), rad=Fraction(1, 2)))
+        wide_t = AlgebraicNumber(p, Ball(Fraction(8, 5), rad=Fraction(3, 20)))
+        assert alg_equals(wide_s, a) and alg_equals(a, wide_s)
+        assert not alg_equals(wide_s, wide_t) and not alg_equals(wide_t, wide_s)
+
+    def test_roots_closer_than_the_first_rung(self):
+        # sqrt(2) and sqrt(2 + 2^-140), about 2^-141.5 apart, are roots of p;
+        # discs of radius 2^-180 around 200-bit approximations isolate them
+        p = P(-2, 0, 1) * P(-(2**141 + 1), 0, 2**140)
+        rad = Fraction(1, 2**180)
+        a = alg_nth_root(2, 2)
+        b = AlgebraicNumber(p, Ball(Fraction(isqrt((2**141 + 1) << 260), 2**200), rad=rad))
+        c = AlgebraicNumber(p, Ball(Fraction(isqrt(2 << 400), 2**200), rad=rad))
+        assert alg_equals(a, c) and alg_equals(c, a)
+        assert not alg_equals(a, b) and not alg_equals(b, a) and not alg_equals(b, c)
+        # b/2 and sqrt(2)/2 are roots of one quartic, closer than 2^-64 too
+        two = AlgebraicNumber.from_rational(2)
+        q = alg_div(b, two)
+        assert is_root_of(q, P(-(2**141 + 1), 0, 2**142))
+        assert not is_root_of(q, P(-1, 0, 2))
+        assert not alg_equals(q, alg_div(a, two))
+
+    def test_quotient_with_a_close_conjugate(self):
+        # sqrt(2)/1 and -sqrt(2)/(-1 - 2^-140) are roots of one ratio-set
+        # quartic about 2^-140 apart: the enclosure must shrink well below
+        # 2^-64 before one Krawczyk step can prove which root it holds
+        ctx = Precision(max_bits=1024)
+        a = alg_nth_root(2, 2)
+        b = AlgebraicNumber(P(-1, 1) * P(2**140 + 1, 2**140), Ball(Fraction(1), rad=Fraction(1, 2)))
+        q = alg_div(a, b, ctx)
+        assert q.box.rad < Fraction(1, 2**141)
+        assert is_root_of(q, P(-2, 0, 1), ctx)
+        assert alg_equals(q, a, ctx) and alg_equals(a, q, ctx)
+
+    def test_ratio_condition_isolates_no_resultant(self, monkeypatch):
+        from elindep import algebraic
+        from elindep.efunction import ef_bessel_j0, ef_exp
+        from elindep.singularities import ratio_condition, singularity_superset
+
+        points = roots_of(F4)[:2] + roots_of(F5)[:2]
+        degrees = []
+        real = algebraic.isolate_roots
+
+        def recording(p, *args, **kwargs):
+            degrees.append(p.degree)
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(algebraic, "isolate_roots", recording)
+        sets = [singularity_superset(ef_exp()), singularity_superset(ef_bessel_j0())]
+        for s in sets:
+            for i, a in enumerate(points):
+                for b in points[i + 1:]:
+                    assert ratio_condition(s, s, a, b)
+        assert all(d <= 4 for d in degrees), degrees
+
+    def test_div_contains_quotient(self):
+        dps = 60
+        with mpmath.workdps(dps):
+            zs = mpmath.polyroots([1, 1, 0, -1, 2], maxsteps=200, extraprec=200)
+            ws = mpmath.polyroots([1, 0, 0, 1, -3], maxsteps=200, extraprec=200)
+        tol = Fraction(1, 10**50)
+        for a in roots_of(F4):
+            for b in roots_of(F5)[:2]:
+                q = alg_div(a, b).box
+                with mpmath.workdps(dps):
+                    z = min(zs, key=lambda r: abs(r - mpmath.mpc(float(a.box.re), float(a.box.im))))
+                    w = min(ws, key=lambda r: abs(r - mpmath.mpc(float(b.box.re), float(b.box.im))))
+                    v = mpmath.mpc(z / w)
+                    re = Fraction(mpmath.nstr(v.real, 55, strip_zeros=False))
+                    im = Fraction(mpmath.nstr(v.imag, 55, strip_zeros=False))
+                assert (re - q.re) ** 2 + (im - q.im) ** 2 <= (q.rad + tol) ** 2
+
+
 class TestRoots:
     def test_nth_root_fixtures(self):
         assert alg_nth_root(Fraction(9, 4), 2).as_rational() == Fraction(3, 2)
@@ -177,15 +290,6 @@ class TestRoots:
         # for z^3 - 1 the canonical root is 1 itself
         r = canonical_root(P(-1, 0, 0, 1))
         assert r.as_rational() == 1
-
-    def test_root_of_unity_orders(self):
-        w = canonical_root(P(1, 1, 1))  # primitive cube root of unity
-        assert is_root_of_unity(w) == 3
-        assert is_root_of_unity(AlgebraicNumber.from_rational(-1)) == 2
-        assert is_root_of_unity(AlgebraicNumber.from_rational(1)) == 1
-        assert is_root_of_unity(alg_nth_root(2, 2)) is None
-        i = alg_nth_root(-1, 2)
-        assert is_root_of_unity(i) == 4
 
 
 class TestPrecision:

@@ -385,6 +385,59 @@ class TestExitCodes:
         assert err.startswith("input error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--spec", "spec.json", "--digits", "abc"],
+        ["frobnicate"],
+        ["certify"],
+    ], ids=["bad-int", "unknown-subcommand", "missing-spec"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: elindep" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
+        assert "--spec" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("digits", ["4400", "1000000", "0"])
+    def test_digits_out_of_range_rejected_fast(self, tmp_path, capsys, digits):
+        path = write_spec(tmp_path, dict(CERTIFY_EXP, task="eval", points=["1"]))
+        start = time.perf_counter()
+        code = main(["eval", "--spec", path, "--digits", digits])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: digits must be positive and at most 4300")
+        assert "Traceback" not in err
+
+    def test_too_many_printed_digits_rejected(self, tmp_path, capsys):
+        # e * 10^4300 has 4301 digits before the rounding point
+        path = write_spec(tmp_path, dict(CERTIFY_EXP, task="eval", points=["1"]))
+        start = time.perf_counter()
+        code = main(["eval", "--spec", path, "--digits", "4300"])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "4300 digits" in err
+        assert "Traceback" not in err
+
+    def test_heuristic_tail_never_excludes(self, tmp_path, capsys):
+        # no coeff_bound: the values' radii rest on an unproven series tail
+        doc = {
+            "version": 1,
+            "task": "falsify",
+            "functions": [{"type": "ode", "operator": "(1)*D^1 + (-1)", "initial": ["1"]}],
+            "points": ["1", "2"],
+        }
+        code = main(["falsify", "--spec", write_spec(tmp_path, doc), "--format", "json"])
+        assert code == 0
+        rel = json.loads(capsys.readouterr().out)["relation_report"]
+        assert not rel["found"] and not rel["excluded"] and not rel["skipped"]
+        assert "no exclusion: a value's radius rests on an unproven series tail" in rel["notices"]
+
     def test_demo_runs_clean(self, capsys):
         code = main(["demo", "--digits", "25", "--coeff-bound", "50",
                      "--format", "json"])
