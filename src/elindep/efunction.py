@@ -65,14 +65,16 @@ class EFunction:
                 f"order {annihilator.order} operator needs at least "
                 f"{annihilator.order} initial coefficients, got {len(seeds)}"
             )
-        self._rec = recurrence_from_ode(annihilator)
-        self._bands = self._rec.bands()
-        self._jmax = self._rec.max_shift
+        self.recurrence = recurrence_from_ode(annihilator)
+        self._bands = self.recurrence.bands()
+        self._jmax = self.recurrence.max_shift
         self._lead = self._bands[self._jmax]
         # ordinary series coefficients c_n = a_n / n!
         self._c: list[Fraction] = [
             a / math.factorial(n) for n, a in enumerate(seeds)
         ]
+        # the stream below extends _c; the series sums start after the seeds
+        self.seed_count = len(seeds)
         self._check_seed_consistency()
 
     # -- coefficient stream ---------------------------------------------------

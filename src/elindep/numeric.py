@@ -1,10 +1,42 @@
 """High-precision evaluation with certified tails and relation search.
 
-Evaluation keeps everything in exact rational arithmetic: the partial sum
-is exact and the only error is the series tail, which is bounded through
-the proven coefficient bound |a_n| <= C^n.  Functions without a proven
-bound fall back to a heuristic tail (doubling the truncation point until
-two evaluations agree) and the resulting ball is flagged.
+Evaluation keeps everything exact.  A value is the exact partial sum of
+its series up to a truncation N plus a tail bound: the proven coefficient
+bound |a_n| <= C^n gives a rigorous one.  Functions without a proven bound
+fall back to a heuristic tail (doubling the truncation point until two
+partial sums agree) and the resulting ball is flagged.
+
+Every partial sum is formed by binary splitting over the series'
+recurrence (Chudnovsky & Chudnovsky 1988; van der Hoeven, "Fast
+evaluation of holonomic functions", TCS 210, 1999).  Past its first
+terms, the sequence of terms u_n of the sum obeys
+
+    den(t) u_m = row_1(t) u_{m-1} + ... + row_r(t) u_{m-r},   t = m - offset,
+
+with integer polynomials den and row_d.  For an EFunction at x = p/q,
+u_n = c_n x^n where c_n are the Taylor coefficients; its annihilator's
+recurrence sum_j P_j(t) c_{t+j} = 0, with the band denominators cleared
+once, gives den = P_jmax q^r and row_d = -P_{jmax-d} p^d q^(r-d) with
+r = jmax - jmin.  A hypergeometric value has r = 1, with its term ratio
+as row_1 / den.  The state at index m is the vector
+(u_{m-r}, ..., u_{m-1}, S_m), S_m = u_0 + ... + u_{m-1}; one step maps it
+to the state at m + 1 by an integer matrix (the shift rows, the new term,
+and the running sum S_{m+1} = S_m + u_m) over the scalar denominator
+den(t).  The product of the steps over [lo, hi) is formed by recursive
+halving, so integers grow in balanced products, not one term at a time,
+and the state is kept as integers over one common denominator.  The only
+gcd is taken when the final partial sum becomes a Fraction; a term-by-term
+sum takes one on numbers of the same size at every term.
+
+The truncation N is the least index that meets the series' stopping
+rule, and no Fraction is built per index to find it: a float estimate of
+log10 of the tail bound, whose error is far below the margin it keeps,
+gives a start that the rule provably fails before, and exact integer
+comparisons settle N from there (for an EFunction on 2 y^n / n! before
+summing; for a hypergeometric value on the next term, read off the state
+of the sum advanced to the start).  N, the terms and hence the exact
+partial sum are the same rationals a term-by-term loop gives, and the
+tail bound is the same rational, so every ball is unchanged.
 
 The relation search is empirical by design: a found relation is certified
 only up to the stated residual bound, and a negative search is an
@@ -15,6 +47,8 @@ Neither outcome is ever a transcendence proof.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,9 +61,14 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .lattice import lll_reduce
+from .polynomials import Polynomial
 from .rationals import format_rational, sci_upper
 
 MAX_TERMS = 500_000
+# a float estimate of log10 of a tail, kept this far from the threshold,
+# cannot be on the wrong side of it: its error stays below 1e-6 for any
+# truncation up to MAX_TERMS and rationals of up to 4300 digits
+_LOG_MARGIN = 1.0
 
 
 def _coerce_rational_point(x) -> Fraction:
@@ -54,14 +93,169 @@ def _coerce_rational_point(x) -> Fraction:
     return Fraction(x)
 
 
+def _horner(coeffs: list[int], t: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+class _RecurrenceSum:
+    """Exact partial sums S_m = u_0 + ... + u_{m-1} of a recurrent sequence.
+
+    The first terms are given (`seeds`, Fractions); past them
+
+        den(t) u_m = row_1(t) u_{m-1} + ... + row_r(t) u_{m-r},
+        t = m - offset,
+
+    with `rows` = [den, row_1, ..., row_r] integer coefficient lists
+    (ascending).  The state at index m is (u_{m-r}, ..., u_{m-1}, S_m)
+    held as integers over one common denominator, terms before index 0
+    being 0.  advance() moves it on by one binary-splitting product, so
+    successive calls continue the sum and never restart it.
+    """
+
+    def __init__(self, seeds: list[Fraction], rows: list[list[int]],
+                 offset: int, name: str):
+        self._seeds = seeds
+        self._rows = rows
+        self._offset = offset
+        self._name = name
+        self.m = 0
+        self._v = [0] * (len(rows) - 1)
+        self._s = 0
+        self._den = 1
+
+    def advance(self, hi: int):
+        """Move the state to index hi (no-op when hi <= m)."""
+        while self.m < min(hi, len(self._seeds)):
+            self._push(self._seeds[self.m])
+        if self.m >= hi:
+            return
+        a, b, q = self._product(self.m, hi)
+        v = self._v
+        self._v = [_dot(row, v) for row in a]
+        self._s = _dot(b, v) + q * self._s
+        self._den *= q
+        self.m = hi
+
+    def value(self) -> Fraction:
+        """S_m: the one division of the sum."""
+        return Fraction(self._s, self._den)
+
+    def next_term(self) -> tuple[int, int]:
+        """u_m as (numerator, denominator), m at least the seed count."""
+        _, last, q = self._leaf(self.m)
+        return _dot(last, self._v), q * self._den
+
+    def _push(self, u: Fraction):
+        den = math.lcm(self._den, u.denominator)
+        k = den // self._den
+        w = u.numerator * (den // u.denominator)
+        self._v = ([x * k for x in self._v] + [w])[1:]
+        self._s = self._s * k + w
+        self._den = den
+        self.m += 1
+
+    def _leaf(self, m: int):
+        """Step matrix of index m as (A, b, q): the state (u, S) maps to
+        (A u, b.u + q S) / q."""
+        t = m - self._offset
+        q = _horner(self._rows[0], t) if t >= 0 else 0
+        if q == 0:
+            raise UnsupportedOperationError(
+                f"series coefficient {m} of {self._name} is not determined "
+                "by the recurrence; supply it as an initial coefficient"
+            )
+        r = len(self._rows) - 1
+        # column i of the state holds u_{m-r+i}, so row_d sits in column r-d
+        last = [_horner(row, t) for row in reversed(self._rows[1:])]
+        shift = [[q if j == i + 1 else 0 for j in range(r)] for i in range(r - 1)]
+        return (shift + [last] if r else []), last, q
+
+    def _product(self, lo: int, hi: int):
+        """The steps of [lo, hi) in one (A, b, q), by recursive halving."""
+        if hi - lo == 1:
+            return self._leaf(lo)
+        mid = (lo + hi) // 2
+        a1, b1, q1 = self._product(lo, mid)
+        a2, b2, q2 = self._product(mid, hi)
+        cols = list(zip(*a1))
+        a = [[_dot(row, col) for col in cols] for row in a2]
+        b = [_dot(b2, col) + q2 * y for col, y in zip(cols, b1)]
+        return a, b, q2 * q1
+
+
+def _dot(xs, ys) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+def _efunction_sums(f: EFunction, x: Fraction) -> _RecurrenceSum:
+    """Partial sums of sum c_n x^n from f's seeds and recurrence."""
+    bands = f.recurrence.bands()
+    jmax = f.recurrence.max_shift
+    r = jmax - f.recurrence.min_shift
+    scale = math.lcm(*(c.denominator for band in bands.values() for c in band.coeffs))
+    p, q = x.numerator, x.denominator
+
+    def row(j: int, factor: int) -> list[int]:
+        band = bands.get(j)
+        if band is None:
+            return []
+        return [c.numerator * (scale // c.denominator) * factor for c in band.coeffs]
+
+    rows = [row(jmax, q**r)] + [
+        row(jmax - d, -(p**d) * q ** (r - d)) for d in range(1, r + 1)
+    ]
+    seeds = [f.series_coefficient(n) * x**n for n in range(f.seed_count)]
+    return _RecurrenceSum(seeds, rows, jmax, f.name)
+
+
+def _efunction_truncation(y: Fraction, digits: int) -> tuple[int, Fraction]:
+    """Terms N and tail radius 2 y^N / N! of a sum whose coefficients obey
+    |c_n x^n| <= y^n / n!: the least N >= 1 with N + 1 > 2y and
+    2 y^N / N! < 10^-digits.  Past the first condition each further term
+    halves the bound, so the second is monotone there."""
+    yn, yd = y.numerator, y.denominator
+    lo = max(1, 2 * yn // yd)
+    log_y = math.log10(yn) - math.log10(yd)
+
+    def log_tail(n: int) -> float:  # log10(2 y^n / n! * 10^digits)
+        return math.log10(2) + n * log_y - math.lgamma(n + 1) / math.log(10) + digits
+
+    hi = MAX_TERMS + 1
+    if log_tail(hi) >= _LOG_MARGIN:
+        raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
+    # least n in [lo, hi] with log_tail(n) < margin: the rule fails before it
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_tail(mid) < _LOG_MARGIN:
+            hi = mid
+        else:
+            lo = mid + 1
+    n = lo
+    num, den = yn**n, yd**n * math.factorial(n)
+    target = 10**digits
+    while 2 * num * target >= den:
+        n += 1
+        if n > MAX_TERMS + 1:
+            raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
+        num *= yn
+        den *= yd * n
+    return n, Fraction(2 * num, den)
+
+
 def eval_efunction(f: EFunction, x, digits: int) -> Ball:
     """Ball around sum a_n x^n / n! with tail radius below 10^-digits.
 
-    With a proven coefficient bound C the tail past N is at most
-    2 (C|x|)^(N+1) / (N+1)!  once N + 1 >= 2 C |x|, and the returned
-    radius is that rigorous bound.  Without one the truncation point is
-    doubled until two successive partial sums agree to the target, and the
-    ball is flagged heuristic.
+    With a proven coefficient bound C the tail past N terms is at most
+    2 (C|x|)^N / N!  once N + 1 > 2 C |x|; N is the least such count
+    that brings this below 10^-digits, found before summing (module
+    docstring), and the returned radius is that rigorous bound.  The sum
+    of the N terms is one binary-splitting product over f's recurrence
+    applied to its seeds, divided out once.  Without a proven bound the
+    truncation point is doubled until two successive partial sums agree
+    to the target, and the ball is flagged heuristic.
     """
     if digits < 1:
         raise InputError("digits must be positive")
@@ -71,50 +265,32 @@ def eval_efunction(f: EFunction, x, digits: int) -> Ball:
     if f.coeff_bound is None:
         return _eval_heuristic(f, q, digits)
     y = f.coeff_bound * abs(q)
-    # the loop cannot stop before n + 2 > 2y, and n stops at MAX_TERMS
+    # the truncation cannot come before N + 1 > 2y, and stops past MAX_TERMS
     if 2 * y >= MAX_TERMS + 2:
         raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
-    target = Fraction(1, 10**digits)
-    total = Fraction(0)
-    xpow = Fraction(1)
-    n = 0
-    tail = Fraction(1)  # y^(n+1) / (n+1)!
-    while True:
-        total += f.series_coefficient(n) * xpow
-        tail = tail * y / (n + 1)
-        if n + 2 > 2 * y and 2 * tail < target:
-            break
-        n += 1
-        if n > MAX_TERMS:
-            raise PrecisionExceededError(
-                f"series truncation beyond {MAX_TERMS} terms"
-            )
-        xpow *= q
-    return Ball(total, Fraction(0), 2 * tail)
-
-
-def _partial_sum(f: EFunction, q: Fraction, terms: int) -> Fraction:
-    total = Fraction(0)
-    xpow = Fraction(1)
-    for n in range(terms):
-        if n:
-            xpow *= q
-        total += f.series_coefficient(n) * xpow
-    return total
+    terms, radius = _efunction_truncation(y, digits)
+    sums = _efunction_sums(f, q)
+    sums.advance(terms)
+    return Ball(sums.value(), Fraction(0), radius)
 
 
 def _eval_heuristic(f: EFunction, q: Fraction, digits: int) -> Ball:
-    """No proven coefficient bound: double the truncation until stable."""
+    """No proven coefficient bound: double the truncation until stable.
+
+    Each doubling continues the same sum over [terms, 2 terms)."""
     report = growth_check(f)
     c_emp = max(2.0, report.coeff_growth_estimate * 1.5)
     terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
     if terms > MAX_TERMS:
         raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
     target = Fraction(1, 10**digits)
-    prev = _partial_sum(f, q, terms)
+    sums = _efunction_sums(f, q)
+    sums.advance(terms)
+    prev = sums.value()
     while terms <= MAX_TERMS:
         terms *= 2
-        cur = _partial_sum(f, q, terms)
+        sums.advance(terms)
+        cur = sums.value()
         if abs(cur - prev) * 2 < target:
             return Ball(cur, Fraction(0), target, heuristic_tail=True)
         prev = cur
@@ -127,14 +303,17 @@ def eval_hypergeometric_value(
     """Ball around sum scale^n [prod (a)_n / prod (b)_n] x^n.
 
     Term ratio t_{n+1}/t_n = scale * x * prod(a_i+n) / prod(b_j+n) decays
-    like n^(r-s); past an explicit index the ratio stays below 1/2, so the
-    tail is bounded by twice the first omitted term.
+    like n^(r-s); past an explicit index n1 the ratio stays below 1/2, so
+    the tail is bounded by twice the first omitted term.  The sum stops at
+    the least n >= n1 with 2|t_n| < 10^-digits; the terms t_0..t_{n-1}
+    are summed by binary splitting over the integer form of the ratio, and
+    n is found from a running float estimate of log|t_n| and settled by
+    exact comparisons on the state of that sum.
     """
     params.validate()
     q = _coerce_rational_point(x)
     if q == 0:
         return Ball(Fraction(1))
-    target = Fraction(1, 10**digits)
     s = len(params.lower)
     k = params.k
     # past n0 every |b_j + n| >= n/2 and |a_i + n| <= (1+|a_i|) n, making
@@ -146,28 +325,42 @@ def eval_hypergeometric_value(
     n1 = n0
     while kconst > Fraction(n1**k, 2):
         n1 *= 2
-    # the loop cannot stop before n >= n1, and n stops past MAX_TERMS
+    # the sum cannot stop before n >= n1, and n stops past MAX_TERMS
     if n1 > MAX_TERMS + 1:
         raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
-    term = Fraction(1)
-    total = Fraction(0)
+    # t_{n+1} / t_n = num(n) / den(n) with integer polynomials in n
+    ratio = params.scale * q
+    num, den = Polynomial((ratio.numerator,)), Polynomial((ratio.denominator,))
+    for a in params.upper:
+        num, den = num * Polynomial((a.numerator, a.denominator)), den * a.denominator
+    for b in params.lower:
+        num, den = num * b.denominator, den * Polynomial((b.numerator, b.denominator))
+    num, den = ([c.numerator for c in p.coeffs] for p in (num, den))
+    # the least n >= n1 whose estimate of log10(2 |t_n| 10^digits) is below
+    # the margin: the rule fails before it, and the exact check starts there
     n = 0
-    while True:
-        total += term
-        ratio = params.scale * q
-        for a in params.upper:
-            ratio *= a + n
-        for b in params.lower:
-            ratio /= b + n
-        term = term * ratio
-        n += 1
-        if n >= n1 and 2 * abs(term) < target:
-            break
+    log_term = math.log10(2) + digits
+    while n < n1 or log_term >= _LOG_MARGIN:
         if n > MAX_TERMS:
             raise PrecisionExceededError(
                 f"series truncation beyond {MAX_TERMS} terms"
             )
-    return Ball(total, Fraction(0), 2 * abs(term))
+        log_term += math.log10(abs(_horner(num, n))) - math.log10(abs(_horner(den, n)))
+        n += 1
+    sums = _RecurrenceSum([Fraction(1)], [den, num], 1, "the series")
+    sums.advance(n)
+    target = 10**digits
+    while True:
+        tn, td = sums.next_term()
+        if 2 * abs(tn) * target < abs(td):
+            break
+        n += 1
+        if n > MAX_TERMS + 1:
+            raise PrecisionExceededError(
+                f"series truncation beyond {MAX_TERMS} terms"
+            )
+        sums.advance(n)
+    return Ball(sums.value(), Fraction(0), Fraction(2 * abs(tn), abs(td)))
 
 
 def _ceil_abs(q: Fraction) -> int:

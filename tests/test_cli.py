@@ -319,6 +319,22 @@ class TestExitCodes:
         assert code == 3
         assert "precision cap exceeded" in capsys.readouterr().err
 
+    def test_long_series_sum_is_bounded(self, tmp_path, capsys):
+        # about 13600 terms; a term-by-term Fraction sum gave no result in 100 s
+        doc = dict(CERTIFY_EXP, task="eval", points=["5000"])
+        path = write_spec(tmp_path, doc)
+        start = time.perf_counter()
+        code = main(["eval", "--spec", path, "--digits", "10", "--format", "json"])
+        assert time.perf_counter() - start < 15
+        assert code == 0
+        value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+        mant, exp = value["radius"].split("e")
+        radius = Fraction(mant) * Fraction(10) ** int(exp)
+        with mpmath.workdps(2200):
+            want = mpmath.exp(5000)
+        want = Fraction(want.man) * Fraction(2) ** want.exp
+        assert abs(want - Fraction(value["re"])) <= radius
+
     def test_huge_power_of_z_rejected_fast(self, tmp_path, capsys):
         doc = {
             "version": 1,

@@ -1,24 +1,34 @@
 """Rigorous evaluation balls and the integer-relation falsifier."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from elindep import numeric
 from elindep.balls import Ball
 from elindep.criterion import certify_multi, certify_si_integrals, certify_single
+from elindep.diffop import op_from_text
 from elindep.efunction import (
+    EFunction,
     HypergeometricParams,
     ef_bessel_j0,
     ef_exp,
+    ef_hypergeometric,
     ef_lagrange_combo,
+    ef_scale,
     ef_sin_integral,
+    growth_check,
 )
-from elindep.errors import InputError, PrecisionExceededError
+from elindep.errors import InputError, PrecisionExceededError, UnsupportedOperationError
 from elindep.lattice import lll_reduce
 from elindep.numeric import (
     MAX_TERMS,
+    _efunction_sums,
+    _efunction_truncation,
     eval_efunction,
     eval_hypergeometric_value,
     falsify,
@@ -108,6 +118,198 @@ class TestEvalEFunction:
 
         with pytest.raises(UnsupportedOperationError):
             eval_efunction(ef_exp(), alg_nth_root(2, 2), 20)
+
+
+def reference_sum(f, x, terms):
+    """The term-by-term Fraction sum that binary splitting replaces."""
+    total = Fraction(0)
+    for n in range(terms):
+        total += f.series_coefficient(n) * x**n
+    return total
+
+
+def reference_truncation(y, digits):
+    """The stopping rule term by term: least N >= 1 with N + 1 > 2y and
+    2 y^N / N! < 10^-digits, and that bound."""
+    n, tail = 1, y
+    while not (n + 1 > 2 * y and 2 * tail < Fraction(1, 10**digits)):
+        n += 1
+        tail = tail * y / n
+    return n, 2 * tail
+
+
+def reference_heuristic(f, x, digits):
+    """The heuristic path term by term: double the truncation from its
+    start until two partial sums agree to half of 10^-digits."""
+    c_emp = max(2.0, growth_check(f).coeff_growth_estimate * 1.5)
+    terms = max(32, int(Fraction(2 * c_emp) * abs(x)) + digits)
+    prev = reference_sum(f, x, terms)
+    while True:
+        terms *= 2
+        cur = reference_sum(f, x, terms)
+        if abs(cur - prev) * 2 < Fraction(1, 10**digits):
+            return cur
+        prev = cur
+
+
+def reference_hypergeometric(params, x, digits):
+    """Sum and radius of a hypergeometric value term by term: stop at the
+    least n >= n1 with 2 |t_n| < 10^-digits, past which every term ratio
+    is at most 1/2 (n1 as in eval_hypergeometric_value)."""
+    n1 = 1 + max(2 * math.ceil(abs(b)) for b in params.lower)
+    kconst = abs(params.scale * x) * 2 ** len(params.lower)
+    for a in params.upper:
+        kconst *= 1 + math.ceil(abs(a))
+    while kconst > Fraction(n1**params.k, 2):
+        n1 *= 2
+    term, total, n = Fraction(1), Fraction(0), 0
+    while not (n >= n1 and 2 * abs(term) < Fraction(1, 10**digits)):
+        total += term
+        for a in params.upper:
+            term *= a + n
+        for b in params.lower:
+            term /= b + n
+        term *= params.scale * x
+        n += 1
+    return total, 2 * abs(term)
+
+
+def ode(text, initial, coeff_bound):
+    return EFunction(op_from_text(text), initial, name="g", coeff_bound=coeff_bound)
+
+
+SPLIT_FUNCTIONS = {
+    "exp": ef_exp,
+    "J0": ef_bessel_j0,  # a negative shift band
+    "Si": ef_sin_integral,
+    "F[;1/2,1]": lambda: ef_hypergeometric([], [Fraction(1, 2), 1]),  # k = 2
+    "F[1/3;1/2,2/5]": lambda: ef_hypergeometric(
+        [Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 5)]),
+    "exp(-2z)": lambda: ef_scale(ef_exp(), -2),
+    "(1+z)e^z": lambda: ode("(1+z)*D^1 + (-2-z)", ["1", "2"], 2),
+    "I0, no bound": lambda: ode("(z)*D^2 + (1)*D^1 + (-z)", ["1", "0"], None),
+}
+SPLIT_POINTS = (Fraction(-22, 7), Fraction(5, 3), Fraction(-1, 2), Fraction(3))
+
+
+class TestBinarySplitting:
+    """The split sums are the exact rationals a term-by-term sum gives."""
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_FUNCTIONS))
+    def test_partial_sums_exact(self, name):
+        f = SPLIT_FUNCTIONS[name]()
+        seeds = f.seed_count
+        counts = sorted({0, 1, seeds - 1, seeds, seeds + 1, 300})
+        for x in SPLIT_POINTS:
+            continued = _efunction_sums(f, x)
+            for terms in counts:
+                fresh = _efunction_sums(f, x)
+                fresh.advance(terms)
+                continued.advance(terms)  # as the heuristic path doubles
+                want = reference_sum(f, x, terms)
+                assert fresh.value() == want, (name, x, terms)
+                assert continued.value() == want, (name, x, terms)
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_FUNCTIONS))
+    def test_eval_ball_is_the_partial_sum(self, name):
+        f = SPLIT_FUNCTIONS[name]()
+        for x in (Fraction(-22, 7), Fraction(5, 3)):
+            b = eval_efunction(f, x, 60)
+            if f.coeff_bound is None:
+                assert b.heuristic_tail
+                assert b.re == reference_heuristic(f, x, 60)
+                continue
+            terms, radius = reference_truncation(f.coeff_bound * abs(x), 60)
+            assert b.re == reference_sum(f, x, terms)
+            assert b.rad == radius and b.im == 0
+
+    def test_truncation_matches_the_term_loop(self):
+        for y in (Fraction(1), Fraction(5, 7), Fraction(44, 7), Fraction(137, 7),
+                  Fraction(1, 10**5), Fraction(1000), Fraction(7, 2)):
+            for digits in (1, 11, 60, 300):
+                assert _efunction_truncation(y, digits) == reference_truncation(y, digits)
+
+    def test_hypergeometric_value_is_the_term_loop(self):
+        cases = [
+            HypergeometricParams((Fraction(1, 3),), (Fraction(1, 2), Fraction(2, 5))),
+            HypergeometricParams((), (Fraction(1), Fraction(1)), Fraction(-1, 4)),
+            HypergeometricParams((Fraction(-5, 2),), (Fraction(-1, 3), Fraction(7, 2),
+                                                      Fraction(1)), Fraction(-2, 3)),
+            HypergeometricParams((), (Fraction(1, 7),), Fraction(1, 100)),
+        ]
+        for params in cases:
+            for x in (Fraction(-22, 7), Fraction(7, 3), Fraction(1, 3)):
+                for digits in (1, 80):
+                    b = eval_hypergeometric_value(params, x, digits)
+                    assert (b.re, b.rad) == reference_hypergeometric(params, x, digits)
+
+    def test_degenerate_index_past_the_seeds(self):
+        # z f'' - (3 + z) f' - f: the leading band (t + 1)(t - 3) vanishes
+        # at t = 3, so coefficient 4 is free and must be supplied
+        message = "series coefficient 4 of g is not determined"
+        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["3", "-1"], 2)
+        with pytest.raises(UnsupportedOperationError, match=message):
+            f.coefficient(4)
+        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["3", "-1"], 2)
+        with pytest.raises(UnsupportedOperationError, match=message):
+            eval_efunction(f, Fraction(-1, 2), 20)
+        sums = _efunction_sums(f, Fraction(1, 3))
+        sums.advance(4)
+        assert sums.value() == reference_sum(f, Fraction(1, 3), 4)
+        with pytest.raises(UnsupportedOperationError, match=message):
+            sums.advance(5)
+        # a single band (z f' = 5 f): terms before 5 vanish, 5 is free
+        f = ode("(z)*D^1 + (-5)", ["0"], 2)
+        with pytest.raises(UnsupportedOperationError,
+                           match="series coefficient 5 of g is not determined"):
+            eval_efunction(f, Fraction(-1, 2), 20)
+
+
+class TestBoundedWork:
+    """Sums cost a binary-splitting product, not one Fraction per term.
+    Each limit is loose against the time this code takes and far below
+    what a term-by-term sum takes."""
+
+    def test_1f2_at_3000_digits(self):
+        # 1F2(1/3; 1/2, 2/5)(7/3) as a hypergeometric value and as an
+        # E-function; the E-function sum took 3.6 s term by term
+        params = HypergeometricParams((Fraction(1, 3),), (Fraction(1, 2), Fraction(2, 5)))
+        start = time.perf_counter()
+        b = eval_hypergeometric_value(params, Fraction(7, 3), 3000)
+        assert time.perf_counter() - start < 1
+        assert b.rad < Fraction(1, 10**3000)
+        f = ef_hypergeometric(params.upper, params.lower)
+        start = time.perf_counter()
+        b = eval_efunction(f, Fraction(7, 3), 3000)
+        assert time.perf_counter() - start < 1
+        assert b.rad < Fraction(1, 10**3000)
+
+    def test_truncation_builds_no_fraction_per_step(self, monkeypatch):
+        # the truncation here is about 54000 terms; finding it may build a
+        # handful of Fractions, and the 20th ends the search at once
+        made = []
+        new = Fraction.__new__
+
+        class TooMany(Exception):
+            pass
+
+        class SplitReached(Exception):
+            pass
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            if len(made) >= 20:
+                raise TooMany
+            return new(cls, *args, **kwargs)
+
+        def split(f, x):
+            raise SplitReached
+
+        f = ef_exp()
+        monkeypatch.setattr(numeric, "_efunction_sums", split)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        with pytest.raises(SplitReached):
+            eval_efunction(f, 20000, 11)
 
 
 class TestEvalHypergeometric:
