@@ -24,11 +24,20 @@ Decisions about one known value prove only that value's root:
     differ if their discs part, and are equal if one Krawczyk step for p_b
     succeeds on a disc covering both.
 
-Full isolation of every root serves only `AlgebraicNumber.root_in_box`,
-`canonical_root` and the fallback of `refine_root_box`.  There a numeric
-proposer (mpmath.polyroots) suggests discs; it never enters the soundness
-argument: the Krawczyk test certifies each disc, and pairwise disjointness
-plus disc count == degree proves every root was captured.
+Constructors prove only the root they keep:
+
+  * Principal k-th roots (`alg_nth_root`): |q|^(1/k) is enclosed exactly by
+    an integer k-th root, times the principal root of z^k + 1 when q < 0,
+    and goes through the enclosure step above.
+  * Points given by a rectangle (`AlgebraicNumber.root_in_box`): one
+    Krawczyk step on the disc circumscribing the rectangle proves that disc
+    holds one root only.
+
+Full isolation of every root serves only `canonical_root` (for z^k + 1 once
+per k) and the fallbacks of `root_in_box` and `refine_root_box`.  There a
+numeric proposer (mpmath.polyroots) suggests discs; it never enters the
+soundness argument: the Krawczyk test certifies each disc, and pairwise
+disjointness plus disc count == degree proves every root was captured.
 
 All decision loops escalate working precision from Precision.start_bits by
 doubling up to Precision.max_bits and then raise PrecisionExceededError, so
@@ -43,7 +52,7 @@ from typing import Callable, Iterable
 
 import mpmath
 
-from .balls import Ball
+from .balls import Ball, _sqrt_upper
 from .errors import InputError, PrecisionExceededError
 from .polynomials import (
     Polynomial,
@@ -240,7 +249,9 @@ def _isolate_at(p, dp, target, bits):
         return None
     r0 = max(Fraction(1, 1 << min(bits, 256)), min(_mpf_to_fraction(sep) / 8, Fraction(1, 4)))
     floor = Fraction(1, 1 << (bits // 2))
-    mid_bits = _radius_bits(target) + 32
+    # centres must be finer than the start radius, which may lie far below
+    # the target when two roots are close
+    mid_bits = max(_radius_bits(target), _radius_bits(r0)) + 32
     balls = []
     for z in proposals:
         centre = Ball(_mpf_to_fraction(z.real), _mpf_to_fraction(z.imag)).rounded(mid_bits)
@@ -334,9 +345,21 @@ class AlgebraicNumber:
         im_hi,
         ctx: Precision = DEFAULT_PRECISION,
     ) -> "AlgebraicNumber":
-        """The unique root of poly in the rectangle [re_lo, re_hi] x
-        [im_lo, im_hi]: the one whose isolating disc meets it.  Raises if no
-        disc meets it, or if several still do at the precision cap."""
+        """The unique root of poly in the closed rectangle [re_lo, re_hi] x
+        [im_lo, im_hi].
+
+        The root returned is the one root of poly whose certified disc, of
+        radius at most 2^-ctx.start_bits, meets the rectangle.  So a
+        rectangle that holds exactly one root gives that root; one that
+        holds none but passes within that radius of a root may give it.
+
+        One Krawczyk step on the disc circumscribing the rectangle proves
+        that disc holds one root only, and refinement decides whether that
+        root meets the rectangle.  Only when the step or the refinement
+        fails does every root get isolated, rung by rung.  Raises ValueError if no root meets the
+        rectangle, or once two certified discs lie wholly inside it; raises
+        PrecisionExceededError if several discs still meet it at the cap.
+        """
         re_lo, re_hi, im_lo, im_hi = map(Fraction, (re_lo, re_hi, im_lo, im_hi))
         if re_lo > re_hi or im_lo > im_hi:
             raise ValueError("rectangle bounds out of order")
@@ -350,6 +373,22 @@ class AlgebraicNumber:
             y = min(max(b.im, im_lo), im_hi)
             return (b.re - x) ** 2 + (b.im - y) ** 2 <= b.rad * b.rad
 
+        def inside(b: Ball) -> bool:
+            return (re_lo <= b.re - b.rad and b.re + b.rad <= re_hi
+                    and im_lo <= b.im - b.rad and b.im + b.rad <= im_hi)
+
+        dp = poly.derivative()
+        half_re, half_im = (re_hi - re_lo) / 2, (im_hi - im_lo) / 2
+        disc = Ball(re_lo + half_re, im_lo + half_im,
+                    _sqrt_upper(half_re * half_re + half_im * half_im))
+        one = _krawczyk_step(poly, dp, disc, _radius_bits(disc.rad) + 32)
+        if one is not None:
+            one = _refine_certified(poly, dp, one, Fraction(1, 1 << ctx.start_bits))
+        if one is not None:
+            if not meets(one):
+                raise ValueError("box contains no root of the polynomial")
+            return cls(poly, one)
+
         for bits in ctx.ladder():
             candidates = isolate_roots(poly, bits, ctx)
             hits = [b for b in candidates if meets(b)]
@@ -357,6 +396,11 @@ class AlgebraicNumber:
                 raise ValueError("box contains no root of the polynomial")
             if len(hits) == 1:
                 return cls(poly, hits[0])
+            held = sum(map(inside, hits))
+            if held >= 2:
+                raise ValueError(
+                    f"box contains several roots of the polynomial (at least {held})"
+                )
         raise ctx.exhausted("root-in-box selection")
 
     @classmethod
@@ -621,8 +665,28 @@ def _try_order(balls: list[Ball]) -> list[int] | None:
     return sorted(range(n), key=functools.cmp_to_key(full))
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, by Newton's method on integers."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def alg_nth_root(q, k: int, ctx: Precision = DEFAULT_PRECISION) -> AlgebraicNumber:
-    """Principal k-th root of a nonzero rational q."""
+    """Principal k-th root of a rational q, as a root of d z^k - n for
+    q = n/d: |q|^(1/k) for q > 0 and |q|^(1/k) e^(i pi/k) for q < 0, the
+    root `canonical_root` picks.
+
+    |q|^(1/k) = (|n| d^(k-1))^(1/k) / d is enclosed exactly by an integer
+    k-th root, and for q < 0 multiplied by the certified disc of
+    e^(i pi/k), the canonical root of z^k + 1; one Krawczyk step on that
+    enclosure proves the root, so no other root of d z^k - n is isolated.
+    """
     q = Fraction(q)
     if k < 1:
         raise ValueError("root order must be positive")
@@ -630,5 +694,18 @@ def alg_nth_root(q, k: int, ctx: Precision = DEFAULT_PRECISION) -> AlgebraicNumb
         return AlgebraicNumber.from_rational(0)
     if k == 1:
         return AlgebraicNumber.from_rational(q)
-    poly = Polynomial((-q.numerator,) + (0,) * (k - 1) + (q.denominator,))
-    return canonical_root(poly, ctx)
+    n, d = q.numerator, q.denominator
+    radicand = abs(n) * d ** (k - 1)
+    unit = None
+    if n < 0:
+        unit = canonical_root(Polynomial((1,) + (0,) * (k - 1) + (1,)), ctx)
+
+    def shrink(bits: int) -> Ball:
+        # lo <= |q|^(1/k) d 2^bits < lo + 1
+        lo = _iroot(radicand << (k * bits), k)
+        den = d << (bits + 1)
+        modulus = Ball(Fraction(2 * lo + 1, den), rad=Fraction(1, den))
+        return modulus if unit is None else modulus * unit.refined(bits, ctx).box
+
+    poly = Polynomial((-n,) + (0,) * (k - 1) + (d,))
+    return AlgebraicNumber._from_enclosure(poly, shrink, ctx)

@@ -280,14 +280,14 @@ def _build_function(fs: FunctionSpec, ctx: Precision) -> EFunction:
     return f
 
 
-def _build_point(p) -> AlgebraicNumber:
+def _build_point(p, ctx: Precision) -> AlgebraicNumber:
     if isinstance(p, str):
         return AlgebraicNumber.from_rational(parse_decimal(p))
     poly = Polynomial([Fraction(c) for c in p["poly"]])
     re_lo, re_hi = (parse_decimal(x) for x in p["box"]["re"])
     im_lo, im_hi = (parse_decimal(x) for x in p["box"]["im"])
     try:
-        return AlgebraicNumber.root_in_box(poly, re_lo, re_hi, im_lo, im_hi)
+        return AlgebraicNumber.root_in_box(poly, re_lo, re_hi, im_lo, im_hi, ctx)
     except ValueError as exc:  # no root in the box, bounds out of order, ...
         raise InputError(f"point {_point_json(p)}: {exc}") from None
 
@@ -298,7 +298,7 @@ def _point_json(p) -> str:
 
 def _certify_dispatch(spec: ProblemSpec, ctx: Precision) -> Certificate:
     functions = [_build_function(fs, ctx) for fs in spec.functions]
-    points = [_build_point(p) for p in spec.points]
+    points = [_build_point(p, ctx) for p in spec.points]
     if len(points) == 1:
         return certify_main(functions, points[0], ctx)
     if len(functions) == 1:
@@ -343,11 +343,11 @@ def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
         report["certificate"] = cert.to_json()
     elif spec.task == "certify_hyp":
         params_list = [_hyp_params(fs.data) for fs in spec.functions]
-        points = [_build_point(p) for p in spec.points]
+        points = [_build_point(p, ctx) for p in spec.points]
         cert = certify_hypergeometric(params_list, points, ctx)
         report["certificate"] = cert.to_json()
     elif spec.task == "certify_si":
-        pairs = [(_build_point(a), _build_point(b)) for a, b in spec.pairs]
+        pairs = [(_build_point(a, ctx), _build_point(b, ctx)) for a, b in spec.pairs]
         cert = certify_si_integrals(pairs, ctx)
         report["certificate"] = cert.to_json()
     elif spec.task == "eval":
@@ -355,7 +355,7 @@ def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
         for fs in spec.functions:
             f = _build_function(fs, ctx)
             for p in spec.points:
-                point = _build_point(p)
+                point = _build_point(p, ctx)
                 # one guard digit keeps the widened printed radius <= 10^-digits
                 ball = eval_efunction(f, point, digits + 1)
                 results.append(

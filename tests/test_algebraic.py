@@ -8,6 +8,7 @@ from math import isqrt
 import mpmath
 import pytest
 
+from elindep import algebraic
 from elindep.algebraic import (
     AlgebraicNumber,
     Precision,
@@ -43,6 +44,18 @@ def near_box(box, x, y, tol=Fraction(1, 10**9)):
     # point within a slightly inflated disc (root known to ~1e-29)
     r = 2 * box.rad + tol
     return (x - box.re) ** 2 + (y - box.im) ** 2 <= r * r
+
+
+F4 = P(2, -1, 0, 1, 1)  # the bench's quartics
+F5 = P(-3, 1, 0, 0, 1)
+# the polynomials whose roots are the bench's algebraic points
+BENCH_POOL = [
+    P(-2, 0, 1), P(-1, 1, 1), P(3, -1, 1),
+    P(-1, -1, 0, 1), P(-2, 0, 0, 1), P(1, -3, 0, 1),
+    P(-2, 0, 0, 0, 1), P(1, 1, 1, 1, 1), P(-1, 0, -1, 0, 1), F4, F5,
+]
+# roots sqrt(2) and sqrt(2 + 2^-140), about 2^-141.5 apart, and their negatives
+CLOSE_QUARTIC = P(-2, 0, 1) * P(-(2**141 + 1), 0, 2**140)
 
 
 class TestIsolation:
@@ -94,6 +107,23 @@ class TestIsolation:
             assert b.contains_interior(finer)
             assert finer.rad <= Fraction(1, 2**80)
 
+    def test_close_roots_quartic(self, monkeypatch):
+        # proposal centres rounded to 2^-96, far coarser than the start
+        # radius of about 2^-144, failed every rung up to 65536 bits
+        monkeypatch.setattr(algebraic, "_CACHE", algebraic._IsolationCache())
+        ctx = Precision(max_bits=1024)  # so that a regression fails, not hangs
+        start = time.perf_counter()
+        boxes = isolate_roots(CLOSE_QUARTIC, 64, ctx)
+        assert time.perf_counter() - start < 2
+        assert len(boxes) == 4
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert not boxes[i].overlaps(boxes[j])
+        finer = isolate_roots(CLOSE_QUARTIC, 300, ctx)
+        for b in boxes:
+            assert len([f for f in finer if b.contains_interior(f)]) == 1
+        assert all(f.rad <= Fraction(1, 2**300) for f in finer)
+
     def test_degree_16_all_roots(self):
         # two roots contract only from about sep/32768, far below start
         # radii of sep/8 and sep/512
@@ -116,8 +146,10 @@ class TestAlgebraicNumber:
         a = AlgebraicNumber.root_in_box(P(-2, 0, 1), 1, 2, 0, 0)
         assert a.as_rational() is None
         assert is_root_of(a, P(-2, 0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no root"):
             AlgebraicNumber.root_in_box(P(-2, 0, 1), 5, 6, 0, 0)
+        with pytest.raises(ValueError, match="several roots"):
+            AlgebraicNumber.root_in_box(P(-2, 0, 1), -2, 2, -1, 1)
 
     def test_irrational_has_no_rational_value(self):
         s = alg_nth_root(2, 2)
@@ -173,10 +205,6 @@ class TestArithmetic:
         assert not is_root_of(s, P(-3, 0, 1))
 
 
-F4 = P(2, -1, 0, 1, 1)  # the bench's quartics
-F5 = P(-3, 1, 0, 0, 1)
-
-
 def roots_of(p):
     return [AlgebraicNumber(p, b) for b in isolate_roots(p, 64)]
 
@@ -208,12 +236,13 @@ class TestOneRoot:
 
     def test_roots_closer_than_the_first_rung(self):
         # sqrt(2) and sqrt(2 + 2^-140), about 2^-141.5 apart, are roots of p;
-        # discs of radius 2^-180 around 200-bit approximations isolate them
-        p = P(-2, 0, 1) * P(-(2**141 + 1), 0, 2**140)
-        rad = Fraction(1, 2**180)
+        # a split point between 200-bit approximations of them parts them
+        p = CLOSE_QUARTIC
         a = alg_nth_root(2, 2)
-        b = AlgebraicNumber(p, Ball(Fraction(isqrt((2**141 + 1) << 260), 2**200), rad=rad))
-        c = AlgebraicNumber(p, Ball(Fraction(isqrt(2 << 400), 2**200), rad=rad))
+        split = (Fraction(isqrt(2 << 400), 2**200)
+                 + Fraction(isqrt((2**141 + 1) << 260), 2**200)) / 2
+        b = AlgebraicNumber.root_in_box(p, split, 2, 0, 0)
+        c = AlgebraicNumber.root_in_box(p, 1, split, 0, 0)
         assert alg_equals(a, c) and alg_equals(c, a)
         assert not alg_equals(a, b) and not alg_equals(b, a) and not alg_equals(b, c)
         # b/2 and sqrt(2)/2 are roots of one quartic, closer than 2^-64 too
@@ -256,6 +285,47 @@ class TestOneRoot:
                     assert ratio_condition(s, s, a, b)
         assert all(d <= 4 for d in degrees), degrees
 
+    def test_root_in_box_agrees_with_isolation(self):
+        # rectangles around each isolated root: centred, and with one edge
+        # passing just inside or just outside the root
+        for p in BENCH_POOL + [CLOSE_QUARTIC]:
+            discs = isolate_roots(p, 256)
+            gap = min(max(abs(a.re - b.re), abs(a.im - b.im))
+                      for i, a in enumerate(discs) for b in discs[i + 1:])
+            w = min(Fraction(1, 100), gap / 4)
+            edge = min(Fraction(1, 2**40), w / 1024)
+            for d in discs:
+                root = AlgebraicNumber(p, d)
+                x, y = d.re, d.im
+                centred = AlgebraicNumber.root_in_box(p, x - w, x + w, y - w, y + w)
+                near_edge = AlgebraicNumber.root_in_box(p, x - edge, x + w, y - w, y + edge)
+                for a in (centred, near_edge):
+                    assert alg_equals(a, root) and alg_equals(root, a)
+                    assert not any(alg_equals(a, AlgebraicNumber(p, o)) for o in discs if o is not d)
+                if edge <= Fraction(1, 2**64):
+                    continue  # a root this close outside may be returned
+                for box in ((x + edge, x + w, y - w, y + w), (x - w, x + w, y - w, y - edge)):
+                    with pytest.raises(ValueError, match="no root"):
+                        AlgebraicNumber.root_in_box(p, *box)
+
+    def test_one_root_constructors_isolate_nothing(self, monkeypatch):
+        (x, y), = [r for r in mp_roots(F4) if r[0] > 0 and r[1] > 0]
+        r = Fraction(1, 100)
+        calls = []
+        real = algebraic.isolate_roots
+
+        def recording(p, *args, **kwargs):
+            calls.append(p)
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(algebraic, "isolate_roots", recording)
+        for q in (2, Fraction(9, 4), 27, Fraction(13, 17)):
+            for k in range(2, 7):
+                alg_nth_root(q, k)
+        a = AlgebraicNumber.root_in_box(F4, x - r, x + r, y - r, y + r)
+        assert calls == []
+        assert alg_equals(a, canonical_root(F4))
+
     def test_div_contains_quotient(self):
         dps = 60
         with mpmath.workdps(dps):
@@ -285,6 +355,21 @@ class TestRoots:
         cube = alg_nth_root(2, 3)
         assert alg_equals(alg_pow(cube, 3), AlgebraicNumber.from_rational(2))
         assert cube.box.re > 0 and abs(cube.box.im) <= cube.box.rad
+
+    def test_nth_root_agrees_with_canonical_root(self):
+        for q in (2, -2, Fraction(9, 4), Fraction(-9, 4), 27, -27, -8,
+                  Fraction(13, 17), Fraction(-13, 17)):
+            n, d = Fraction(q).numerator, Fraction(q).denominator
+            for k in range(1, 7):
+                a = alg_nth_root(q, k)
+                b = canonical_root(Polynomial((-n,) + (0,) * (k - 1) + (d,)))
+                assert alg_equals(a, b) and alg_equals(b, a), (q, k)
+                assert a.as_rational() == b.as_rational(), (q, k)
+                if q < 0 and k > 1:
+                    assert a.box.im > a.box.rad  # e^(i pi/k) |q|^(1/k)
+        assert alg_nth_root(Fraction(9, 4), 2).as_rational() == Fraction(3, 2)
+        assert alg_nth_root(27, 3).as_rational() == 3
+        assert alg_nth_root(Fraction(-27, 8), 3).as_rational() is None
 
     def test_canonical_root_principal(self):
         # for z^3 - 1 the canonical root is 1 itself

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from elindep.algebraic import AlgebraicNumber
 from elindep.cli import main, parse_spec, render
 from elindep.efunction import HypergeometricParams
 from elindep.errors import InputError
@@ -384,6 +385,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("input error: point")
+
+    def test_point_box_with_two_roots_fails_at_once(self, tmp_path, capsys):
+        box = {"re": ["-2", "2"], "im": ["-1", "1"]}  # holds both roots of z^2 - 2
+        doc = dict(CERTIFY_EXP, points=[{"poly": [-2, 0, 1], "box": box}, "1"])
+        start = time.perf_counter()
+        code = main(["certify", "--spec", write_spec(tmp_path, doc)])
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error: point")
+        assert "several roots" in err
+
+    def test_point_box_obeys_precision_cap(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = AlgebraicNumber.root_in_box
+
+        def recording(cls, *args):
+            seen.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(AlgebraicNumber, "root_in_box", classmethod(recording))
+        # the roots +-i of z^2 + 1 lie on the edges of this square, so no
+        # rung can tell whether they are inside
+        box = {"re": ["-1", "1"], "im": ["-1", "1"]}
+        doc = dict(CERTIFY_EXP, points=[{"poly": [1, 0, 1], "box": box}, "1"])
+        code = main(["certify", "--spec", write_spec(tmp_path, doc),
+                     "--max-precision-bits", "256"])
+        assert [ctx.max_bits for ctx in seen] == [256]
+        assert code == 3
+        assert "at the 256-bit precision cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text", [
         # json.loads raises a plain ValueError past Python's 4300-digit limit
