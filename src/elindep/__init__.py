@@ -42,6 +42,7 @@ from .diffop import (
     op_compose,
     op_from_json,
     op_from_text,
+    op_lclm,
     op_to_json,
     op_to_text,
     psi_transform,
@@ -53,7 +54,6 @@ from .efunction import (
     GrowthReport,
     HypergeometricParams,
     ef_bessel_j0,
-    ef_derivative,
     ef_exp,
     ef_hypergeometric,
     ef_lagrange_combo,
@@ -126,7 +126,6 @@ __all__ = [
     "certify_si_integrals",
     "certify_single",
     "ef_bessel_j0",
-    "ef_derivative",
     "ef_exp",
     "ef_hypergeometric",
     "ef_lagrange_combo",
@@ -147,6 +146,7 @@ __all__ = [
     "op_compose",
     "op_from_json",
     "op_from_text",
+    "op_lclm",
     "op_to_json",
     "op_to_text",
     "poly_gcd",

@@ -31,7 +31,9 @@ Constructors prove only the root they keep:
     and goes through the enclosure step above.
   * Points given by a rectangle (`AlgebraicNumber.root_in_box`): one
     Krawczyk step on the disc circumscribing the rectangle proves that disc
-    holds one root only.
+    holds one root only; its disc is refined until it lies inside the
+    rectangle or misses it (a real-centred disc holds a real root, so only
+    its real extent counts).
 
 Full isolation of every root serves only `canonical_root` (for z^k + 1 once
 per k) and the fallbacks of `root_in_box` and `refine_root_box`.  There a
@@ -348,17 +350,18 @@ class AlgebraicNumber:
         """The unique root of poly in the closed rectangle [re_lo, re_hi] x
         [im_lo, im_hi].
 
-        The root returned is the one root of poly whose certified disc, of
-        radius at most 2^-ctx.start_bits, meets the rectangle.  So a
-        rectangle that holds exactly one root gives that root; one that
-        holds none but passes within that radius of a root may give it.
+        A certified disc decides whether its one root lies in the rectangle
+        once it lies inside the rectangle or misses it.  A disc with a real
+        centre is its own mirror image, so its root is real: only its real
+        extent is compared, with an exact test of a rational edge that is a
+        root.  Discs are refined rung by rung until each is decided.
 
         One Krawczyk step on the disc circumscribing the rectangle proves
-        that disc holds one root only, and refinement decides whether that
-        root meets the rectangle.  Only when the step or the refinement
-        fails does every root get isolated, rung by rung.  Raises ValueError if no root meets the
-        rectangle, or once two certified discs lie wholly inside it; raises
-        PrecisionExceededError if several discs still meet it at the cap.
+        that disc holds one root only, so that root alone is decided.  Only
+        when the step or a refinement fails does every root get isolated.
+        Raises ValueError if the rectangle holds no root, or once it is
+        proven to hold two; raises PrecisionExceededError if a root is still
+        undecided at the cap (a complex root on an edge).
         """
         re_lo, re_hi, im_lo, im_hi = map(Fraction, (re_lo, re_hi, im_lo, im_hi))
         if re_lo > re_hi or im_lo > im_hi:
@@ -367,40 +370,47 @@ class AlgebraicNumber:
         if poly.degree <= 0:
             raise ValueError("polynomial has no roots")
 
-        def meets(b: Ball) -> bool:
+        def holds(b: Ball) -> bool | None:
+            """Whether the one root in b lies in the rectangle; None if b
+            still straddles its boundary."""
+            if b.im == 0:
+                lo, hi = b.re - b.rad, b.re + b.rad
+                if not im_lo <= 0 <= im_hi or hi < re_lo or re_hi < lo:
+                    return False
+                if re_lo <= lo and hi <= re_hi:
+                    return True
+                if any(lo <= e <= hi and poly(e) == 0 for e in (re_lo, re_hi)):
+                    return True
+                return None
             # the point of the rectangle nearest the disc's centre
             x = min(max(b.re, re_lo), re_hi)
             y = min(max(b.im, im_lo), im_hi)
-            return (b.re - x) ** 2 + (b.im - y) ** 2 <= b.rad * b.rad
-
-        def inside(b: Ball) -> bool:
-            return (re_lo <= b.re - b.rad and b.re + b.rad <= re_hi
-                    and im_lo <= b.im - b.rad and b.im + b.rad <= im_hi)
+            if (b.re - x) ** 2 + (b.im - y) ** 2 > b.rad * b.rad:
+                return False
+            if (re_lo <= b.re - b.rad and b.re + b.rad <= re_hi
+                    and im_lo <= b.im - b.rad and b.im + b.rad <= im_hi):
+                return True
+            return None
 
         dp = poly.derivative()
         half_re, half_im = (re_hi - re_lo) / 2, (im_hi - im_lo) / 2
         disc = Ball(re_lo + half_re, im_lo + half_im,
                     _sqrt_upper(half_re * half_re + half_im * half_im))
         one = _krawczyk_step(poly, dp, disc, _radius_bits(disc.rad) + 32)
-        if one is not None:
-            one = _refine_certified(poly, dp, one, Fraction(1, 1 << ctx.start_bits))
-        if one is not None:
-            if not meets(one):
-                raise ValueError("box contains no root of the polynomial")
-            return cls(poly, one)
-
         for bits in ctx.ladder():
-            candidates = isolate_roots(poly, bits, ctx)
-            hits = [b for b in candidates if meets(b)]
-            if not hits:
-                raise ValueError("box contains no root of the polynomial")
-            if len(hits) == 1:
-                return cls(poly, hits[0])
-            held = sum(map(inside, hits))
-            if held >= 2:
+            if one is not None:
+                one = _refine_certified(poly, dp, one, Fraction(1, 1 << bits))
+            discs = [one] if one is not None else isolate_roots(poly, bits, ctx)
+            verdicts = [holds(b) for b in discs]
+            held = [b for b, v in zip(discs, verdicts) if v]
+            if len(held) >= 2:
                 raise ValueError(
-                    f"box contains several roots of the polynomial (at least {held})"
+                    f"box contains several roots of the polynomial (at least {len(held)})"
                 )
+            if None not in verdicts:
+                if not held:
+                    raise ValueError("box contains no root of the polynomial")
+                return cls(poly, held[0])
         raise ctx.exhausted("root-in-box selection")
 
     @classmethod

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, InsufficientTruncationError, InternalCheckError
-from .polynomials import Polynomial
+from .polynomials import Polynomial, poly_gcd
 from .rationals import format_rational, parse_decimal
 
 
@@ -165,6 +165,74 @@ def op_compose(left: DiffOperator, right: DiffOperator) -> DiffOperator:
             for order, row in acc.items()
         }
     )
+
+
+def _right_remainders(op: DiffOperator, count: int) -> list[tuple[list[Polynomial], Polynomial]]:
+    """D^k mod op (right remainder) as (numerators, denominator), k < count.
+
+    With l the leading coefficient and r >= 1 the order, D^k mod op is
+    sum_i a_i(z) / l^e D^i (i < r, e = max(0, k - r + 1)), and
+    D (a / l^e) = (a' l - e a l') / l^(e+1) + (a / l^e) D, with D^r replaced
+    by -sum_i p_i / l D^i.
+    """
+    r = op.order
+    lead = op.leading_coefficient()
+    dlead = lead.derivative()
+    zero = Polynomial.zero()
+    vecs = [[Polynomial.one() if i == k else zero for i in range(r)] for k in range(min(r, count))]
+    while len(vecs) < count:
+        a, e = vecs[-1], len(vecs) - r
+        vecs.append([
+            a[i].derivative() * lead - a[i] * dlead * e
+            + (a[i - 1] * lead if i else zero) - a[-1] * op.coefficient(i)
+            for i in range(r)
+        ])
+    return [(v, lead ** max(0, k - r + 1)) for k, v in enumerate(vecs)]
+
+
+def _primitive_row(row: list[Polynomial]) -> list[Polynomial]:
+    """row divided by the monic gcd of its entries and its rational content."""
+    g = Polynomial.zero()
+    for p in row:
+        if not p.is_zero:
+            g = poly_gcd(g, p)
+    row = [p.exact_div(g) for p in row]
+    content = _content(row)
+    return [p * (1 / content) for p in row]
+
+
+def op_lclm(left: DiffOperator, right: DiffOperator) -> DiffOperator:
+    """Least common left multiple: the lowest-order L = Q_l left = Q_r right,
+    for operators of order at least 1.
+
+    L = sum c_k D^k is a left multiple of an operator exactly when
+    sum c_k (D^k mod it) = 0, so c is the first kernel vector of the
+    stacked remainders of both operands, found by fraction-free
+    elimination over Q[z] (Salvy-Zimmermann, GFUN, ACM TOMS 20, 1994).
+    The coefficients are coprime polynomials with rational content 1 and
+    the top one has a positive leading coefficient, which fixes L.
+    """
+    count = left.order + right.order + 1
+    size = count - 1
+    zero = Polynomial.zero()
+    echelon: list[tuple[int, list[Polynomial]]] = []
+    pairs = zip(_right_remainders(left, count), _right_remainders(right, count))
+    for k, ((num_l, den_l), (num_r, den_r)) in enumerate(pairs):
+        # w (D^k mod left), w (D^k mod right), then w in slot k, where
+        # w = den_l den_r clears both denominators
+        row = ([p * den_r for p in num_l] + [p * den_l for p in num_r]
+               + [den_l * den_r if i == k else zero for i in range(count)])
+        for piv, other in echelon:
+            factor = row[piv]
+            if not factor.is_zero:
+                row = [other[piv] * x - factor * y for x, y in zip(row, other)]
+        row = _primitive_row(row)
+        piv = next((i for i in range(size) if not row[i].is_zero), None)
+        if piv is None:
+            op = DiffOperator(dict(enumerate(row[size:])))
+            return op.scale(-1) if op.leading_coefficient().lc < 0 else op
+        echelon.append((piv, row))
+    raise InternalCheckError("no common left multiple up to the summed order")
 
 
 def op_apply(op: DiffOperator, series: Sequence, keep: int) -> dict[int, Fraction]:

@@ -14,6 +14,14 @@ Coefficients are generated from the recurrence induced by the annihilator;
 indices where the recurrence degenerates must be covered by the supplied
 initial coefficients, and supplied coefficients are checked against every
 recurrence row they determine.
+
+Closure operations build their operator exactly, so it is proven to
+annihilate the result: a rational scale rescales the operator, p f is
+killed by L composed with division by p (denominators cleared), and a sum
+takes the least common left multiple of both operators
+(`diffop.op_lclm`), a left multiple of each.  No operator is guessed from
+a coefficient prefix.  Derivatives and irrational scale factors are not
+offered.
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebraic import AlgebraicNumber, Precision, DEFAULT_PRECISION, alg_pow
-from .diffop import DiffOperator, Recurrence, op_compose, recurrence_from_ode
-from .errors import InputError, InternalCheckError, UnsupportedOperationError
-from .polynomials import Polynomial
+from .algebraic import AlgebraicNumber, Precision, DEFAULT_PRECISION, isolate_roots
+from .diffop import DiffOperator, op_compose, op_lclm, recurrence_from_ode
+from .errors import InputError, UnsupportedOperationError
+from .polynomials import Polynomial, squarefree_part
 
 
 class EFunction:
@@ -325,36 +333,33 @@ def _poly_coeff_list(op: DiffOperator) -> list[Polynomial]:
 
 
 def _singular_seed_length(op: DiffOperator) -> int:
-    """Seeds must reach past every index the recurrence cannot produce."""
+    """Seeds must reach past every index the recurrence cannot produce.
+
+    Those are the nonnegative integer roots t of the leading band.  Each
+    root lies in one certified disc of radius below 1/2, so it is the
+    integer nearest the disc's centre, and an exact test settles it.
+    """
     rec = recurrence_from_ode(op)
     lead = rec.bands()[rec.max_shift]
-    # nonnegative integer roots of the leading band, via the Cauchy bound
-    bound = 1
-    lc = abs(lead.lc)
-    for c in lead.coeffs:
-        bound = max(bound, 1 + math.ceil(abs(c) / lc))
     worst = -1
-    for t in range(0, bound + 1):
-        if lead(Fraction(t)) == 0:
-            worst = t
+    if lead.degree > 0:
+        for disc in isolate_roots(squarefree_part(lead), 2):
+            t = round(disc.re)
+            if t >= 0 and lead(Fraction(t)) == 0:
+                worst = max(worst, t)
     return max(op.order, worst + rec.max_shift + 1)
 
 
 def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunction:
-    """g(z) = f(factor * z), factor a rational or an AlgebraicNumber.
+    """g(z) = f(factor * z), factor a rational or a rational AlgebraicNumber.
 
-    A rational factor rescales the annihilator directly. An irrational
-    factor is supported only when the coefficients of f live on multiples
-    of m = support_modulus > 1 and factor^m is rational: every surviving
-    coefficient then picks up a rational power of factor^m and an
-    annihilator is recovered from the new (rational) coefficient stream.
+    The factor rescales the annihilator directly.  An irrational factor
+    raises UnsupportedOperationError: the coefficients would leave Q.
     """
     if isinstance(factor, AlgebraicNumber):
-        as_q = factor.as_rational(ctx)
-        if as_q is not None:
-            factor = as_q
-        else:
-            return _ef_scale_irrational(f, factor, ctx)
+        factor = factor.as_rational(ctx)
+        if factor is None:
+            raise UnsupportedOperationError("irrational scale factors are not supported")
     lam = Fraction(factor)
     if lam == 0:
         raise InputError("scale factor must be nonzero")
@@ -375,77 +380,6 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
         support_modulus=f.support_modulus,
         values_transcendental=f.values_transcendental,
         psi_singularity_poly=None,
-    )
-
-
-def _ef_scale_irrational(f: EFunction, factor: AlgebraicNumber, ctx: Precision) -> EFunction:
-    m = f.support_modulus
-    if m < 2:
-        raise UnsupportedOperationError(
-            "irrational scale factors need coefficients supported on a modulus"
-        )
-    q = alg_pow(factor, m, ctx).as_rational(ctx)
-    if q is None:
-        raise UnsupportedOperationError(
-            f"scale factor^{m} is not rational; cannot keep coefficients rational"
-        )
-    if q == 0:
-        raise InputError("scale factor must be nonzero")
-
-    def new_coeff(n: int) -> Fraction:
-        if n % m != 0:
-            a = f.coefficient(n)
-            if a != 0:
-                raise InternalCheckError(
-                    f"{f.name} has a coefficient off its support modulus"
-                )
-            return Fraction(0)
-        return f.coefficient(n) * q ** (n // m)
-
-    bound = None
-    if f.coeff_bound is not None:
-        bound = f.coeff_bound * max(Fraction(1), abs(q))
-    return _from_stream(
-        new_coeff,
-        order_hint=f.order,
-        degree_hint=2 * max(p.degree for p in _poly_coeff_list(f.annihilator)) + f.order,
-        name=f"{f.name}(({q})^(1/{m})z)",
-        coeff_bound=bound,
-        support_modulus=m,
-        values_transcendental=f.values_transcendental,
-    )
-
-
-def ef_derivative(f: EFunction) -> EFunction:
-    coeffs = _poly_coeff_list(f.annihilator)
-    p0 = coeffs[0]
-    if p0.is_zero:
-        new = coeffs[1:]
-        op = DiffOperator.from_poly_coeffs(new).primitive_normalized()
-    else:
-        order = len(coeffs) - 1
-        dp0 = p0.derivative()
-        acc = [Polynomial.zero()] * (order + 1)
-        # p0^2 h  +  sum_{i>=1} (p0 p_i' - p0' p_i) h^(i-1)  +  p0 p_i h^(i)
-        acc[0] = acc[0] + p0 * p0
-        for i in range(1, order + 1):
-            pi = coeffs[i]
-            if pi.is_zero:
-                continue
-            acc[i - 1] = acc[i - 1] + p0 * pi.derivative() - dp0 * pi
-            acc[i] = acc[i] + p0 * pi
-        op = DiffOperator.from_poly_coeffs(acc).primitive_normalized()
-    seed_len = _singular_seed_length(op)
-    seeds = [f.coefficient(m + 1) for m in range(seed_len)]
-    bound = None
-    if f.coeff_bound is not None:
-        bound = f.coeff_bound * f.coeff_bound
-    return EFunction(
-        op,
-        seeds,
-        name=f"{f.name}'",
-        coeff_bound=bound,
-        support_modulus=1,
     )
 
 
@@ -492,159 +426,20 @@ def ef_mul_poly(f: EFunction, p: Polynomial) -> EFunction:
 
 
 def ef_sum(f: EFunction, g: EFunction) -> EFunction:
-    """f + g, with an annihilator recovered by an exact ansatz."""
-
-    def coeff(n: int) -> Fraction:
-        return f.coefficient(n) + g.coefficient(n)
-
+    """f + g, annihilated by the least common left multiple of their
+    operators, which right-divides by each and so kills both."""
+    op = op_lclm(f.annihilator, g.annihilator)
+    seeds = [f.coefficient(m) + g.coefficient(m) for m in range(_singular_seed_length(op))]
     bound = None
     if f.coeff_bound is not None and g.coeff_bound is not None:
         bound = 2 * max(f.coeff_bound, g.coeff_bound)
-    mod = math.gcd(f.support_modulus, g.support_modulus)
-    fdeg = max(p.degree for p in _poly_coeff_list(f.annihilator))
-    gdeg = max(p.degree for p in _poly_coeff_list(g.annihilator))
-    return _from_stream(
-        coeff,
-        order_hint=f.order + g.order,
-        degree_hint=fdeg + gdeg + f.order + g.order,
+    return EFunction(
+        op,
+        seeds,
         name=f"({f.name}+{g.name})",
         coeff_bound=bound,
-        support_modulus=max(1, mod),
-        values_transcendental=False,
+        support_modulus=max(1, math.gcd(f.support_modulus, g.support_modulus)),
     )
-
-
-def _from_stream(
-    coeff,
-    order_hint: int,
-    degree_hint: int,
-    name: str,
-    coeff_bound,
-    support_modulus: int = 1,
-    values_transcendental: bool = False,
-    max_degree: int | None = None,
-) -> EFunction:
-    """Recover an annihilator for the series sum coeff(n) z^n / n!.
-
-    Solves for an operator of order <= order_hint with polynomial degree
-    escalating from degree_hint, by exact elimination on series rows, then
-    validates the candidate on 80 fresh rows.
-    """
-    order = max(1, order_hint)
-    cap = degree_hint + 40 if max_degree is None else max_degree
-    cache: list[Fraction] = []
-
-    def c_series(t: int) -> Fraction:
-        while len(cache) <= t:
-            n = len(cache)
-            cache.append(coeff(n) / math.factorial(n))
-        return cache[t]
-
-    degree = max(0, degree_hint)
-    while degree <= cap:
-        op = None
-        for extra_rows in (25, 105):
-            op = _solve_annihilator_ansatz(c_series, order, degree, extra_rows)
-            if op is not None:
-                break
-        if op is not None:
-            seed_len = _singular_seed_length(op)
-            seeds = [coeff(m) for m in range(seed_len)]
-            return EFunction(
-                op,
-                seeds,
-                name=name,
-                coeff_bound=coeff_bound,
-                support_modulus=support_modulus,
-                values_transcendental=values_transcendental,
-            )
-        degree += max(2, (degree_hint + 2) // 2)
-    raise UnsupportedOperationError(
-        f"could not recover an annihilator for {name} "
-        f"(order <= {order}, degree <= {cap})"
-    )
-
-
-def _solve_annihilator_ansatz(
-    c_series, order: int, degree: int, extra_rows: int = 25
-) -> DiffOperator | None:
-    """One ansatz attempt: unknowns q_{a,b}, rows are series coefficients of
-    the image; returns a validated operator or None."""
-    unknowns = [(a, b) for b in range(order + 1) for a in range(degree + 1)]
-    nuk = len(unknowns)
-    rows = nuk + extra_rows
-    matrix: list[list[Fraction]] = []
-    for s in range(rows):
-        row = []
-        for a, b in unknowns:
-            # z^a D^b sends z^t to ff(t,b) z^(t-b+a); contribution to z^s
-            t = s - a + b
-            if t < b:
-                row.append(Fraction(0))
-                continue
-            ff = 1
-            for q in range(b):
-                ff *= t - q
-            row.append(Fraction(ff) * c_series(t))
-        matrix.append(row)
-    kernel = _kernel_vector(matrix, nuk)
-    if kernel is None:
-        return None
-    terms: dict[int, list[Fraction]] = {}
-    for (a, b), v in zip(unknowns, kernel):
-        if v != 0:
-            terms.setdefault(b, [Fraction(0)] * (degree + 1))[a] = v
-    op = DiffOperator({b: Polynomial(cs) for b, cs in terms.items()})
-    if op.is_zero or op.order < 1:
-        return None
-    # fresh-row validation: the solved rows used c up to rows-1+order
-    rec = recurrence_from_ode(op)
-    bands = rec.bands()
-    for t in range(rows, rows + 80):
-        total = Fraction(0)
-        for j, p in bands.items():
-            idx = t + j
-            if idx >= 0:
-                total += p(Fraction(t)) * c_series(idx)
-        if total != 0:
-            return None
-    return op.primitive_normalized()
-
-
-def _kernel_vector(matrix: list[list[Fraction]], ncols: int) -> list[Fraction] | None:
-    """A nonzero kernel vector of the row system, or None if only zero."""
-    rows = [row[:] for row in matrix]
-    nrows = len(rows)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    if not free:
-        return None
-    fc = free[0]
-    sol = [Fraction(0)] * ncols
-    sol[fc] = Fraction(1)
-    for i, pc in enumerate(pivot_cols):
-        sol[pc] = -rows[i][fc]
-    return sol
 
 
 def ef_lagrange_combo(f: EFunction, points: Sequence) -> EFunction:

@@ -502,9 +502,11 @@ def falsify(
     Evaluates {1, values...} from the certificate's evaluation plan and
     searches for relations.  Items at irrational points (no rational
     scaling route) and items at 0 (value is a rational constant) are
-    skipped with a notice.  A CertifiedIndependent certificate together
-    with a found relation inside the certified scope is flagged as a
-    contradiction; that event failing loudly is the falsifier's purpose.
+    skipped with a notice.  An unconditional CertifiedIndependent
+    certificate together with a found relation inside the certified scope
+    is flagged as a contradiction; that event failing loudly is the
+    falsifier's purpose.  A certificate that is conditional on a caveat only
+    gets a notice: the relation may show that the caveat fails.
     """
     if digits < 1:
         raise InputError("digits must be positive")
@@ -570,7 +572,13 @@ def falsify(
     report.notices = notices + report.notices
     if report.found and cert.verdict == CERTIFIED:
         coeffs = report.coefficients
-        if cert.relation_scope == "affine":
+        if cert.conditional_on:
+            # the relation may be what breaks the condition, not the proof
+            report.notices.append(
+                "relation found; the certificate is conditional on: "
+                + "; ".join(cert.conditional_on)
+            )
+        elif cert.relation_scope == "affine":
             report.contradiction = True
         else:
             value_support = [c for c in coeffs[1:] if c != 0]

@@ -151,6 +151,34 @@ class TestAlgebraicNumber:
         with pytest.raises(ValueError, match="several roots"):
             AlgebraicNumber.root_in_box(P(-2, 0, 1), -2, 2, -1, 1)
 
+    def test_root_just_outside_the_box_is_rejected(self):
+        # s lies about 2^-101 above sqrt 2: no disc of radius 2^-64 decides
+        # this rectangle, so refinement must go on until the disc misses it
+        s = Fraction(isqrt(2**201) + 1, 2**100)
+        assert s * s > 2 and (s - Fraction(1, 2**100)) ** 2 < 2
+        with pytest.raises(ValueError, match="no root"):
+            AlgebraicNumber.root_in_box(P(-2, 0, 1), s, 2, -1, 1)
+        with pytest.raises(ValueError, match="no root"):
+            AlgebraicNumber.root_in_box(P(-2, 0, 1), s, 2, 0, 0)
+        a = AlgebraicNumber.root_in_box(P(-2, 0, 1), s - Fraction(1, 2**100), 2, -1, 1)
+        assert alg_equals(a, alg_nth_root(2, 2))
+
+    def test_rational_root_on_an_edge(self):
+        # 3/4 is a root of the polynomial and an edge of every rectangle:
+        # no disc around it lies inside, and the exact test decides
+        p = P(-3, 4) * P(-5, 1)
+        for box in ((Fraction(3, 4), 1, 0, 0), (0, Fraction(3, 4), -1, 1),
+                    (Fraction(3, 4), Fraction(3, 4), 0, 0), (Fraction(3, 4), 1, 0, 1)):
+            assert AlgebraicNumber.root_in_box(p, *box).as_rational() == Fraction(3, 4)
+        with pytest.raises(ValueError, match="no root"):
+            AlgebraicNumber.root_in_box(p, Fraction(3, 4), 1, Fraction(1, 2**80), 1)
+
+    def test_complex_root_on_an_edge_is_undecided(self):
+        # i lies on the corner of [0, 1] x [1, 2]: no disc around it lies
+        # inside or outside, and no exact test applies off the real axis
+        with pytest.raises(PrecisionExceededError):
+            AlgebraicNumber.root_in_box(P(1, 0, 1), 0, 1, 1, 2, Precision(max_bits=256))
+
     def test_irrational_has_no_rational_value(self):
         s = alg_nth_root(2, 2)
         assert s.as_rational() is None
@@ -302,8 +330,6 @@ class TestOneRoot:
                 for a in (centred, near_edge):
                     assert alg_equals(a, root) and alg_equals(root, a)
                     assert not any(alg_equals(a, AlgebraicNumber(p, o)) for o in discs if o is not d)
-                if edge <= Fraction(1, 2**64):
-                    continue  # a root this close outside may be returned
                 for box in ((x + edge, x + w, y - w, y + w), (x - w, x + w, y - w, y - edge)):
                     with pytest.raises(ValueError, match="no root"):
                         AlgebraicNumber.root_in_box(p, *box)

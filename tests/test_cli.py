@@ -336,6 +336,23 @@ class TestExitCodes:
         want = Fraction(want.man) * Fraction(2) ** want.exp
         assert abs(want - Fraction(value["re"])) <= radius
 
+    def test_scaled_ode_with_a_large_parameter_is_fast(self, tmp_path, capsys):
+        # the leading band (t + 1)(t + N) has no nonnegative integer root;
+        # a scan up to its Cauchy bound did not finish within 120 s
+        n = 10**7
+        doc = {
+            "version": 1,
+            "task": "eval",
+            "functions": [{"type": "ode", "operator": f"(z)*D^2 + ({n})*D^1 + (-1)",
+                           "initial": ["1", f"1/{n}"], "coeff_bound": "1", "scale": "2"}],
+            "points": ["1"],
+        }
+        start = time.perf_counter()
+        code = main(["eval", "--spec", write_spec(tmp_path, doc), "--digits", "20"])
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert "1.00000020000002000000" in capsys.readouterr().out
+
     def test_huge_power_of_z_rejected_fast(self, tmp_path, capsys):
         doc = {
             "version": 1,
@@ -470,6 +487,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "4300 digits" in err
         assert "Traceback" not in err
+
+    def test_relation_under_a_caveat_is_no_contradiction(self, tmp_path, capsys):
+        # 1/(1-z) is no E-function; its certificate rests on the caveat, and
+        # the relation 1 + f(1/3) - 2 f(1/5) = 0 shows the caveat fails
+        doc = {
+            "version": 1,
+            "task": "falsify",
+            "functions": [{"type": "ode", "operator": "(1-z)*D^1 + (-1)", "initial": ["1"]}],
+            "points": ["1/3", "1/5"],
+        }
+        code = main(["falsify", "--spec", write_spec(tmp_path, doc)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "CONTRADICTION" not in out
+        assert "relation found: coefficients [1, 1, -2]" in out
+        assert ("notice: relation found; the certificate is conditional on: "
+                "unless two of them are algebraic") in out
 
     def test_heuristic_tail_never_excludes(self, tmp_path, capsys):
         # no coeff_bound: the values' radii rest on an unproven series tail

@@ -19,6 +19,7 @@ from elindep.diffop import (
     op_compose,
     op_from_json,
     op_from_text,
+    op_lclm,
     op_to_json,
     op_to_text,
     psi_transform,
@@ -26,9 +27,9 @@ from elindep.diffop import (
     recurrence_from_ode,
 )
 from elindep.errors import InputError, InsufficientTruncationError
-from elindep.polynomials import Polynomial
+from elindep.polynomials import Polynomial, poly_gcd
 
-from support import random_operator, random_polynomial
+from support import random_efunction, random_operator, random_polynomial
 
 
 def exp_op():
@@ -100,6 +101,44 @@ class TestOperatorAlgebra:
         op = exp_op().scale(Fraction(6, 4))
         norm = op.primitive_normalized()
         assert norm == DiffOperator.from_poly_coeffs([-2, 2]).primitive_normalized()
+
+
+def _normal_form(op):
+    """op over its polynomial content, rational content 1, top lc positive."""
+    g = Polynomial.zero()
+    for p in op.terms.values():
+        g = poly_gcd(g, p)
+    op = DiffOperator({b: p.exact_div(g) for b, p in op.terms.items()}).primitive_normalized()
+    return op.scale(-1) if op.leading_coefficient().lc < 0 else op
+
+
+class TestLclm:
+    def test_left_multiple_is_its_own_lclm(self):
+        # LCLM(A, C A) = C A, so the order is ord A + ord C, not their sum
+        rng = random.Random(41)
+        for _ in range(25):
+            a = random_operator(rng, 3, 2)
+            c = random_operator(rng, 2, 2)
+            ca = op_compose(c, a)
+            assert op_lclm(a, ca) == _normal_form(ca)
+            assert op_lclm(ca, a) == _normal_form(ca)
+
+    def test_annihilates_both_solutions(self):
+        rng = random.Random(42)
+        for _ in range(15):
+            f, g = random_efunction(rng, 3, 2), random_efunction(rng, 3, 2)
+            lclm = op_lclm(f.annihilator, g.annihilator)
+            assert lclm == op_lclm(g.annihilator, f.annihilator) == _normal_form(lclm)
+            assert max(f.order, g.order) <= lclm.order <= f.order + g.order
+            for h in (f, g):
+                taylor = [h.series_coefficient(n) for n in range(60)]
+                assert not any(op_apply(lclm, taylor, 60 - lclm.order).values())
+
+    def test_exp_and_shifted_exp(self):
+        # e^z and e^(2z): L = D^2 - 3D + 2 = (D - 2)(D - 1)
+        a = DiffOperator.from_poly_coeffs([-1, 1])
+        b = DiffOperator.from_poly_coeffs([-2, 1])
+        assert op_lclm(a, b) == DiffOperator.from_poly_coeffs([2, -3, 1])
 
 
 class TestApply:

@@ -2,17 +2,18 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from elindep.algebraic import alg_nth_root
-from elindep.diffop import DiffOperator, op_apply
+from elindep.diffop import DiffOperator, op_apply, op_to_text, recurrence_from_ode
 from elindep.efunction import (
     EFunction,
+    _singular_seed_length,
     HypergeometricParams,
     ef_bessel_j0,
-    ef_derivative,
     ef_exp,
     ef_hypergeometric,
     ef_lagrange_combo,
@@ -134,18 +135,6 @@ class TestClosure:
             assert f.coefficient(n) == Fraction(3, 2) ** n
         assert f.coeff_bound is not None and f.coeff_bound >= Fraction(3, 2)
 
-    def test_scale_irrational(self):
-        # J0(z sqrt 2): support on even powers keeps coefficients rational
-        s = alg_nth_root(2, 2)
-        f = ef_scale(ef_bessel_j0(), s)
-        j = ef_bessel_j0()
-        for m in range(8):
-            assert f.coefficient(2 * m) == j.coefficient(2 * m) * 2**m
-            assert f.coefficient(2 * m + 1) == 0
-        taylor = [f.series_coefficient(n) for n in range(60)]
-        img = op_apply(f.annihilator, taylor, 25)
-        assert all(v == 0 for v in img.values())
-
     def test_scale_irrational_needs_support_structure(self):
         # exp(z sqrt 2) has irrational coefficients, not representable here
         from elindep.errors import UnsupportedOperationError
@@ -157,12 +146,17 @@ class TestClosure:
         with pytest.raises(InputError):
             ef_scale(ef_exp(), 0)
 
-    def test_derivative(self):
-        g = ef_derivative(ef_sin_integral())
-        # Si' = sin(z)/z = sum (-1)^m z^(2m) / (2m+1)!
-        for m in range(5):
-            assert g.coefficient(2 * m) == Fraction((-1) ** m * math.factorial(2 * m),
-                                                    math.factorial(2 * m + 1))
+    def test_singular_seed_length(self):
+        # z D^2 + c D - 1 has leading band (t + 1)(t + c): a root t = -c >= 0
+        # leaves c_(t+1) undetermined, so the seeds must reach index -c + 1
+        for c, want in ((1, 2), (0, 2), (-3, 5), (-10**7, 10**7 + 2), (10**7, 2)):
+            op = DiffOperator.from_poly_coeffs([-1, c, [0, 1]])
+            assert _singular_seed_length(op) == want, c
+        # z^2 D^3 - 6 z D^2 + 10 D - 1: band (t + 1)(t - 2)(t - 5), two roots
+        op = DiffOperator.from_poly_coeffs([-1, 10, [0, -6], [0, 0, 1]])
+        band = recurrence_from_ode(op).bands()[1]
+        assert band == Polynomial((1, 1)) * Polynomial((-2, 1)) * Polynomial((-5, 1))
+        assert _singular_seed_length(op) == 7
 
     def test_mul_poly(self):
         # h = z * exp: ordinary coefficients shift, so a_m = m * a'_(m-1)
@@ -182,6 +176,95 @@ class TestClosure:
         taylor = [s.series_coefficient(n) for n in range(80)]
         img = op_apply(s.annihilator, taylor, 30)
         assert all(v == 0 for v in img.values())
+
+
+# op_to_text of the sums' operators; the coefficient-stream ansatz that
+# preceded the LCLM found these same operators
+PINNED_SUMS = {
+    "exp+J0": "(z + 2*z^2)*∂^3 + (2 + z - 2*z^2)*∂^2 + (-3 - z + 2*z^2)*∂^1"
+              " + (1 - z - 2*z^2)",
+    "combo exp [1,2]": "(8 - 6*z + 2*z^2)*∂^2 + (-6 + 5*z - 3*z^2)*∂^1 + (3 + z^2)",
+    "combo exp [1,2,3]":
+        "(2160 - 3168*z + 2532*z^2 - 1296*z^3 + 414*z^4 - 72*z^5 + 6*z^6)*∂^3"
+        " + (-792 + 744*z - 754*z^2 + 720*z^3 - 399*z^4 + 96*z^5 - 11*z^6)*∂^2"
+        " + (1416 - 1660*z + 732*z^2 - 112*z^3 + 78*z^4 - 28*z^5 + 6*z^6)*∂^1"
+        " + (580 - 360*z - 146*z^2 + 48*z^3 - 13*z^4 - z^6)",
+    "combo J0 [1,2]":
+        "(64*z^2 - 272*z^4 - 48*z^5 + 468*z^6 - 216*z^7 + 36*z^8)*∂^4"
+        " + (256*z - 544*z^3 - 48*z^4 + 216*z^6 - 72*z^7)*∂^3"
+        " + (128 + 96*z + 64*z^2 + 264*z^3 - 1564*z^4 + 72*z^5 + 765*z^6"
+        " - 270*z^7 + 45*z^8)*∂^2"
+        " + (96 - 256*z - 216*z^2 + 1244*z^3 - 756*z^4 - 405*z^5 + 162*z^6"
+        " - 45*z^7)*∂^1"
+        " + (112 - 264*z - 560*z^2 + 918*z^3 + 85*z^4 - 24*z^5 + 162*z^6"
+        " - 54*z^7 + 9*z^8)",
+    "combo Si [1,2]":
+        "(3584*z^2 - 12288*z^3 - 2944*z^4 + 17568*z^5 + 376*z^6 + 288*z^7"
+        " + 828*z^8 - 216*z^9 + 36*z^10)*∂^6"
+        " + (28672*z - 86016*z^2 - 17664*z^3 + 87840*z^4 + 1504*z^5 + 864*z^6"
+        " + 1656*z^7 - 216*z^8)*∂^5"
+        " + (43008 - 73728*z + 2048*z^2 - 33792*z^3 + 8784*z^4 + 25512*z^5"
+        " - 2122*z^6 + 1248*z^7 + 1179*z^8 - 270*z^9 + 45*z^10)*∂^4"
+        " + (73728 + 43520*z - 102144*z^2 - 14496*z^3 + 89016*z^4 + 10012*z^5"
+        " - 2052*z^6 + 828*z^7 - 108*z^8)*∂^3"
+        " + (4096 - 1536*z + 9472*z^2 - 17952*z^3 - 2504*z^4 + 14436*z^5"
+        " + 760*z^6 + 168*z^7 + 297*z^8 - 54*z^9 + 9*z^10)*∂^2",
+}
+
+
+def _random_summand(rng):
+    """A built-in, hypergeometric, rationally scaled or polynomial multiple."""
+    base = rng.choice([ef_exp, ef_bessel_j0, ef_sin_integral])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return base()
+    if kind == 1:
+        up = [Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(rng.randint(0, 1))]
+        low = [Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(len(up) + rng.randint(1, 2))]
+        return ef_hypergeometric(up, low, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+    if kind == 2:
+        return ef_scale(base(), Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3)))
+    return ef_mul_poly(base(), Polynomial([rng.randint(-3, 3) for _ in range(3)] + [1]))
+
+
+class TestSumOperator:
+    """ef_sum's operator is the least common left multiple of the two."""
+
+    def test_annihilates_each_summand(self):
+        rng = random.Random(20261018)
+        for _ in range(14):
+            f, g = _random_summand(rng), _random_summand(rng)
+            s = ef_sum(f, g)
+            assert 1 <= s.order <= f.order + g.order
+            for h in (f, g):
+                taylor = [h.series_coefficient(n) for n in range(100)]
+                img = op_apply(s.annihilator, taylor, 100 - s.order)
+                assert all(v == 0 for v in img.values()), (f, g)
+            for n in range(100):
+                assert s.coefficient(n) == f.coefficient(n) + g.coefficient(n)
+
+    def test_same_operand_gives_its_own_operator(self):
+        for f in (ef_exp(), ef_bessel_j0(), ef_sin_integral()):
+            assert ef_sum(f, f).annihilator == f.annihilator
+        # the hypergeometric operator carries a factor z, which L drops
+        f = ef_hypergeometric([Fraction(1, 3)], [Fraction(1, 2), 1], 5)
+        s = ef_sum(f, f)
+        assert s.annihilator.shift_z(1) == f.annihilator
+        assert all(s.coefficient(n) == 2 * f.coefficient(n) for n in range(30))
+
+    def test_pinned_operators(self):
+        built = {
+            "exp+J0": lambda: ef_sum(ef_exp(), ef_bessel_j0()),
+            "combo exp [1,2]": lambda: ef_lagrange_combo(ef_exp(), [1, 2]),
+            "combo exp [1,2,3]": lambda: ef_lagrange_combo(ef_exp(), [1, 2, 3]),
+            "combo J0 [1,2]": lambda: ef_lagrange_combo(ef_bessel_j0(), [1, 2]),
+            "combo Si [1,2]": lambda: ef_lagrange_combo(ef_sin_integral(), [1, 2]),
+        }
+        for name, make in built.items():
+            start = time.perf_counter()
+            assert op_to_text(make().annihilator) == PINNED_SUMS[name], name
+            # the coefficient-stream ansatz took about 70 s on the Si combination
+            assert time.perf_counter() - start < 10, name
 
 
 class TestLagrangeCombo:

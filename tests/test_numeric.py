@@ -472,6 +472,26 @@ class TestFalsify:
         # relation 0*1 + v - v = 0
         assert c[0] == 0 and c[1] == -c[2]
 
+    def test_relation_on_certified_values_is_a_contradiction(self):
+        # a certificate for exp at 1 and 2 whose plan evaluates exp(1) twice:
+        # the relation v - v = 0 lies inside the certified statement
+        cert = certify_single(ef_exp(), [1, 2])
+        assert cert.verdict == "CertifiedIndependent" and cert.conditional_on == []
+        cert.eval_items = [cert.eval_items[0], cert.eval_items[0]]
+        rep = falsify(cert, digits=40, coeff_bound=1000)
+        assert rep.found and rep.contradiction
+
+    def test_relation_on_conditional_certificate_is_a_notice(self):
+        # the same relation, once the certificate rests on the caveat, may
+        # only show that the caveat fails
+        cert = certify_single(ef_exp(), [1, 2])
+        cert.eval_items = [cert.eval_items[0], cert.eval_items[0]]
+        cert.conditional_on = ["unless two of them are algebraic"]
+        rep = falsify(cert, digits=40, coeff_bound=1000)
+        assert rep.found and not rep.contradiction
+        assert ("relation found; the certificate is conditional on: "
+                "unless two of them are algebraic") in rep.notices
+
     def test_zero_point_skipped(self):
         cert = certify_single(ef_exp(), [0])
         rep = falsify(cert, digits=30, coeff_bound=100)
