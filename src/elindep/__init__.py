@@ -42,7 +42,6 @@ from .diffop import (
     op_compose,
     op_from_json,
     op_from_text,
-    op_lclm,
     op_to_json,
     op_to_text,
     psi_transform,
@@ -146,7 +145,6 @@ __all__ = [
     "op_compose",
     "op_from_json",
     "op_from_text",
-    "op_lclm",
     "op_to_json",
     "op_to_text",
     "poly_gcd",

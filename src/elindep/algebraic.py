@@ -353,15 +353,16 @@ class AlgebraicNumber:
         A certified disc decides whether its one root lies in the rectangle
         once it lies inside the rectangle or misses it.  A disc with a real
         centre is its own mirror image, so its root is real: only its real
-        extent is compared, with an exact test of a rational edge that is a
-        root.  Discs are refined rung by rung until each is decided.
+        extent is compared.  A root at a real edge point or at a corner of
+        the rectangle is found by exact evaluation.  Discs are refined rung
+        by rung until each is decided.
 
         One Krawczyk step on the disc circumscribing the rectangle proves
         that disc holds one root only, so that root alone is decided.  Only
         when the step or a refinement fails does every root get isolated.
         Raises ValueError if the rectangle holds no root, or once it is
         proven to hold two; raises PrecisionExceededError if a root is still
-        undecided at the cap (a complex root on an edge).
+        undecided at the cap (a non-real root on an edge, off the corners).
         """
         re_lo, re_hi, im_lo, im_hi = map(Fraction, (re_lo, re_hi, im_lo, im_hi))
         if re_lo > re_hi or im_lo > im_hi:
@@ -369,6 +370,13 @@ class AlgebraicNumber:
         poly = squarefree_part(poly).primitive_int()
         if poly.degree <= 0:
             raise ValueError("polynomial has no roots")
+
+        def root_at(x: Fraction, y: Fraction, b: Ball) -> bool:
+            """Whether the corner x + iy lies in b and is a root."""
+            if (b.re - x) ** 2 + (b.im - y) ** 2 > b.rad * b.rad:
+                return False
+            v = poly(Ball(x, y))
+            return v.re == 0 and v.im == 0
 
         def holds(b: Ball) -> bool | None:
             """Whether the one root in b lies in the rectangle; None if b
@@ -389,6 +397,8 @@ class AlgebraicNumber:
                 return False
             if (re_lo <= b.re - b.rad and b.re + b.rad <= re_hi
                     and im_lo <= b.im - b.rad and b.im + b.rad <= im_hi):
+                return True
+            if any(root_at(x, y, b) for x in (re_lo, re_hi) for y in (im_lo, im_hi)):
                 return True
             return None
 

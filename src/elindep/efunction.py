@@ -332,7 +332,7 @@ def _poly_coeff_list(op: DiffOperator) -> list[Polynomial]:
     return [op.coefficient(b) for b in range(op.order + 1)]
 
 
-def _singular_seed_length(op: DiffOperator) -> int:
+def _singular_seed_length(op: DiffOperator, ctx: Precision = DEFAULT_PRECISION) -> int:
     """Seeds must reach past every index the recurrence cannot produce.
 
     Those are the nonnegative integer roots t of the leading band.  Each
@@ -343,7 +343,7 @@ def _singular_seed_length(op: DiffOperator) -> int:
     lead = rec.bands()[rec.max_shift]
     worst = -1
     if lead.degree > 0:
-        for disc in isolate_roots(squarefree_part(lead), 2):
+        for disc in isolate_roots(squarefree_part(lead), 2, ctx):
             t = round(disc.re)
             if t >= 0 and lead(Fraction(t)) == 0:
                 worst = max(worst, t)
@@ -367,7 +367,7 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
     order = len(coeffs) - 1
     new = [coeffs[i].compose_scale(lam) * lam ** (order - i) for i in range(order + 1)]
     op = DiffOperator.from_poly_coeffs(new).primitive_normalized()
-    seed_len = _singular_seed_length(op)
+    seed_len = _singular_seed_length(op, ctx)
     seeds = [f.coefficient(m) * lam**m for m in range(seed_len)]
     bound = None
     if f.coeff_bound is not None:

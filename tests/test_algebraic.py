@@ -174,10 +174,23 @@ class TestAlgebraicNumber:
             AlgebraicNumber.root_in_box(p, Fraction(3, 4), 1, Fraction(1, 2**80), 1)
 
     def test_complex_root_on_an_edge_is_undecided(self):
-        # i lies on the corner of [0, 1] x [1, 2]: no disc around it lies
-        # inside or outside, and no exact test applies off the real axis
+        # i lies inside the lower edge of [-1, 1] x [1, 2]: no disc around it
+        # lies inside or outside, and no exact test applies off the corners
         with pytest.raises(PrecisionExceededError):
-            AlgebraicNumber.root_in_box(P(1, 0, 1), 0, 1, 1, 2, Precision(max_bits=256))
+            AlgebraicNumber.root_in_box(P(1, 0, 1), -1, 1, 1, 2, Precision(max_bits=256))
+
+    def test_complex_root_on_a_corner(self):
+        # i is the corner of [0, 1] x [1, 2] and 1 + 2i of [1, 3] x [-1, 2];
+        # exact evaluation at the corner decides, as for a point rectangle
+        ctx = Precision(max_bits=256)
+        for poly, box, root in ((P(1, 0, 1), (0, 1, 1, 2), (0, 1)),
+                                (P(1, 0, 1), (0, 0, 1, 1), (0, 1)),
+                                (P(5, -2, 1), (1, 3, -1, 2), (1, 2)),
+                                (P(5, -2, 1), (1, 1, 2, 2), (1, 2))):
+            b = AlgebraicNumber.root_in_box(poly, *box, ctx).box
+            assert (b.re - root[0]) ** 2 + (b.im - root[1]) ** 2 <= b.rad**2
+        with pytest.raises(ValueError, match="no root"):
+            AlgebraicNumber.root_in_box(P(1, 0, 1), Fraction(1, 2**80), 1, 1, 2, ctx)
 
     def test_irrational_has_no_rational_value(self):
         s = alg_nth_root(2, 2)

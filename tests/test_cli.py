@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from elindep import efunction
 from elindep.algebraic import AlgebraicNumber
 from elindep.cli import main, parse_spec, render
 from elindep.efunction import HypergeometricParams
@@ -352,6 +353,28 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
         assert code == 0
         assert "1.00000020000002000000" in capsys.readouterr().out
+
+    def test_scale_obeys_precision_cap(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = efunction.isolate_roots
+
+        def recording(p, bits, ctx):
+            seen.append(ctx)
+            return real(p, bits, ctx)
+
+        # a scaled ode finds the integer roots of its leading band by isolation
+        monkeypatch.setattr(efunction, "isolate_roots", recording)
+        doc = {
+            "version": 1,
+            "task": "eval",
+            "functions": [{"type": "ode", "operator": "(z)*D^2 + (3)*D^1 + (-1)",
+                           "initial": ["1", "1/3"], "scale": "2"}],
+            "points": ["1"],
+        }
+        code = main(["eval", "--spec", write_spec(tmp_path, doc),
+                     "--max-precision-bits", "256"])
+        assert code == 0
+        assert seen and {ctx.max_bits for ctx in seen} == {256}
 
     def test_huge_power_of_z_rejected_fast(self, tmp_path, capsys):
         doc = {
