@@ -128,13 +128,12 @@ def _refine_certified(
     dp: Polynomial,
     ball: Ball,
     target_radius: Fraction,
-    max_steps: int = 256,
 ) -> Ball | None:
-    """Shrink a certified disc below target_radius by repeated contraction;
-    every disc lies inside the one before."""
+    """Shrink a certified disc below target_radius by at most 256 repeated
+    contractions; every disc lies inside the one before."""
     # midpoint granularity a little finer than the target radius
     mid_bits = max(96, _radius_bits(target_radius) + 32)
-    for _ in range(max_steps):
+    for _ in range(256):
         if ball.rad <= target_radius:
             return ball
         ball = _krawczyk_step(p, dp, ball, mid_bits)

@@ -296,20 +296,22 @@ def _point_json(p) -> str:
     return p if isinstance(p, str) else json.dumps(p, sort_keys=True)
 
 
-def _certify_dispatch(spec: ProblemSpec, ctx: Precision) -> Certificate:
+def _certify_spec(spec: ProblemSpec, ctx: Precision) -> Certificate:
+    """Pair one point with many functions, or one function with many
+    points, or the two lists in order, and certify the pairs."""
     functions = [_build_function(fs, ctx) for fs in spec.functions]
     points = [_build_point(p, ctx) for p in spec.points]
     if len(points) == 1:
-        return certify_main(functions, points[0], ctx)
-    if len(functions) == 1:
-        return certify_single(functions[0], points, ctx)
-    if len(functions) == len(points):
-        return certify_multi(functions, points, ctx)
-    raise InputError(
-        f"cannot match {len(functions)} functions with {len(points)} points: "
-        "use one function (many points), one point (many functions), or "
-        "equal counts"
-    )
+        points = points * len(functions)
+    elif len(functions) == 1:
+        functions = functions * len(points)
+    elif len(functions) != len(points):
+        raise InputError(
+            f"cannot match {len(functions)} functions with {len(points)} points: "
+            "use one function (many points), one point (many functions), or "
+            "equal counts"
+        )
+    return certify_multi(functions, points, ctx)
 
 
 def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
@@ -339,7 +341,7 @@ def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
             )
         report["results"] = results
     elif spec.task == "certify":
-        cert = _certify_dispatch(spec, ctx)
+        cert = _certify_spec(spec, ctx)
         report["certificate"] = cert.to_json()
     elif spec.task == "certify_hyp":
         params_list = [_hyp_params(fs.data) for fs in spec.functions]
@@ -367,7 +369,7 @@ def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
                 )
         report["results"] = results
     elif spec.task == "falsify":
-        cert = _certify_dispatch(spec, ctx)
+        cert = _certify_spec(spec, ctx)
         rel = falsify(cert, digits=digits, coeff_bound=coeff_bound)
         report["certificate"] = cert.to_json()
         report["relation_report"] = rel.to_json()

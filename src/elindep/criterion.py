@@ -356,13 +356,6 @@ def _power_condition_value(
     return base * scale_j**k_i / scale_i**k_j
 
 
-def _alg_power_quotient(
-    a: AlgebraicNumber, b: AlgebraicNumber, k_b: int, k_a: int, ctx: Precision
-) -> AlgebraicNumber:
-    """a^{k_b} / b^{k_a} as an algebraic number (b nonzero)."""
-    return alg_div(alg_pow(a, k_b, ctx), alg_pow(b, k_a, ctx), ctx)
-
-
 def certify_hypergeometric(
     params_list: list[HypergeometricParams],
     points: list,
@@ -378,12 +371,15 @@ def certify_hypergeometric(
     points scale_i*a_i and scale_j*a_j differ; when k_i != k_j the pair
     passes if a_i^{k_j}/a_j^{k_i} misses one explicit rational value.  The
     unequal-power test is sufficient but not necessary (it can only miss
-    when gcd(k_i, k_j) > 1).
+    when gcd(k_i, k_j) > 1).  Both tests are exact algebraic-number
+    arithmetic (alg_div, alg_pow, alg_equals), which settles rational
+    points by rational arithmetic on the same path.
 
     Self-check: for rational nonzero points the same pair is re-decided
     through the singularity-ratio route (k-th roots of the points against
-    the explicit singularity sets), and the two answers must be consistent;
-    a mismatch raises InternalCheckError.
+    the explicit singularity sets).  A pass that route calls a collision,
+    or any disagreement where the arithmetic test is exact (equal or
+    coprime powers), raises InternalCheckError.
     """
     if len(params_list) != len(points):
         raise InputError(
@@ -396,6 +392,7 @@ def certify_hypergeometric(
     pts = [_coerce_point(p) for p in points]
     ks = [params.k for params in params_list]
     scales = [params.scale for params in params_list]
+    sings = [hypergeometric_singularities(params) for params in params_list]
     param_texts = [
         "F[{};{}]@{}".format(
             ",".join(format_rational(a) for a in params.upper),
@@ -423,13 +420,6 @@ def certify_hypergeometric(
             "certify the remaining values separately"
         )
 
-    sing_cache: dict[int, RootSet] = {}
-
-    def sings(idx: int) -> RootSet:
-        if idx not in sing_cache:
-            sing_cache[idx] = hypergeometric_singularities(params_list[idx])
-        return sing_cache[idx]
-
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if not (nonzero[i] and nonzero[j]):
@@ -444,101 +434,69 @@ def certify_hypergeometric(
                 continue
             qi = pts[i].as_rational()
             qj = pts[j].as_rational()
+            rational = qi is not None and qj is not None
             if ks[i] == ks[j]:
                 # Equal powers: collision happens exactly when the scaled
                 # points coincide, so distinctness is both necessary and
                 # sufficient.
-                if qi is not None and qj is not None:
-                    distinct = scales[i] * qi != scales[j] * qj
-                else:
-                    quot = alg_div(pts[i], pts[j], ctx)
-                    distinct = not alg_equals(
-                        quot,
-                        AlgebraicNumber.from_rational(scales[j] / scales[i]),
-                        ctx,
-                    )
-                cert.hypotheses.append(
-                    Hypothesis(
-                        description=(
-                            f"scaled points {i} and {j} are distinct "
-                            f"(equal power {ks[i]})"
-                        ),
-                        anchor="equal-power-distinct-points",
-                        outcome=SATISFIED if distinct else FAILED,
-                        witness={
-                            "pair": [i, j],
-                            "point_i": _point_text(pts[i]),
-                            "point_j": _point_text(pts[j]),
-                            "power": ks[i],
-                        },
-                    )
+                quot = alg_div(pts[i], pts[j], ctx)
+                target = scales[j] / scales[i]
+                description = (
+                    f"scaled points {i} and {j} are distinct (equal power {ks[i]})"
                 )
-                pair_pass = distinct
-                power_holds = None
+                anchor = "equal-power-distinct-points"
+                witness = {
+                    "pair": [i, j],
+                    "point_i": _point_text(pts[i]),
+                    "point_j": _point_text(pts[j]),
+                    "power": ks[i],
+                }
             else:
-                forbidden = _power_condition_value(
-                    ks[i], ks[j], scales[i], scales[j]
+                quot = alg_div(
+                    alg_pow(pts[i], ks[j], ctx), alg_pow(pts[j], ks[i], ctx), ctx
                 )
-                if qi is not None and qj is not None:
-                    actual = qi ** ks[j] / qj ** ks[i]
-                    power_holds = actual != forbidden
-                    actual_text = format_rational(actual)
-                else:
-                    quot = _alg_power_quotient(
-                        pts[i], pts[j], ks[j], ks[i], ctx
-                    )
-                    power_holds = not alg_equals(
-                        quot, AlgebraicNumber.from_rational(forbidden), ctx
-                    )
-                    actual_text = "algebraic"
-                cert.hypotheses.append(
-                    Hypothesis(
-                        description=(
-                            f"a_{i}^{ks[j]}/a_{j}^{ks[i]} differs from the "
-                            "collision value"
-                        ),
-                        anchor="power-ratio-condition",
-                        outcome=SATISFIED if power_holds else FAILED,
-                        witness={
-                            "pair": [i, j],
-                            "powers": [ks[i], ks[j]],
-                            "actual": actual_text,
-                            "forbidden": format_rational(forbidden),
-                        },
-                    )
+                target = _power_condition_value(ks[i], ks[j], scales[i], scales[j])
+                description = (
+                    f"a_{i}^{ks[j]}/a_{j}^{ks[i]} differs from the collision value"
                 )
-                pair_pass = power_holds
+                anchor = "power-ratio-condition"
+                witness = {
+                    "pair": [i, j],
+                    "powers": [ks[i], ks[j]],
+                    "actual": (
+                        format_rational(quot.as_rational()) if rational else "algebraic"
+                    ),
+                    "forbidden": format_rational(target),
+                }
+            pair_pass = not alg_equals(quot, AlgebraicNumber.from_rational(target), ctx)
+            cert.hypotheses.append(
+                Hypothesis(
+                    description=description,
+                    anchor=anchor,
+                    outcome=SATISFIED if pair_pass else FAILED,
+                    witness=witness,
+                )
+            )
 
             # Independent route through the singularity sets, used as a
             # consistency check wherever k-th roots stay constructible.
-            if qi is not None and qj is not None:
-                beta_i = alg_nth_root(qi, ks[i], ctx)
-                beta_j = alg_nth_root(qj, ks[j], ctx)
-                ratio_ok = ratio_condition(
-                    sings(i), sings(j), beta_i, beta_j, ctx
+            if not rational:
+                continue
+            roots = alg_nth_root(qi, ks[i], ctx), alg_nth_root(qj, ks[j], ctx)
+            ratio_ok = ratio_condition(sings[i], sings[j], *roots, ctx)
+            if pair_pass and not ratio_ok:
+                raise InternalCheckError(
+                    f"pair ({i},{j}): arithmetic test passed but the "
+                    "singularity-ratio route found a collision"
                 )
-                if pair_pass and not ratio_ok:
-                    raise InternalCheckError(
-                        f"pair ({i},{j}): arithmetic test passed but the "
-                        "singularity-ratio route found a collision"
-                    )
-                if ks[i] == ks[j] and ratio_ok != pair_pass:
-                    raise InternalCheckError(
-                        f"pair ({i},{j}): equal-power distinctness and the "
-                        "singularity-ratio route disagree"
-                    )
-                if (
-                    ks[i] != ks[j]
-                    and gcd(ks[i], ks[j]) == 1
-                    and ratio_ok != power_holds
-                ):
-                    raise InternalCheckError(
-                        f"pair ({i},{j}): coprime-power condition and the "
-                        "singularity-ratio route disagree"
-                    )
+            if ratio_ok != pair_pass and (ks[i] == ks[j] or gcd(ks[i], ks[j]) == 1):
+                test = ("equal-power distinctness" if ks[i] == ks[j]
+                        else "coprime-power condition")
+                raise InternalCheckError(
+                    f"pair ({i},{j}): {test} and the singularity-ratio "
+                    "route disagree"
+                )
 
-    cert.caveat_discharged = False
-    cert.conditional_on = [CAVEAT]
     return _finish(cert)
 
 
@@ -593,11 +551,7 @@ def certify_si_integrals(
     square_texts: list[str] = []
     for lo, hi in coerced:
         for endpoint in (lo, hi):
-            q = endpoint.as_rational()
-            if q is not None:
-                squares.append(AlgebraicNumber.from_rational(q * q))
-            else:
-                squares.append(alg_pow(endpoint, 2, ctx))
+            squares.append(alg_pow(endpoint, 2, ctx))
             square_texts.append(_point_text(squares[-1]))
 
     collision = None

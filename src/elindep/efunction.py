@@ -299,10 +299,11 @@ def ef_hypergeometric(
     def a_coeff(m: int) -> Fraction:
         return series_c(m) * math.factorial(m)
 
-    order = op.order
-    # degenerate recurrence indices must be seeded explicitly
-    seed_len = max(order, k * (len(params.lower) + 2))
-    seeds = [a_coeff(m) for m in range(seed_len)]
+    # the recurrence's leading band t prod_j (t + k(b_j - 1)) leaves c_t free
+    # at t = 0 and at every nonnegative integer k(1 - b_j): seed past them
+    free = [k * (1 - b) for b in params.lower]
+    last_free = max([0] + [int(t) for t in free if t.denominator == 1 and t >= 0])
+    seeds = [a_coeff(m) for m in range(max(op.order, last_free + 1))]
     bound = _hypergeometric_coeff_bound(params, a_coeff)
     sing = Polynomial(
         (-1,) + (0,) * (k - 1) + (params.scale * Fraction(k) ** k,)
@@ -313,7 +314,7 @@ def ef_hypergeometric(
         name = f"F[{up};{lo}]"
         if params.scale != 1:
             name += f"@{params.scale}"
-    f = EFunction(
+    return EFunction(
         op,
         seeds,
         name=name,
@@ -321,8 +322,6 @@ def ef_hypergeometric(
         support_modulus=k,
         psi_singularity_poly=sing,
     )
-    f.hypergeometric_params = params
-    return f
 
 
 # -- closure operations --------------------------------------------------------
@@ -475,9 +474,7 @@ def ef_lagrange_combo(f: EFunction, points: Sequence) -> EFunction:
 class GrowthReport:
     """Numeric growth summary of the coefficient sequence."""
 
-    terms_used: int
     coeff_growth_estimate: float
-    denominator_growth_estimate: float
     looks_exponential: bool
 
     @property
@@ -485,8 +482,21 @@ class GrowthReport:
         return self.looks_exponential
 
 
+def _abs_root(a: Fraction, n: int) -> float:
+    """|a|^(1/n) as a float, through logarithms once |a| passes the float
+    range (math.inf when the root does too)."""
+    try:
+        return float(abs(a)) ** (1.0 / n)
+    except OverflowError:
+        log = (math.log(abs(a.numerator)) - math.log(a.denominator)) / n
+        try:
+            return math.exp(log)
+        except OverflowError:
+            return math.inf
+
+
 def growth_check(f: EFunction, terms: int = 80) -> GrowthReport:
-    """Estimate |a_n|^(1/n) and lcm-denominator growth from a prefix.
+    """Estimate |a_n|^(1/n) from a prefix.
 
     Heuristic only: a convergent estimate suggests (never proves) that the
     series satisfies the E-function growth requirements.
@@ -494,28 +504,22 @@ def growth_check(f: EFunction, terms: int = 80) -> GrowthReport:
     terms = max(8, terms)
     coeffs = f.coefficients(terms)
     best = 0.0
-    lcm = 1
-    den_best = 0.0
     half = terms // 2
     head_max = 0.0
     tail_max = 0.0
     for n in range(1, terms):
         a = coeffs[n]
-        lcm = lcm * a.denominator // math.gcd(lcm, a.denominator)
         if a != 0:
-            root = float(abs(a)) ** (1.0 / n)
+            root = _abs_root(a, n)
             best = max(best, root)
             if n >= half:
                 tail_max = max(tail_max, root)
             else:
                 head_max = max(head_max, root)
-        den_best = max(den_best, float(lcm) ** (1.0 / n))
     # super-exponential growth shows up as the tail estimate still climbing
     # past anything seen in the first half
     looks_exponential = tail_max <= max(4.0, 1.25 * head_max) and best < float("inf")
     return GrowthReport(
-        terms_used=terms,
         coeff_growth_estimate=best,
-        denominator_growth_estimate=den_best,
         looks_exponential=looks_exponential,
     )

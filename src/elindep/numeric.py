@@ -76,8 +76,6 @@ def _coerce_rational_point(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     as_rational = getattr(x, "as_rational", None)
     if as_rational is not None:
         q = as_rational()
@@ -86,10 +84,6 @@ def _coerce_rational_point(x) -> Fraction:
         raise UnsupportedOperationError(
             "evaluation needs a rational point; got an irrational algebraic number"
         )
-    if isinstance(x, Ball):
-        if x.rad == 0 and x.im == 0:
-            return x.re
-        raise UnsupportedOperationError("evaluation point must be exact and real")
     return Fraction(x)
 
 
@@ -280,7 +274,9 @@ def _eval_heuristic(f: EFunction, q: Fraction, digits: int) -> Ball:
     Each doubling continues the same sum over [terms, 2 terms)."""
     report = growth_check(f)
     c_emp = max(2.0, report.coeff_growth_estimate * 1.5)
-    terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
+    terms = math.inf  # an unbounded growth estimate admits no truncation
+    if math.isfinite(c_emp):
+        terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
     if terms > MAX_TERMS:
         raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
     target = Fraction(1, 10**digits)

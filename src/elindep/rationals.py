@@ -23,12 +23,9 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_string(q: Fraction, digits: int, round_up: bool = False) -> str:
-    """Fixed-point decimal rendering of a rational with `digits` fractional digits.
-
-    Rounds to nearest by default; with round_up=True rounds away from zero,
-    which is what conservative radius fields need.
-    """
+def decimal_string(q: Fraction, digits: int) -> str:
+    """Fixed-point decimal rendering of a rational with `digits` fractional
+    digits, rounded to nearest."""
     if digits < 0:
         raise ValueError("digits must be nonnegative")
     q = Fraction(q)
@@ -36,11 +33,7 @@ def decimal_string(q: Fraction, digits: int, round_up: bool = False) -> str:
     q = abs(q)
     scaled = q * 10**digits
     units = scaled.numerator // scaled.denominator
-    rem = scaled - units
-    if round_up:
-        if rem > 0:
-            units += 1
-    elif 2 * rem >= 1:
+    if 2 * (scaled - units) >= 1:
         units += 1
     if units >= _DIGITS_LIMIT:
         raise InputError(f"a printed number has more than {MAX_DECIMAL_DIGITS} digits")

@@ -542,6 +542,58 @@ class TestExitCodes:
         assert not rel["found"] and not rel["excluded"] and not rel["skipped"]
         assert "no exclusion: a value's radius rests on an unproven series tail" in rel["notices"]
 
+    def test_hypergeometric_with_a_free_coefficient(self, tmp_path, capsys):
+        # b = -7/2 leaves the series coefficient 9 free in the recurrence
+        doc = {
+            "version": 1,
+            "task": "eval",
+            "functions": [{"type": "hypergeometric", "upper": [], "lower": ["-7/2", "1"]}],
+            "points": ["1/1000000000"],
+        }
+        code = main(["eval", "--spec", write_spec(tmp_path, doc), "--digits", "30",
+                     "--format", "json"])
+        assert code == 0
+        value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+        mant, exp = value["radius"].split("e")
+        radius = Fraction(mant) * Fraction(10) ** int(exp)
+        with mpmath.workdps(60):
+            want = mpmath.hyp0f1(mpmath.mpf(-7) / 2, mpmath.mpf(10) ** -18)
+        want = Fraction(want.man) * Fraction(2) ** want.exp
+        assert abs(want - Fraction(value["re"])) <= radius
+
+    @pytest.mark.parametrize(
+        "operator, initial, point, exit_code",
+        [
+            # coefficient denominators pass 1e308 within the growth prefix
+            ("(z)*D^2 + (100000)*D^1 + (-1)", ["1", "1/100000"], "1", 0),
+            # |a_n| = 10^(6n) passes 1e308 from n = 52 on
+            ("(1)*D^1 + (-1000000)", ["1"], "1/10000000", 0),
+            # |a_1|^(1/1) = 10^400 is beyond the float range itself
+            ("(1)*D^1 + (-1)", ["1" + "0" * 400], "1/3", 3),
+        ],
+    )
+    def test_growth_estimate_past_the_float_range(
+        self, tmp_path, capsys, operator, initial, point, exit_code
+    ):
+        doc = {
+            "version": 1,
+            "task": "eval",
+            "functions": [{"type": "ode", "operator": operator, "initial": initial}],
+            "points": [point],
+        }
+        code = main(["eval", "--spec", write_spec(tmp_path, doc), "--digits", "20"])
+        assert code == exit_code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_function_point_count_mismatch(self, tmp_path, capsys):
+        doc = dict(CERTIFY_EXP, functions=[CERTIFY_EXP["functions"][0]] * 2)
+        code = main(["certify", "--spec", write_spec(tmp_path, doc)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "input error: cannot match 2 functions with 3 points: use one "
+            "function (many points), one point (many functions), or equal counts\n"
+        )
+
     def test_demo_runs_clean(self, capsys):
         code = main(["demo", "--digits", "25", "--coeff-bound", "50",
                      "--format", "json"])

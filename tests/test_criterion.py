@@ -6,12 +6,13 @@ single-function/multi-point equivalence, and the caveat discharge rules.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from elindep import criterion
-from elindep.algebraic import alg_nth_root
+from elindep.algebraic import AlgebraicNumber, alg_nth_root
 from elindep.criterion import (
     CAVEAT,
     CERTIFIED,
@@ -33,7 +34,8 @@ from elindep.efunction import (
     ef_lagrange_combo,
     ef_sin_integral,
 )
-from elindep.errors import InputError
+from elindep.errors import InputError, InternalCheckError
+from elindep.polynomials import Polynomial
 
 
 def HP(upper, lower, scale=1):
@@ -287,7 +289,7 @@ class TestHypergeometric:
             assert cert.verdict == CERTIFIED
 
     def test_irrational_point(self):
-        from elindep.algebraic import alg_nth_root
+        from elindep.algebraic import AlgebraicNumber, alg_nth_root
 
         s = alg_nth_root(2, 2)
         cert = certify_hypergeometric(
@@ -295,6 +297,102 @@ class TestHypergeometric:
             [s, 1],
         )
         assert cert.verdict == CERTIFIED
+
+
+    @pytest.mark.parametrize(
+        "params, points, message",
+        [
+            # equal powers, scaled points coincide: the pair fails
+            (
+                [HP([], [1, 1]), HP([], [1, 1])],
+                [3, 3],
+                "equal-power distinctness and the singularity-ratio route disagree",
+            ),
+            # coprime powers 1 and 2 at the collision value 2^2/1 = 4
+            (
+                [HP([], [1]), HP([], [1, 1])],
+                [2, 1],
+                "coprime-power condition and the singularity-ratio route disagree",
+            ),
+            # a passing pair
+            (
+                [HP([], [1, 1]), HP([], [1, 1])],
+                [1, 3],
+                "arithmetic test passed but the singularity-ratio route found "
+                "a collision",
+            ),
+        ],
+    )
+    def test_cross_check_catches_a_wrong_route(
+        self, monkeypatch, params, points, message
+    ):
+        real = criterion.ratio_condition
+        monkeypatch.setattr(
+            criterion, "ratio_condition", lambda *args: not real(*args)
+        )
+        with pytest.raises(InternalCheckError, match=re.escape(f"pair (0,1): {message}")):
+            certify_hypergeometric(params, points)
+
+    @staticmethod
+    def _power_document(point_1, actual):
+        functions = ["F[;1]@1", "F[;1,1]@1"]
+        return {
+            "verdict": CERTIFIED,
+            "statement": (
+                f"1, F[;1]@1(1/2), F[;1,1]@1({point_1}) are linearly "
+                "independent over the algebraic numbers"
+            ),
+            "hypotheses": [
+                {
+                    "description": "point 0 is nonzero",
+                    "anchor": "nonzero-point",
+                    "outcome": SATISFIED,
+                    "witness": {"index": 0, "point": "1/2"},
+                },
+                {
+                    "description": "point 1 is nonzero",
+                    "anchor": "nonzero-point",
+                    "outcome": SATISFIED,
+                    "witness": {"index": 1, "point": point_1},
+                },
+                {
+                    "description": "a_0^2/a_1^1 differs from the collision value",
+                    "anchor": "power-ratio-condition",
+                    "outcome": SATISFIED,
+                    "witness": {
+                        "pair": [0, 1],
+                        "powers": [1, 2],
+                        "actual": actual,
+                        "forbidden": "4",
+                    },
+                },
+            ],
+            "caveat": CAVEAT,
+            "caveat_discharged": False,
+            "conditional_on": [CAVEAT],
+            "inputs": {
+                "functions": functions,
+                "powers": [1, 2],
+                "points": ["1/2", point_1],
+            },
+            "notes": [],
+        }
+
+    def test_rational_points_document(self):
+        cert = certify_hypergeometric([HP([], [1]), HP([], [1, 1])], [Fraction(1, 2), 1])
+        assert cert.to_json() == self._power_document("1", "1/4")
+
+    def test_algebraic_point_document(self):
+        # the point a {poly, box} spec entry builds
+        root2 = AlgebraicNumber.root_in_box(
+            Polynomial((-2, 0, 1)), Fraction(1), Fraction(2), Fraction(-1), Fraction(1)
+        )
+        cert = certify_hypergeometric(
+            [HP([], [1]), HP([], [1, 1])], [Fraction(1, 2), root2]
+        )
+        assert cert.to_json() == self._power_document(
+            "root([-2,0,1]) near (1.41421,0)", "algebraic"
+        )
 
 
 class TestSiIntegrals:

@@ -119,6 +119,37 @@ class TestHypergeometric:
             img = op_apply(f.annihilator, taylor, 30)
             assert all(v == 0 for v in img.values())
 
+    def test_seeds_reach_past_every_free_index(self):
+        # b = -7/2 leaves c_9 free (9 = 2(1 - b)); 8 seeds stopped short of it
+        f = ef_hypergeometric([], ["-7/2", "1"])
+        want = Fraction(1)
+        for n in range(8):
+            assert f.series_coefficient(2 * n) == want
+            want /= (Fraction(-7, 2) + n) * (1 + n)
+        assert f.coefficient(9) == 0
+
+    def test_seed_count_is_the_singular_seed_length(self):
+        # the closed form must agree with isolating the leading band's roots
+        rng = random.Random(5)
+        for _ in range(30):
+            k = rng.randrange(1, 4)
+            upper = []
+            while len(upper) < rng.randrange(0, 3):
+                a = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                if a.denominator > 1 or a > 0:
+                    upper.append(a)
+            lower = []
+            while len(lower) < len(upper) + k:
+                if rng.random() < 0.5:
+                    b = 1 - Fraction(rng.randrange(0, 13), k)
+                else:
+                    b = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                if b.denominator > 1 or b > 0:
+                    lower.append(b)
+            scale = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randrange(1, 4))
+            f = ef_hypergeometric(upper, lower, scale)
+            assert f.seed_count == _singular_seed_length(f.annihilator)
+
     def test_coeff_bound_holds(self):
         f = ef_hypergeometric([Fraction(5, 2)], [Fraction(1, 3), 1], 3)
         C = f.coeff_bound
@@ -312,6 +343,18 @@ class TestGrowth:
         op = DiffOperator.from_poly_coeffs([Polynomial((-1,)), Polynomial((1, -1))])
         g = EFunction(op, [1], name="geom", coeff_bound=None)
         rep = growth_check(g, terms=60)
+        assert not rep.plausible_e_function
+
+
+    def test_growth_past_the_float_range(self):
+        # exp(10^6 z): |a_n| = 10^(6n) passes 1e308 from n = 52 on
+        op = DiffOperator.from_poly_coeffs([Polynomial((-10**6,)), Polynomial.one()])
+        rep = growth_check(EFunction(op, [1], name="e6"))
+        assert rep.coeff_growth_estimate == pytest.approx(1e6, rel=1e-9)
+        # a root beyond the float range reads as unbounded
+        op = DiffOperator.from_poly_coeffs([Polynomial((-1,)), Polynomial.one()])
+        rep = growth_check(EFunction(op, [10**400], name="big"))
+        assert rep.coeff_growth_estimate == math.inf
         assert not rep.plausible_e_function
 
 
