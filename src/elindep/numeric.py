@@ -274,9 +274,9 @@ def _eval_heuristic(f: EFunction, q: Fraction, digits: int) -> Ball:
     Each doubling continues the same sum over [terms, 2 terms)."""
     report = growth_check(f)
     c_emp = max(2.0, report.coeff_growth_estimate * 1.5)
-    terms = math.inf  # an unbounded growth estimate admits no truncation
-    if math.isfinite(c_emp):
-        terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
+    if not math.isfinite(c_emp):
+        raise PrecisionExceededError("unbounded coefficient growth estimate")
+    terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
     if terms > MAX_TERMS:
         raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
     target = Fraction(1, 10**digits)

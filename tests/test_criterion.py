@@ -289,7 +289,7 @@ class TestHypergeometric:
             assert cert.verdict == CERTIFIED
 
     def test_irrational_point(self):
-        from elindep.algebraic import AlgebraicNumber, alg_nth_root
+        from elindep.algebraic import alg_nth_root
 
         s = alg_nth_root(2, 2)
         cert = certify_hypergeometric(
@@ -297,7 +297,6 @@ class TestHypergeometric:
             [s, 1],
         )
         assert cert.verdict == CERTIFIED
-
 
     @pytest.mark.parametrize(
         "params, points, message",
