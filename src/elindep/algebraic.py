@@ -60,8 +60,8 @@ from .polynomials import (
     Polynomial,
     is_squarefree,
     poly_gcd,
+    power_set_poly,
     ratio_set_poly,
-    resultant_bivariate,
     squarefree_part,
 )
 
@@ -602,10 +602,7 @@ def alg_pow(
     ar = a.as_rational(ctx)
     if ar is not None:
         return AlgebraicNumber.from_rational(ar**n)
-    # eliminate y from (p(y), z - y^n)
-    second = [Polynomial.x()] + [Polynomial.zero()] * (n - 1) + [Polynomial.constant(-1)]
-    first = [Polynomial.constant(c) for c in a.poly.coeffs]
-    rpoly = squarefree_part(resultant_bivariate(first, second))
+    rpoly = power_set_poly(a.poly, n)
 
     def shrink(bits: int) -> Ball:
         base = refine_root_box(a.poly, a.box, bits, ctx)
@@ -696,6 +693,19 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+# e^(i pi/k) by k, kept for the process like the isolation cache `_CACHE`
+_UNIT_ROOTS: dict[int, AlgebraicNumber] = {}
+
+
+def _unit_root(k: int, ctx: Precision) -> AlgebraicNumber:
+    """e^(i pi/k), the canonical root of z^k + 1, isolated once per k."""
+    unit = _UNIT_ROOTS.get(k)
+    if unit is None:
+        unit = canonical_root(Polynomial((1,) + (0,) * (k - 1) + (1,)), ctx)
+        _UNIT_ROOTS[k] = unit
+    return unit
+
+
 def alg_nth_root(q, k: int, ctx: Precision = DEFAULT_PRECISION) -> AlgebraicNumber:
     """Principal k-th root of a rational q, as a root of d z^k - n for
     q = n/d: |q|^(1/k) for q > 0 and |q|^(1/k) e^(i pi/k) for q < 0, the
@@ -715,9 +725,7 @@ def alg_nth_root(q, k: int, ctx: Precision = DEFAULT_PRECISION) -> AlgebraicNumb
         return AlgebraicNumber.from_rational(q)
     n, d = q.numerator, q.denominator
     radicand = abs(n) * d ** (k - 1)
-    unit = None
-    if n < 0:
-        unit = canonical_root(Polynomial((1,) + (0,) * (k - 1) + (1,)), ctx)
+    unit = _unit_root(k, ctx) if n < 0 else None
 
     def shrink(bits: int) -> Ball:
         # lo <= |q|^(1/k) d 2^bits < lo + 1

@@ -3,6 +3,15 @@
 Coefficients are stored ascending as a tuple of Fractions with trailing zeros
 trimmed; the zero polynomial has an empty tuple and degree -1. Everything here
 is exact: no floats enter or leave.
+
+The polynomials of ratio sets {a/b} and power sets {a^n} come from integer
+power sums of scaled roots, turned back into coefficients by Newton's
+identities (Bostan, Flajolet, Salvy and Schost, "Fast computation of special
+resultants", J. Symb. Comput. 41, 2006).  `squarefree_part` and
+`is_squarefree` first try a squarefree screen modulo the prime 2^61 - 1 and
+fall back to the rational gcd only when it does not decide.
+`resultant_bivariate` is no longer used by the library; it is kept for the
+tests' oracles and for the bench tracer, which wraps it by name.
 """
 
 from __future__ import annotations
@@ -10,6 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Callable, Iterable, Sequence
+
+# The prime of the squarefree screen, a Mersenne prime above every degree met.
+_SCREEN_PRIME = (1 << 61) - 1
 
 
 def _as_fraction(x) -> Fraction:
@@ -283,18 +295,62 @@ def _pseudo_rem(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(rem[: b.degree] if b.degree > 0 else ())
 
 
+def _screened_squarefree(p: Polynomial) -> bool:
+    """True when the mod-P screen proves p (degree >= 1) squarefree over Q;
+    False means undecided.
+
+    With r the primitive integer form of p and r-bar its image mod P: if
+    r = g^2 h over Q with deg g >= 1, Gauss's lemma makes g a primitive
+    integer factor of r and of r', lc(g) divides lc(r), so g-bar keeps its
+    degree and divides r-bar and r-bar'.  A constant gcd over F_P with
+    deg r-bar = deg r therefore rules every repeated factor out.
+    """
+    prime = _SCREEN_PRIME
+    a = [int(c) % prime for c in p.primitive_int().coeffs]
+    if a[-1] == 0:
+        return False
+    # the derivative keeps its degree too: deg r < P
+    b = [i * c % prime for i, c in enumerate(a) if i]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, prime)
+        db = len(b) - 1
+        for i in range(len(a) - len(b), -1, -1):
+            c = a[i + db] * inv % prime
+            if c:
+                for j, bc in enumerate(b):
+                    a[i + j] = (a[i + j] - c * bc) % prime
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """Monic radical of p: same roots, all simple."""
+    """Monic radical of p: same roots, all simple.
+
+    The mod-P screen settles most squarefree inputs (the radical is then
+    p.monic()); the rest go through the rational gcd with p'.
+    """
     if p.is_zero:
         raise ValueError("squarefree part of the zero polynomial")
     if p.degree == 0:
         return Polynomial.one()
+    if _screened_squarefree(p):
+        return p.monic()
     g = poly_gcd(p, p.derivative())
     return p.exact_div(g).monic()
 
 
 def is_squarefree(p: Polynomial) -> bool:
-    return p.degree <= 0 or poly_gcd(p, p.derivative()).degree == 0
+    """Whether p has no repeated root; the mod-P screen, then the rational gcd."""
+    return (
+        p.degree <= 0
+        or _screened_squarefree(p)
+        or poly_gcd(p, p.derivative()).degree == 0
+    )
 
 
 def _bareiss_det(rows: list[list], zero, exact_div: Callable):
@@ -376,11 +432,65 @@ def resultant_bivariate(p: Sequence[Polynomial], q: Sequence[Polynomial]) -> Pol
     return _bareiss_det(rows, Polynomial.zero(), lambda a, b: a.exact_div(b))
 
 
+def _scaled_power_sums(coeffs: Sequence[int], count: int) -> list[int]:
+    """Power sums s_0..s_count of u = L*alpha over the roots alpha of the
+    integer polynomial with ascending `coeffs` and leading coefficient L.
+
+    The u are the roots of the monic integer polynomial z^m + sum_k c_k z^(m-k)
+    with c_k = a_(m-k) L^(k-1), so Newton's recurrence
+    s_k = -(k c_k + sum_(0<i<k) c_i s_(k-i)), with c_k = 0 past m, stays in
+    integers.
+    """
+    m = len(coeffs) - 1
+    lead = coeffs[m]
+    c = [0] * (m + 1)
+    power = 1
+    for k in range(1, m + 1):
+        c[k] = coeffs[m - k] * power
+        power *= lead
+    s = [m]
+    for k in range(1, count + 1):
+        acc = k * c[k] if k <= m else 0
+        for i in range(1, min(k - 1, m) + 1):
+            acc += c[i] * s[k - i]
+        s.append(-acc)
+    return s
+
+
+def _from_power_sums(sums: Sequence[int], scale: int) -> Polynomial:
+    """prod (scale*z - lambda) over the N = len(sums) - 1 algebraic integers
+    lambda whose power sums are sums[1..N]; its roots are the lambda/scale.
+
+    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) S_i give the
+    elementary symmetric functions e_k of the lambda.  They are rational
+    and algebraic integers, hence integers, so every division is exact.
+    The coefficient of z^(N-k) is (-1)^k e_k scale^(N-k).
+    """
+    n = len(sums) - 1
+    e = [1]
+    for k in range(1, n + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = e[k - i] * sums[i]
+            acc += term if i % 2 else -term
+        e.append(acc // k)
+    coeffs = []
+    power = 1
+    for j in range(n + 1):
+        coeffs.append(e[n - j] * power if (n - j) % 2 == 0 else -e[n - j] * power)
+        power *= scale
+    return Polynomial(coeffs)
+
+
 def ratio_set_poly(p: Polynomial, q: Polynomial) -> Polynomial:
     """Squarefree polynomial whose roots are exactly {a/b : p(a)=0, q(b)=0}.
 
-    Requires q(0) != 0 so every quotient is defined. Computed by eliminating
-    y from (q(y), p(x*y)); the result lives in x.
+    Requires q(0) != 0 so every quotient is defined.  With L = lc(p) and the
+    roots v = q(0)/b of q reversed scaled as in `_scaled_power_sums`, the
+    products L a * q(0)/b = A a/b, A = L q(0), have the power sums
+    s_k(u) s_k(v); `_from_power_sums` turns them into a polynomial with the
+    m n ratios as roots (with multiplicity), whose squarefree part is
+    returned.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("ratio set of the zero polynomial")
@@ -388,10 +498,26 @@ def ratio_set_poly(p: Polynomial, q: Polynomial) -> Polynomial:
         raise ValueError("q must not vanish at zero")
     if p.degree == 0 or q.degree == 0:
         return Polynomial.one()
-    # p(x*y) as a polynomial in y: coefficient of y^k is p_k * x^k.
-    pxy = [Polynomial((0,) * k + (c,)) for k, c in enumerate(p.coeffs)]
-    qy = [Polynomial.constant(c) for c in q.coeffs]
-    res = resultant_bivariate(qy, pxy)
-    if res.is_zero:
-        raise ValueError("degenerate ratio-set resultant")
-    return squarefree_part(res)
+    a = p.int_coeffs()
+    b = q.int_coeffs()[::-1]
+    count = p.degree * q.degree
+    sums = [x * y for x, y in zip(_scaled_power_sums(a, count), _scaled_power_sums(b, count))]
+    return squarefree_part(_from_power_sums(sums, a[-1] * b[-1]))
+
+
+def power_set_poly(p: Polynomial, n: int) -> Polynomial:
+    """Squarefree polynomial whose roots are exactly {a^n : p(a)=0}, n >= 1.
+
+    The n-th powers of u = L a have the power sums s_(kn)(u), so
+    `_from_power_sums` with scale L^n gives a polynomial with the m powers
+    a^n as roots (with multiplicity), whose squarefree part is returned.
+    """
+    if p.is_zero:
+        raise ValueError("power set of the zero polynomial")
+    if n < 1:
+        raise ValueError("power must be positive")
+    if p.degree == 0:
+        return Polynomial.one()
+    a = p.int_coeffs()
+    sums = _scaled_power_sums(a, p.degree * n)[::n]
+    return squarefree_part(_from_power_sums(sums, a[-1] ** n))

@@ -365,6 +365,26 @@ class TestOneRoot:
         assert calls == []
         assert alg_equals(a, canonical_root(F4))
 
+    def test_unit_root_isolated_once_per_order(self, monkeypatch):
+        # every negative point of order 3 multiplies by e^(i pi/3), the
+        # canonical root of z^3 + 1, which is isolated once
+        cube_unit = P(1, 0, 0, 1)
+        calls = []
+        real = algebraic.isolate_roots
+
+        def recording(p, *args, **kwargs):
+            calls.append(p)
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(algebraic, "_CACHE", algebraic._IsolationCache())
+        monkeypatch.setattr(algebraic, "_UNIT_ROOTS", {})
+        monkeypatch.setattr(algebraic, "isolate_roots", recording)
+        a = alg_nth_root(-2, 3)
+        b = alg_nth_root(-5, 3)
+        assert len([p for p in calls if p == cube_unit]) <= 1
+        assert is_root_of(a, P(2, 0, 0, 1)) and is_root_of(b, P(5, 0, 0, 1))
+        assert a.box.re > 0 and a.box.im > 0 and b.box.re > 0 and b.box.im > 0
+
     def test_div_contains_quotient(self):
         dps = 60
         with mpmath.workdps(dps):

@@ -4,12 +4,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from elindep import polynomials
 from elindep.polynomials import (
     Polynomial,
     is_squarefree,
     poly_gcd,
+    power_set_poly,
     ratio_set_poly,
     resultant,
+    resultant_bivariate,
     squarefree_part,
 )
 
@@ -120,6 +123,148 @@ class TestRatioSetPoly:
         assert is_squarefree(out)
         for ratio in (1, 2, Fraction(1, 2)):
             assert out(Fraction(ratio)) == 0
+
+
+def elimination_ratio_set(p, q):
+    """The ratio set by the Sylvester/Bareiss route: eliminate y from
+    (q(y), p(x*y))."""
+    pxy = [Polynomial((0,) * k + (c,)) for k, c in enumerate(p.coeffs)]
+    qy = [Polynomial.constant(c) for c in q.coeffs]
+    return squarefree_part(resultant_bivariate(qy, pxy))
+
+
+def elimination_power_set(p, n):
+    """The power set by the Sylvester/Bareiss route: eliminate y from
+    (p(y), z - y^n)."""
+    second = [Polynomial.x()] + [Polynomial.zero()] * (n - 1) + [Polynomial.constant(-1)]
+    first = [Polynomial.constant(c) for c in p.coeffs]
+    return squarefree_part(resultant_bivariate(first, second))
+
+
+def random_int_poly(rng, degree, bound, zero_root=False):
+    """Random integer polynomial of exact degree, non-monic in general, with
+    p(0) = 0 when zero_root and p(0) != 0 otherwise."""
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree)]
+    coeffs.append(rng.choice((-1, 1)) * rng.randint(1, bound))
+    coeffs[0] = 0 if zero_root else rng.choice((-1, 1)) * rng.randint(1, bound)
+    return Polynomial(coeffs)
+
+
+class TestPowerSums:
+    """`ratio_set_poly` and `power_set_poly` against the Sylvester/Bareiss
+    elimination they replace: the same monic polynomial."""
+
+    def test_ratio_set_quartic_pairs(self):
+        rng = random.Random(2006)
+        for _ in range(12):
+            p = random_int_poly(rng, 4, 30)
+            q = random_int_poly(rng, 4, 30)
+            assert ratio_set_poly(p, q) == elimination_ratio_set(p, q)
+
+    def test_ratio_set_of_a_polynomial_with_itself(self):
+        rng = random.Random(2007)
+        for degree in (1, 2, 3, 4):
+            p = random_int_poly(rng, degree, 30)
+            out = ratio_set_poly(p, p)
+            assert out == elimination_ratio_set(p, p)
+            assert out(1) == 0
+
+    def test_ratio_set_with_a_zero_root(self):
+        rng = random.Random(2008)
+        for _ in range(6):
+            p = random_int_poly(rng, rng.randint(1, 4), 30, zero_root=True)
+            q = random_int_poly(rng, rng.randint(1, 3), 30)
+            out = ratio_set_poly(p, q)
+            assert out == elimination_ratio_set(p, q)
+            assert out(0) == 0
+
+    def test_ratio_set_of_degree_one(self):
+        rng = random.Random(2009)
+        for _ in range(6):
+            p = random_int_poly(rng, 1, 50)
+            q = random_int_poly(rng, rng.randint(1, 4), 50)
+            assert ratio_set_poly(p, q) == elimination_ratio_set(p, q)
+            assert ratio_set_poly(q, p) == elimination_ratio_set(q, p)
+
+    def test_ratio_set_with_large_rational_coefficients(self):
+        rng = random.Random(2010)
+        for _ in range(4):
+            p = random_int_poly(rng, 3, 10**6) * Fraction(rng.randint(1, 99), rng.randint(1, 99))
+            q = random_int_poly(rng, 3, 10**6) * Fraction(-1, rng.randint(1, 99))
+            assert ratio_set_poly(p, q) == elimination_ratio_set(p, q)
+
+    def test_power_set(self):
+        rng = random.Random(2011)
+        for n in (2, 3, 5):
+            for degree in (1, 2, 4):
+                for zero_root in (False, True):
+                    bound = 10**6 if degree == 2 else 30
+                    p = random_int_poly(rng, degree, bound, zero_root)
+                    assert power_set_poly(p, n) == elimination_power_set(p, n)
+
+    def test_alg_pow_takes_the_power_set(self):
+        from elindep.algebraic import alg_pow, canonical_root
+
+        p = P(5, 1, 0, 1, 1)
+        a = canonical_root(p)
+        for n in (2, 3, 5):
+            assert alg_pow(a, n).poly == elimination_power_set(p, n).primitive_int()
+
+    def test_power_set_collapses_repeated_powers(self):
+        # roots +-1, +-i: every fourth power is 1
+        p = P(-1, 0, 0, 0, 1)
+        assert power_set_poly(p, 4) == P(-1, 1)
+        assert power_set_poly(p, 2) == elimination_power_set(p, 2) == P(-1, 1) * P(1, 1)
+
+
+PRIME = polynomials._SCREEN_PRIME
+
+
+class TestSquarefreeScreen:
+    """The mod-P screen in `squarefree_part` and `is_squarefree` must give
+    the answers of the rational gcd whether or not it decides."""
+
+    def test_double_root_mod_the_prime_falls_back(self):
+        # z (z - P) is squarefree over Q but z^2 mod P
+        p = P(0, -PRIME, 1) * 3
+        assert not polynomials._screened_squarefree(p)
+        assert squarefree_part(p) == p.monic()
+        assert is_squarefree(p)
+
+    def test_leading_coefficient_divisible_by_the_prime_falls_back(self):
+        # (P z + 1)^2 (z + 1) reduces to z + 1 mod P, coprime to its
+        # derivative: only the degree check keeps the screen from calling
+        # it squarefree
+        p = P(1, PRIME) ** 2 * P(1, 1)
+        assert not polynomials._screened_squarefree(p)
+        assert squarefree_part(p) == (P(1, PRIME) * P(1, 1)).monic()
+        assert not is_squarefree(p)
+        q = P(1, 1, PRIME)
+        assert not polynomials._screened_squarefree(q)
+        assert squarefree_part(q) == q.monic()
+
+    def test_repeated_root(self):
+        p = P(-1, 1) ** 2 * P(2, 1)
+        assert not polynomials._screened_squarefree(p)
+        assert squarefree_part(p) == P(-1, 1) * P(2, 1)
+
+    def test_agrees_with_the_rational_gcd(self):
+        rng = random.Random(2061)
+        screened = 0
+        for _ in range(60):
+            factors = [random_polynomial(rng, 3) for _ in range(rng.randint(1, 3))]
+            p = Polynomial.one()
+            for f in factors:
+                p = p * f
+            if rng.random() < 0.5:
+                p = p * factors[0]
+            if p.degree < 1:
+                continue
+            g = poly_gcd(p, p.derivative())
+            assert is_squarefree(p) == (g.degree == 0)
+            assert squarefree_part(p) == p.exact_div(g).monic()
+            screened += polynomials._screened_squarefree(p)
+        assert screened > 10
 
 
 def test_content_and_primitive():
