@@ -2,13 +2,22 @@
 
 An algebraic number is a squarefree integer polynomial together with a
 certified isolating disc (a `Ball`).  Every certificate rests on one
-exact-rational Krawczyk test:
+Krawczyk test, run in integers on a binary grid with outward rounding
+(`_krawczyk_step`):
 
-  * For a disc B with midpoint m and any nonzero Y, the Krawczyk disc
-    K = m - Y p(m) + (1 - Y p'(B)) (B - m) strictly inside B proves that B
-    holds exactly one root of p, and that the root lies in K: the map
-    z -> z - Y p(z) sends the convex set B into K (Brouwer gives a root),
-    and |1 - Y p'| < 1 on B makes it a contraction (uniqueness).
+  * Take any m in the disc B (its centre floored to the grid) and any
+    nonzero Y (a Gaussian-integer mantissa near 1/p'(m) with its own
+    binary exponent).  For z in B, z - Y p(z) = m - Y p(m) + (1 - Y a)
+    (z - m), where a is the mean of p' over the segment [m, z], which lies
+    in the convex B.  A ball Horner of p' over B, rounded outward, bounds
+    every such |1 - Y a| by M, and |z - m| <= rho = rad(B) + 2 grid units.
+    So z -> z - Y p(z) maps B into the disc K about m - Y p(m) of radius
+    M rho, both rounded outward.  K strictly inside B proves that B holds
+    exactly one root of p, and that it lies in K: Brouwer's theorem gives
+    a root, and the radius of K, at least M rad(B) yet below rad(B),
+    forces M < 1, which makes z -> z - Y p(z) a contraction on B
+    (uniqueness).  p(m) and p'(m) are exact, and the containment is
+    decided exactly against the caller's disc.
 
 Decisions about one known value prove only that value's root:
 
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Iterable
 
 import mpmath
@@ -104,28 +114,144 @@ def _mpf_to_fraction(x) -> Fraction:
     return -frac if sign else frac
 
 
-def _krawczyk_step(p: Polynomial, dp: Polynomial, ball: Ball, bits: int) -> Ball | None:
-    """One Krawczyk contraction test on the disc `ball`.
+# bits by which the Krawczyk step's grid is finer than both its target grid
+# and the radius of the disc it tests
+_GUARD_BITS = 32
 
+
+def _krawczyk_coeffs(p: Polynomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coefficients of an integer polynomial p and of p' as ints,
+    constant term first: the form the Krawczyk step takes."""
+    cs = tuple(c.numerator for c in p.coeffs)
+    return cs, tuple(i * c for i, c in enumerate(cs) if i)
+
+
+def _gauss_horner(cs: tuple[int, ...], xr: int, xi: int, s: int) -> tuple[int, int]:
+    """p(x) 2^(s deg p) exactly, as (re, im), for x = (xr + i xi) 2^-s and
+    p with integer coefficients cs."""
+    re, im, shift = cs[-1], 0, 0
+    for c in reversed(cs[:-1]):
+        shift += s
+        re, im = re * xr - im * xi + (c << shift), re * xi + im * xr
+    return re, im
+
+
+def _ball_horner(cs: tuple[int, ...], xr: int, xi: int, xrad: int, s: int) -> tuple[int, int, int]:
+    """A disc (re, im, rad) in units of 2^-s holding p(z) for every z in
+    the disc of radius xrad about xr + i xi (same units).
+
+    Each product floors its midpoint, an error below sqrt(2) units, so its
+    radius is rounded up and grows by 2 units.
+    """
+    xabs = isqrt(xr * xr + xi * xi) + 1
+    re, im, rad = cs[-1] << s, 0, 0
+    for c in reversed(cs[:-1]):
+        # |uv - ax| <= |a| xrad + |x| rad + rad xrad for u, v within rad, xrad
+        aabs = isqrt(re * re + im * im) + 1
+        rad = -(-(aabs * xrad + rad * (xabs + xrad)) >> s) + 2
+        re, im = ((re * xr - im * xi) >> s) + (c << s), (re * xi + im * xr) >> s
+    return re, im, rad
+
+
+def _grid_inside(ball: Ball, re: int, im: int, rad: int, s: int) -> bool:
+    """Whether the disc of radius rad about re + i im, in units of 2^-s,
+    lies in the open disc `ball`; decided exactly in integers."""
+    a, al = ball.re.numerator, ball.re.denominator
+    b, be = ball.im.numerator, ball.im.denominator
+    r, ga = ball.rad.numerator, ball.rad.denominator
+    gap = (r << s) - rad * ga
+    if gap <= 0:
+        return False
+    # (dx/al)^2 + (dy/be)^2 < (gap/ga)^2, all over 2^s, times (al be ga)^2
+    dx = ((a << s) - re * al) * be
+    dy = ((b << s) - im * be) * al
+    return (dx * dx + dy * dy) * ga * ga < (gap * al * be) ** 2
+
+
+def _grid_ball(re: int, im: int, rad: int, s: int) -> Ball:
+    unit = 1 << s
+    return Ball(Fraction(re, unit), Fraction(im, unit), Fraction(rad, unit))
+
+
+def _krawczyk_step(
+    p: tuple[int, ...], dp: tuple[int, ...], ball: Ball, bits: int
+) -> Ball | None:
+    """One Krawczyk contraction test of p on the disc `ball`, in integers.
+
+    p and dp are the integer coefficients of p and p' (`_krawczyk_coeffs`).
     Returns a disc inside `ball` that holds the one root of p in `ball`
     (its midpoint on the 2^-bits grid when that stays inside), or None if
     the test fails.
+
+    Everything runs on the grid 2^-s, s = max(bits, b) + _GUARD_BITS for
+    the radius 2^-b <= rad(B), with every rounding outward:
+
+      * m is the centre of B floored to the grid, so B - m lies in the
+        disc (0, rho) with rho = rad(B) + 2 units, and so does z - m for
+        every z in the disc (m, rho), which holds B and is convex.
+      * p(m) and p'(m) are exact (Horner over Gaussian integers).  Y ~
+        1/p'(m) is a Gaussian-integer mantissa of about s bits with its
+        own binary exponent; any nonzero Y serves.
+      * p'(z) for z in the disc (m, rho) lies in a disc (P, r) from a ball
+        Horner on the grid, so max |1 - Y p'| <= |1 - Y P| + |Y| r =: M.
+      * K = disc(m - Y p(m), M rho + 2 units), m - Y p(m) floored.
+
+    Mean-value inclusion: for z in B, N(z) = z - Y p(z) equals
+    N(m) + (1 - Y a)(z - m), with a the mean of p' over the segment
+    [m, z], which lies in the disc (P, r) because the segment lies in the
+    convex disc (m, rho).  So N maps B into K.  If K lies in the open disc
+    B, Brouwer's theorem gives a fixed point of N in B, a root of p (Y is
+    nonzero), and it lies in K.  The radius of K is at least M rho >
+    M rad(B), and it is below rad(B), so M < 1: two roots z1, z2 of p in B
+    would give z1 - z2 = N(z1) - N(z2) = (1 - Y a)(z1 - z2) with
+    |1 - Y a| <= M < 1, so the root is unique.  The containment is decided
+    exactly against the caller's disc.
     """
-    m = Ball(ball.re, ball.im)
-    dpm = dp(m)
-    if dpm.contains_zero():
+    if not ball.rad:
         return None
-    y = dpm.recip()
-    k = m - y * p(m) + (1 - y * dp(ball)) * (ball - m)
-    if not ball.contains_interior(k):
+    s = max(bits, _radius_bits(ball.rad)) + _GUARD_BITS
+    mr = (ball.re.numerator << s) // ball.re.denominator
+    mi = (ball.im.numerator << s) // ball.im.denominator
+    rho = -(-(ball.rad.numerator << s) // ball.rad.denominator) + 2
+    n = len(p) - 1
+    # p'(m) = (dr + i di) 2^-(s(n-1)); Y = (yr + i yi) 2^-(k - s(n-1))
+    dr, di = _gauss_horner(dp, mr, mi, s)
+    norm = dr * dr + di * di
+    if not norm:
         return None
-    rounded = k.rounded(bits)
-    return rounded if ball.contains_interior(rounded) else k
+    k = s + (norm.bit_length() + 1) // 2
+    yr, yi = (dr << k) // norm, (-di << k) // norm
+    # p(m) = (pr + i pi) 2^-(sn), so Y p(m) = (yr + i yi)(pr + i pi) 2^-k units
+    pr, pi = _gauss_horner(p, mr, mi, s)
+    kr = mr - ((yr * pr - yi * pi) >> k)
+    ki = mi - ((yr * pi + yi * pr) >> k)
+    # 1 - Y P = (2^u - (yr + i yi)(br + i bi)) 2^-u with u = k - s(n-2),
+    # and |Y| r = |yr + i yi| brad 2^-u; a negative u is lifted to 0
+    br, bi, brad = _ball_horner(dp, mr, mi, rho, s)
+    u = k - s * (n - 2)
+    lift = max(0, -u)
+    u += lift
+    er = (1 << u) - ((yr * br - yi * bi) << lift)
+    ei = -((yr * bi + yi * br) << lift)
+    yabs = isqrt(yr * yr + yi * yi) + 1
+    spread = (isqrt(er * er + ei * ei) + 1 + (yabs * brad << lift)) * rho
+    krad = -(-spread >> u) + 2
+    if not _grid_inside(ball, kr, ki, krad, s):
+        return None
+    # round to the 2^-bits grid: the midpoint moves by at most its L1 shift
+    shift = s - bits
+    half = 1 << (shift - 1)
+    qr, qi = (kr + half) >> shift, (ki + half) >> shift
+    moved = abs(kr - (qr << shift)) + abs(ki - (qi << shift))
+    qrad = -(-(krad + moved) >> shift)
+    if _grid_inside(ball, qr, qi, qrad, bits):
+        return _grid_ball(qr, qi, qrad, bits)
+    return _grid_ball(kr, ki, krad, s)
 
 
 def _refine_certified(
-    p: Polynomial,
-    dp: Polynomial,
+    p: tuple[int, ...],
+    dp: tuple[int, ...],
     ball: Ball,
     target_radius: Fraction,
 ) -> Ball | None:
@@ -173,15 +299,12 @@ class _IsolationCache:
 _CACHE = _IsolationCache()
 
 
-def _propose_roots(p: Polynomial, bits: int):
+def _propose_roots(p: tuple[int, ...], bits: int):
     """Untrusted root approximations at about `bits` bits of precision."""
-    dps = max(30, int(bits * 0.302) + 10 + 2 * p.degree)
+    dps = max(30, int(bits * 0.302) + 10 + 2 * (len(p) - 1))
     # coefficients and roots must both live at the working precision
     with mpmath.workdps(dps):
-        coeffs = [
-            mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            for c in reversed(p.coeffs)
-        ]
+        coeffs = [mpmath.mpf(c) for c in reversed(p)]
         try:
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps * 4)
         except (mpmath.libmp.NoConvergence, ZeroDivisionError):
@@ -209,14 +332,14 @@ def isolate_roots(
     if p.degree <= 0:
         return []
     target = Fraction(1, 1 << precision_bits)
-    dp = p.derivative()
+    pc, dpc = _krawczyk_coeffs(p)
 
     cached = _CACHE.get(p)
     if cached is not None:
         bits, balls = cached
         if bits >= precision_bits:
             return list(balls)
-        refined = _refine_balls(p, dp, balls, target, ctx)
+        refined = _refine_balls(pc, dpc, balls, target, ctx)
         if refined is not None:
             _CACHE.put(p, precision_bits, tuple(refined))
             return refined
@@ -227,7 +350,7 @@ def isolate_roots(
         return list(balls)
 
     for bits in ctx.ladder():
-        balls = _isolate_at(p, dp, target, bits)
+        balls = _isolate_at(pc, dpc, target, bits)
         if balls is not None:
             _CACHE.put(p, precision_bits, tuple(balls))
             return balls
@@ -242,7 +365,7 @@ def _isolate_at(p, dp, target, bits):
     lies between the proposals' error and their separation.
     """
     proposals = _propose_roots(p, bits)
-    n = p.degree
+    n = len(p) - 1
     if proposals is None or len(proposals) != n:
         return None
     sep = min(abs(a - b) for i, a in enumerate(proposals) for b in proposals[i + 1:])
@@ -304,14 +427,13 @@ def refine_root_box(
     ctx: Precision = DEFAULT_PRECISION,
 ) -> Ball:
     """Refine a certified isolating disc of p below 2^-precision_bits."""
-    p = p.primitive_int()
     target = Fraction(1, 1 << precision_bits)
     if box.rad <= target:
         return box
-    dp = p.derivative()
-    tight = _refine_certified(p, dp, box, target)
+    pc, dpc = _krawczyk_coeffs(p.primitive_int())
+    tight = _refine_certified(pc, dpc, box, target)
     if tight is None:
-        tight = _reisolate_inside(p, dp, box, target, ctx)
+        tight = _reisolate_inside(pc, dpc, box, target, ctx)
     if tight is None:
         raise ctx.exhausted("box refinement")
     return tight
@@ -401,14 +523,14 @@ class AlgebraicNumber:
                 return True
             return None
 
-        dp = poly.derivative()
+        pc, dpc = _krawczyk_coeffs(poly)
         half_re, half_im = (re_hi - re_lo) / 2, (im_hi - im_lo) / 2
         disc = Ball(re_lo + half_re, im_lo + half_im,
                     _sqrt_upper(half_re * half_re + half_im * half_im))
-        one = _krawczyk_step(poly, dp, disc, _radius_bits(disc.rad) + 32)
+        one = _krawczyk_step(pc, dpc, disc, _radius_bits(disc.rad) + 32)
         for bits in ctx.ladder():
             if one is not None:
-                one = _refine_certified(poly, dp, one, Fraction(1, 1 << bits))
+                one = _refine_certified(pc, dpc, one, Fraction(1, 1 << bits))
             discs = [one] if one is not None else isolate_roots(poly, bits, ctx)
             verdicts = [holds(b) for b in discs]
             held = [b for b, v in zip(discs, verdicts) if v]
@@ -439,11 +561,11 @@ class AlgebraicNumber:
         poly = poly.primitive_int()
         if poly.degree == 1:
             return cls.from_rational(-Fraction(poly[0], poly[1]))
-        dp = poly.derivative()
+        pc, dpc = _krawczyk_coeffs(poly)
         for bits in ctx.ladder():
             e = shrink(bits)
             wide = Ball(e.re, e.im, 2 * e.rad)
-            cert = _krawczyk_step(poly, dp, wide, _radius_bits(wide.rad) + 32)
+            cert = _krawczyk_step(pc, dpc, wide, _radius_bits(wide.rad) + 32)
             if cert is not None:
                 return cls(poly, cert)
         raise ctx.exhausted("root selection from enclosure")
@@ -503,8 +625,7 @@ def alg_equals(
         return True
     # a and b are both roots of b.poly: equal once one disc holding both
     # holds only one root of it, different once their discs part
-    p = b.poly.primitive_int()
-    dp = p.derivative()
+    pc, dpc = _krawczyk_coeffs(b.poly.primitive_int())
     for bits in ctx.ladder():
         ab = refine_root_box(a.poly, a.box, bits, ctx)
         bb = refine_root_box(b.poly, b.box, bits, ctx)
@@ -512,7 +633,7 @@ def alg_equals(
             return False
         # the discs overlap, so this one covers both
         both = Ball(bb.re, bb.im, 2 * (ab.rad + bb.rad))
-        if _krawczyk_step(p, dp, both, bits) is not None:
+        if _krawczyk_step(pc, dpc, both, bits) is not None:
             return True
     raise ctx.exhausted("equality")
 

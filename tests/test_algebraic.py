@@ -7,6 +7,8 @@ from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from elindep import algebraic
 from elindep.algebraic import (
@@ -24,7 +26,7 @@ from elindep.algebraic import (
 )
 from elindep.balls import Ball
 from elindep.errors import PrecisionExceededError
-from elindep.polynomials import Polynomial
+from elindep.polynomials import Polynomial, ratio_set_poly, squarefree_part
 
 def P(*coeffs):
     return Polynomial(coeffs)
@@ -134,6 +136,186 @@ class TestIsolation:
         assert len(boxes) == 16
         for x, y in mp_roots(p):
             assert len([b for b in boxes if near_box(b, x, y)]) == 1
+
+
+def exact_step(p, ball, bits):
+    """The Krawczyk step in exact rational ball arithmetic: the reference
+    the integer step must agree with."""
+    dp = p.derivative()
+    m = Ball(ball.re, ball.im)
+    dpm = dp(m) + Ball.point(0)  # a Ball even when p' is constant
+    if dpm.contains_zero():
+        return None
+    y = dpm.recip()
+    k = m - y * p(m) + (1 - y * (dp(ball) + Ball.point(0))) * (ball - m)
+    if not ball.contains_interior(k):
+        return None
+    rounded = k.rounded(bits)
+    return rounded if ball.contains_interior(rounded) else k
+
+
+def int_step(p, ball, bits):
+    return algebraic._krawczyk_step(*algebraic._krawczyk_coeffs(p), ball, bits)
+
+
+def roots60(p):
+    """The roots of p as mpmath complex numbers at 60 digits."""
+    with mpmath.workdps(60):
+        coeffs = [int(c) for c in reversed(p.coeffs)]
+        return [mpmath.mpc(r) for r in mpmath.polyroots(coeffs, maxsteps=500, extraprec=600)]
+
+
+def roots_inside(ball, roots):
+    """How many of the roots lie in the closed disc, to 50 digits."""
+    with mpmath.workdps(60):
+        re, im = mpmath.mpf(ball.re.numerator) / ball.re.denominator, \
+            mpmath.mpf(ball.im.numerator) / ball.im.denominator
+        rad = mpmath.mpf(ball.rad.numerator) / ball.rad.denominator + mpmath.mpf(10) ** -50
+        return sum(abs(r - mpmath.mpc(re, im)) <= rad for r in roots)
+
+
+def rational_near(x, digits):
+    """A decimal fraction within 10^-digits of the mpmath real x."""
+    with mpmath.workdps(60):
+        return Fraction(int(mpmath.nint(x * 10**digits)), 10**digits)
+
+
+STEP_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# squarefree primitive integer polynomials of degree 1 to 6
+INT_POLY = (
+    st.lists(st.integers(-12, 12), min_size=2, max_size=7)
+    .map(lambda cs: squarefree_part(Polynomial(cs)).primitive_int() if any(cs) else Polynomial(()))
+    .filter(lambda p: p.degree >= 1)
+)
+
+
+class TestKrawczykStep:
+    """The integer step against exact rational arithmetic and mpmath."""
+
+    @STEP_PROPERTY
+    @given(INT_POLY, st.integers(0, 5), st.integers(4, 40), st.integers(-16, 16),
+           st.integers(-16, 16), st.integers(0, 16), st.sampled_from([32, 64, 96]))
+    def test_agrees_with_exact_step(self, p, which, scale, dx, dy, digits, bits):
+        roots = roots60(p)
+        z = roots[which % len(roots)]
+        rad = Fraction(3, 2 ** (scale + 1))
+        # a decimal centre up to 1.5 radii from the root: the step must
+        # certify from some discs and fail on others
+        centre = Ball(rational_near(z.real, digits), rational_near(z.imag, digits))
+        ball = Ball(centre.re + rad * Fraction(dx, 16), centre.im + rad * Fraction(dy, 16), rad)
+        got, ref = int_step(p, ball, bits), exact_step(p, ball, bits)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert ball.contains_interior(got)
+            assert roots_inside(got, roots) == 1
+            assert got.overlaps(ref)
+
+    @STEP_PROPERTY
+    @given(INT_POLY, st.integers(0, 5), st.integers(1, 5), st.integers(0, 20))
+    def test_fails_on_two_roots(self, p, i, j, digits):
+        roots = roots60(p)
+        assume(len(roots) >= 2)
+        a, b = roots[i % len(roots)], roots[(i + j) % len(roots)]
+        assume(a != b)
+        with mpmath.workdps(60):
+            mid = (a + b) / 2
+            half = Fraction(mpmath.nstr(abs(a - b) / 2, 20))
+        ball = Ball(rational_near(mid.real, digits), rational_near(mid.imag, digits),
+                    half * Fraction(11, 10) + Fraction(2, 10**digits))
+        assert roots_inside(ball, roots) >= 2
+        assert int_step(p, ball, 64) is None
+
+    @STEP_PROPERTY
+    @given(INT_POLY, st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 8))
+    def test_fails_on_no_root(self, p, x, y, den):
+        roots = roots60(p)
+        with mpmath.workdps(60):
+            centre = mpmath.mpc(mpmath.mpf(x) / den, mpmath.mpf(y) / den)
+            gap = min(abs(r - centre) for r in roots)
+        assume(gap > 10**-12)
+        ball = Ball(Fraction(x, den), Fraction(y, den), Fraction(mpmath.nstr(gap, 15)) / 2)
+        assert roots_inside(ball, roots) == 0
+        assert int_step(p, ball, 64) is None
+
+    def test_derivative_far_above_the_grid(self):
+        # |p'| about 2^300 at roots near +-sqrt(2), far above 2^s for the
+        # step's grid 2^-s (s about 100): a Y on that grid would round to 0
+        big = 2**300
+        wide = P(-(2 * big + 1), 0, big + 3)
+        # the degree-16 ratio set of two bench quartics
+        ratio = squarefree_part(ratio_set_poly(P(-2, 0, 0, 0, 1), F5)).primitive_int()
+        assert ratio.degree == 16
+        for p in (wide, ratio):
+            roots = roots60(p)
+            for d in isolate_roots(p, 64):
+                assert roots_inside(d, roots) == 1
+                for rad in (Fraction(1, 2**12), Fraction(1, 2**40)):
+                    ball = Ball(d.re, d.im, rad)
+                    got, ref = int_step(p, ball, 64), exact_step(p, ball, 64)
+                    assert got is not None and ref is not None and got.overlaps(ref)
+                    assert roots_inside(got, roots) == 1
+
+    def test_tiny_derivative(self):
+        # z^4 - 2(100z - 1)^2 has two roots about 1.4e-6 apart near 1/100,
+        # where |p'| is about 0.03
+        p = P(-2, 400, -20000, 0, 1)
+        roots = roots60(p)
+        close = sorted((r for r in roots if abs(r) < 1), key=lambda r: r.real)
+        with mpmath.workdps(60):
+            sep = abs(close[1] - close[0])
+        assert 1.3e-6 < sep < 1.5e-6
+        boxes = isolate_roots(p, 64)
+        assert len(boxes) == 4 and all(roots_inside(b, roots) == 1 for b in boxes)
+        for r in close:
+            for den in (8, 64, 512):
+                ball = Ball(rational_near(r.real, 12), Fraction(0), Fraction(mpmath.nstr(sep, 20)) / den)
+                got, ref = int_step(p, ball, 64), exact_step(p, ball, 64)
+                assert (got is None) == (ref is None)
+                if den >= 64:
+                    assert got is not None and roots_inside(got, roots) == 1
+        both = Ball(Fraction(1, 100), Fraction(0), Fraction(1, 10**5))
+        assert roots_inside(both, roots) == 2
+        assert int_step(p, both, 64) is None
+
+    def test_decimal_rectangle_centre(self):
+        # the disc circumscribing a decimal rectangle has a centre off every
+        # dyadic grid; the step floors it and still certifies
+        for p, box in ((P(-2, 0, 1), ("1.41", "1.42", "0", "0")),
+                       (P(1, 1, 1), ("-0.52", "-0.49", "0.86", "0.87"))):
+            lo, hi, ilo, ihi = map(Fraction, box)
+            half_re, half_im = (hi - lo) / 2, (ihi - ilo) / 2
+            disc = Ball(lo + half_re, ilo + half_im,
+                        algebraic._sqrt_upper(half_re**2 + half_im**2))
+            assert disc.re.denominator % 5 == 0
+            bits = algebraic._radius_bits(disc.rad) + 32
+            got, ref = int_step(p, disc, bits), exact_step(p, disc, bits)
+            assert got is not None and ref is not None and got.overlaps(ref)
+            assert roots_inside(got, roots60(p)) == 1
+            a = AlgebraicNumber.root_in_box(p, lo, hi, ilo, ihi)
+            assert disc.contains_interior(a.box)
+
+    def test_covering_disc_keeps_the_unrounded_disc(self):
+        # alg_equals' disc covering two discs of radius <= 2^-bits is too
+        # small for a disc on the 2^-bits grid: the step returns K itself
+        p = P(-2, 0, 1)
+        a = alg_nth_root(2, 2)
+        b = AlgebraicNumber.root_in_box(p * P(-3, 0, 1), 1, Fraction(3, 2), 0, 0)
+        for bits in (64, 128, 256):
+            ab = refine_root_box(a.poly, a.box, bits)
+            bb = refine_root_box(b.poly, b.box, bits)
+            both = Ball(bb.re, bb.im, 2 * (ab.rad + bb.rad))
+            got, ref = int_step(p, both, bits), exact_step(p, both, bits)
+            assert got is not None and ref is not None and got.overlaps(ref)
+            assert both.contains_interior(got) and got.rad < Fraction(1, 2**bits)
+            assert roots_inside(got, roots60(p)) == 1
+            assert alg_equals(a, b)
+
+    def test_linear_polynomial(self):
+        # p' is a constant: the step is Newton's exact step
+        a = AlgebraicNumber.root_in_box(P(-1, 2), 0, 1, 0, 0)
+        assert a.as_rational() == Fraction(1, 2)
+        assert int_step(P(-1, 2), Ball(Fraction(1, 3), rad=Fraction(1, 4)), 64) is not None
+        assert int_step(P(-1, 2), Ball(Fraction(1, 3), rad=Fraction(1, 7)), 64) is None
 
 
 class TestAlgebraicNumber:

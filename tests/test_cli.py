@@ -437,6 +437,15 @@ class TestExitCodes:
         assert err.startswith("input error: point")
         assert "several roots" in err
 
+    def test_point_box_of_a_linear_polynomial(self, tmp_path, capsys):
+        # the root 1/2 of 2z - 1: its derivative is a constant
+        box = {"re": ["0", "1"], "im": ["0", "0"]}
+        doc = dict(CERTIFY_EXP, points=[{"poly": [-1, 2], "box": box}, "1"])
+        code = main(["certify", "--spec", write_spec(tmp_path, doc), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["certificate"]["verdict"] == "CertifiedIndependent"
+
     def test_point_box_obeys_precision_cap(self, tmp_path, capsys, monkeypatch):
         seen = []
         real = AlgebraicNumber.root_in_box
