@@ -44,9 +44,11 @@ Constructors prove only the root they keep:
     rectangle or misses it (a real-centred disc holds a real root, so only
     its real extent counts).
 
-Full isolation of every root serves only `canonical_root` (for z^k + 1 once
-per k) and the fallbacks of `root_in_box` and `refine_root_box`.  There a
-numeric proposer (mpmath.polyroots) suggests discs; it never enters the
+Full isolation of every root serves `canonical_root` (for z^k + 1 once
+per k), the fallbacks of `root_in_box` and `refine_root_box`, and
+`efunction._singular_seed_length`, which needs every nonnegative integer
+root of a closure operator's leading recurrence band.  There a numeric
+proposer (mpmath.polyroots) suggests discs; it never enters the
 soundness argument: the Krawczyk test certifies each disc, and pairwise
 disjointness plus disc count == degree proves every root was captured.
 

@@ -6,7 +6,6 @@ growth metadata:
 
   * coeff_bound C: a proven bound |a_n| <= C^n for all n >= 1 (None when
     only heuristic growth information is available),
-  * support_modulus m: a_n = 0 unless m divides n,
   * values_transcendental: f(x) is transcendental for every nonzero
     algebraic x (set only for functions where this is classical).
 
@@ -14,6 +13,29 @@ Coefficients are generated from the recurrence induced by the annihilator;
 indices where the recurrence degenerates must be covered by the supplied
 initial coefficients, and supplied coefficients are checked against every
 recurrence row they determine.
+
+Each series carries one integer recurrence, built once here, and one
+engine, `_RecurrenceSum`, runs it by binary splitting (Chudnovsky &
+Chudnovsky 1988; van der Hoeven, "Fast evaluation of holonomic
+functions", TCS 210, 1999).  Past its first terms a sequence u_n obeys
+
+    den(t) u_m = row_1(t) u_{m-1} + ... + row_r(t) u_{m-r},   t = m - offset,
+
+with integer polynomials den and row_d.  An EFunction's annihilator gives
+sum_j P_j(t) c_{t+j} = 0 on its Taylor coefficients c_n; with the band
+denominators cleared once, den = P_jmax and row_d = -P_{jmax-d},
+r = jmax - jmin, offset jmax.  A hypergeometric series has r = 1 and its
+term ratio t_{n+1}/t_n as row_1 / den (`HypergeometricParams.ratio_rows`).
+The sum of u_n x^n at x = p/q runs the same recurrence with row_d times
+p^d q^(r-d), and the coefficients are the terms of the sum at x = 1, one
+Fraction each.
+
+The engine's state at index m is (u_{m-r}, ..., u_{m-1}, S_m),
+S_m = u_0 + ... + u_{m-1}, as integers over one common denominator.  The
+product of the steps over [lo, hi) is formed by recursive halving, so
+integers grow in balanced products, not one term at a time, and the only
+gcd is taken when the partial sum becomes a Fraction; a term-by-term sum
+takes one on numbers of the same size at every term.
 
 Closure operations build their operator exactly, so it is proven to
 annihilate the result: a rational scale rescales the operator, p f is
@@ -26,7 +48,9 @@ offered.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,11 +61,123 @@ from .errors import InputError, UnsupportedOperationError
 from .polynomials import Polynomial, squarefree_part
 
 
+def _horner(coeffs: list[int], t: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _dot(xs, ys) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+class _RecurrenceSum:
+    """Exact partial sums S_m = u_0 + ... + u_{m-1} of a recurrent sequence.
+
+    The first terms are given (`terms`, Fractions); past them
+
+        den(t) u_m = row_1(t) u_{m-1} + ... + row_r(t) u_{m-r},
+        t = m - offset,
+
+    with `rows` = [den, row_1, ..., row_r] integer coefficient lists
+    (ascending).  The state at index m is (u_{m-r}, ..., u_{m-1}, S_m)
+    held as integers over one common denominator, terms before index 0
+    being 0.  advance() moves it on by one binary-splitting product, so
+    successive calls continue the sum and never restart it.  term() reads
+    the terms themselves, appending each new one to `terms`.
+    """
+
+    def __init__(self, terms: list[Fraction], rows: list[list[int]],
+                 offset: int, name: str):
+        self._terms = terms
+        self._rows = rows
+        self._offset = offset
+        self.name = name
+        self.m = 0
+        self._v = [0] * (len(rows) - 1)
+        self._s = 0
+        self._den = 1
+
+    def advance(self, hi: int):
+        """Move the state to index hi (no-op when hi <= m)."""
+        while self.m < min(hi, len(self._terms)):
+            self._push(self._terms[self.m])
+        if self.m >= hi:
+            return
+        a, b, q = self._product(self.m, hi)
+        v = self._v
+        self._v = [_dot(row, v) for row in a]
+        self._s = _dot(b, v) + q * self._s
+        self._den *= q
+        self.m = hi
+
+    def value(self) -> Fraction:
+        """S_m: the one division of the sum."""
+        return Fraction(self._s, self._den)
+
+    def next_term(self) -> tuple[int, int]:
+        """u_m as (numerator, denominator), m past the given terms."""
+        _, last, q = self._leaf(self.m)
+        return _dot(last, self._v), q * self._den
+
+    def term(self, n: int) -> Fraction:
+        """u_n, for a sum that is only read through this method: each
+        missing term is read off the state and appended to the given
+        terms, which the state then takes in as it does the seeds."""
+        terms = self._terms
+        while len(terms) <= n:
+            self.advance(len(terms))
+            num, den = self.next_term()
+            terms.append(Fraction(num, den))
+        return terms[n]
+
+    def _push(self, u: Fraction):
+        den = math.lcm(self._den, u.denominator)
+        k = den // self._den
+        w = u.numerator * (den // u.denominator)
+        self._v = ([x * k for x in self._v] + [w])[1:]
+        self._s = self._s * k + w
+        self._den = den
+        self.m += 1
+
+    def _leaf(self, m: int):
+        """Step matrix of index m as (A, b, q): the state (u, S) maps to
+        (A u, b.u + q S) / q."""
+        t = m - self._offset
+        q = _horner(self._rows[0], t) if t >= 0 else 0
+        if q == 0:
+            raise UnsupportedOperationError(
+                f"series coefficient {m} of {self.name} is not determined "
+                "by the recurrence; supply it as an initial coefficient"
+            )
+        r = len(self._rows) - 1
+        # column i of the state holds u_{m-r+i}, so row_d sits in column r-d
+        last = [_horner(row, t) for row in reversed(self._rows[1:])]
+        shift = [[q if j == i + 1 else 0 for j in range(r)] for i in range(r - 1)]
+        return (shift + [last] if r else []), last, q
+
+    def _product(self, lo: int, hi: int):
+        """The steps of [lo, hi) in one (A, b, q), by recursive halving."""
+        if hi - lo == 1:
+            return self._leaf(lo)
+        mid = (lo + hi) // 2
+        a1, b1, q1 = self._product(lo, mid)
+        a2, b2, q2 = self._product(mid, hi)
+        cols = list(zip(*a1))
+        a = [[_dot(row, col) for col in cols] for row in a2]
+        b = [_dot(b2, col) + q2 * y for col, y in zip(cols, b1)]
+        return a, b, q2 * q1
+
+
 class EFunction:
     """Solution of an ODE with polynomial coefficients, given by series data.
 
     initial_coeffs are a_0, a_1, ... (at least as many as the operator
-    order; more when the recurrence has degenerate indices).
+    order; more when the recurrence has degenerate indices).  `rows` is
+    the integer recurrence [den, row_1, ..., row_r] of the Taylor
+    coefficients c_n = a_n / n!, with offset `recurrence.max_shift`
+    (module docstring).
     """
 
     def __init__(
@@ -50,7 +186,6 @@ class EFunction:
         initial_coeffs: Sequence,
         name: str = "f",
         coeff_bound=None,
-        support_modulus: int = 1,
         values_transcendental: bool = False,
         psi_singularity_poly: Polynomial | None = None,
     ):
@@ -63,7 +198,6 @@ class EFunction:
         self.coeff_bound = Fraction(coeff_bound) if coeff_bound is not None else None
         if self.coeff_bound is not None and self.coeff_bound < 1:
             self.coeff_bound = Fraction(1)
-        self.support_modulus = support_modulus
         self.values_transcendental = values_transcendental
         self.psi_singularity_poly = psi_singularity_poly
 
@@ -74,68 +208,54 @@ class EFunction:
                 f"{annihilator.order} initial coefficients, got {len(seeds)}"
             )
         self.recurrence = recurrence_from_ode(annihilator)
-        self._bands = self.recurrence.bands()
-        self._jmax = self.recurrence.max_shift
-        self._lead = self._bands[self._jmax]
-        # ordinary series coefficients c_n = a_n / n!
-        self._c: list[Fraction] = [
-            a / math.factorial(n) for n, a in enumerate(seeds)
+        bands = self.recurrence.bands()
+        jmax = self.recurrence.max_shift
+        scale = math.lcm(*(c.denominator for band in bands.values() for c in band.coeffs))
+
+        def row(j: int, sign: int) -> list[int]:
+            band = bands.get(j)
+            if band is None:
+                return []
+            return [sign * c.numerator * (scale // c.denominator) for c in band.coeffs]
+
+        self.rows = [row(jmax, 1)] + [
+            row(jmax - d, -1) for d in range(1, jmax - self.recurrence.min_shift + 1)
         ]
-        # the stream below extends _c; the series sums start after the seeds
+        # ordinary series coefficients c_n = a_n / n!
+        taylor = [a / math.factorial(n) for n, a in enumerate(seeds)]
         self.seed_count = len(seeds)
-        self._check_seed_consistency()
+        self._check_seed_consistency(taylor)
+        # the terms of the sum at x = 1, extended past the seeds on demand
+        self._stream = _RecurrenceSum(taylor, self.rows, jmax, name)
 
     # -- coefficient stream ---------------------------------------------------
 
-    def _check_seed_consistency(self):
+    def _check_seed_consistency(self, taylor: list[Fraction]):
         """Every recurrence row fully determined by the seeds must vanish."""
-        known = len(self._c)
-        for t in range(0, known - self._jmax):
-            total = Fraction(0)
-            for j, p in self._bands.items():
-                idx = t + j
-                val = self._c[idx] if 0 <= idx < known else Fraction(0)
-                if idx >= known:
-                    break
-                total += p(Fraction(t)) * val
-            else:
-                if total != 0:
-                    raise InputError(
-                        f"initial coefficients violate the recurrence at row {t}"
-                    )
-
-    def _extend_to(self, n: int):
-        while len(self._c) <= n:
-            m = len(self._c)
-            t = m - self._jmax
-            lead_val = self._lead(Fraction(t)) if t >= 0 else Fraction(0)
-            if t < 0 or lead_val == 0:
-                raise UnsupportedOperationError(
-                    f"series coefficient {m} of {self.name} is not determined "
-                    "by the recurrence; supply it as an initial coefficient"
+        offset = self.recurrence.max_shift
+        for m in range(max(offset, 0), len(taylor)):
+            t = m - offset
+            total = _horner(self.rows[0], t) * taylor[m] - sum(
+                _horner(row, t) * taylor[m - d]
+                for d, row in enumerate(self.rows[1:], 1)
+                if m >= d
+            )
+            if total != 0:
+                raise InputError(
+                    f"initial coefficients violate the recurrence at row {t}"
                 )
-            total = Fraction(0)
-            for j, p in self._bands.items():
-                if j == self._jmax:
-                    continue
-                idx = t + j
-                if 0 <= idx:
-                    total += p(Fraction(t)) * self._c[idx]
-            self._c.append(-total / lead_val)
 
     def coefficient(self, n: int) -> Fraction:
         """a_n, the n-th coefficient of the z^n/n! expansion."""
         if n < 0:
             return Fraction(0)
-        self._extend_to(n)
-        return self._c[n] * math.factorial(n)
+        return self.series_coefficient(n) * math.factorial(n)
 
     def series_coefficient(self, n: int) -> Fraction:
         """c_n = a_n / n!, the plain Taylor coefficient."""
         if n < 0:
             return Fraction(0)
-        self._extend_to(n)
-        return self._c[n]
+        return self._stream.term(n)
 
     def coefficients(self, count: int) -> list[Fraction]:
         return [self.coefficient(n) for n in range(count)]
@@ -171,7 +291,6 @@ def ef_bessel_j0() -> EFunction:
         [1, 0],
         name="J0",
         coeff_bound=1,
-        support_modulus=2,
         values_transcendental=True,  # Siegel
         psi_singularity_poly=Polynomial((1, 0, 1)),
     )
@@ -200,6 +319,39 @@ class HypergeometricParams:
     @property
     def k(self) -> int:
         return len(self.lower) - len(self.upper)
+
+    @functools.cached_property
+    def ratio_rows(self) -> list[list[int]]:
+        """[den, num], integer polynomials in n with t_{n+1} / t_n =
+        num(n) / den(n) = scale prod (a_i + n) / prod (b_j + n), t_n the
+        n-th term of the series at z^k = 1."""
+        num = Polynomial((self.scale.numerator,))
+        den = Polynomial((self.scale.denominator,))
+        for a in self.upper:
+            num, den = num * Polynomial((a.numerator, a.denominator)), den * a.denominator
+        for b in self.lower:
+            num, den = num * b.denominator, den * Polynomial((b.numerator, b.denominator))
+        return [[c.numerator for c in p.coeffs] for p in (den, num)]
+
+    def ratio_bound(self) -> tuple[int, Fraction]:
+        """(N*, K0) with |t_{n+1} / t_n| <= K0 / n^k for every n >= N*.
+
+        For n >= N* = 1 + 2 max ceil|b_j| every |b_j + n| >= n/2, and
+        |a_i + n| <= (1 + ceil|a_i|) n, so K0 = |scale| 2^s prod (1 + ceil|a_i|)
+        with s lower parameters serves.
+        """
+        nstar = 1 + max((2 * math.ceil(abs(b)) for b in self.lower), default=0)
+        const = abs(self.scale) * 2 ** len(self.lower)
+        for a in self.upper:
+            const *= 1 + math.ceil(abs(a))
+        return nstar, const
+
+    @property
+    def singular_poly(self) -> Polynomial:
+        """scale k^k z^k - 1, whose roots are the finite singularities of
+        the z-form series with the factorials removed."""
+        k = self.k
+        return Polynomial((-1,) + (0,) * (k - 1) + (self.scale * Fraction(k) ** k,))
 
     def validate(self):
         if len(self.lower) <= len(self.upper):
@@ -247,21 +399,15 @@ def hypergeometric_annihilator(params: HypergeometricParams) -> DiffOperator:
 def _hypergeometric_coeff_bound(params: HypergeometricParams, prefix) -> Fraction:
     """A proven C with |a_n| <= C^n for n >= 1.
 
-    For n >= N* = ceil(2 max |b_j|) + 1 each |b_j + n| >= n/2 and
-    |a_i + n| <= (1 + ceil|a_i|) n, and prod_{i=1..k}(kn + i) <= k^k (2n)^k,
-    so the step ratio |a_{k(n+1)}/a_{kn}| is at most the constant
-    T = |scale| prod_i(1 + ceil|a_i|) 2^(s+k) k^k. Taking C >= T and
-    C >= |a_m| for every m <= k N* covers all indices.
+    For n >= N* the term ratio is at most K0 / n^k
+    (`HypergeometricParams.ratio_bound`), and
+    prod_{i=1..k}(kn + i) <= k^k (2n)^k, so the step ratio
+    |a_{k(n+1)}/a_{kn}| is at most the constant T = K0 2^k k^k. Taking
+    C >= T and C >= |a_m| for every m <= k N* covers all indices.
     """
     k = params.k
-    s = len(params.lower)
-    nstar = 1 + max(
-        (math.ceil(abs(b)) * 2 for b in params.lower), default=0
-    )
-    t_const = abs(params.scale) * (2 ** (s + k)) * Fraction(k) ** k
-    for a in params.upper:
-        t_const *= 1 + math.ceil(abs(a))
-    bound = max(Fraction(1), t_const)
+    nstar, const = params.ratio_bound()
+    bound = max(Fraction(1), const * 2**k * Fraction(k) ** k)
     for m in range(1, k * nstar + 1):
         bound = max(bound, abs(prefix(m)))
     return bound
@@ -278,49 +424,33 @@ def ef_hypergeometric(
     params.validate()
     k = params.k
     op = hypergeometric_annihilator(params)
-
-    # c_{kn} = scale^n prod (a_i)_n / prod (b_j)_n, zero off multiples of k
-    ratios: list[Fraction] = [Fraction(1)]
-
-    def series_c(m: int) -> Fraction:
-        if m % k != 0:
-            return Fraction(0)
-        n = m // k
-        while len(ratios) <= n:
-            j = len(ratios) - 1
-            step = params.scale
-            for a in params.upper:
-                step *= a + j
-            for b in params.lower:
-                step /= b + j
-            ratios.append(ratios[-1] * step)
-        return ratios[n]
-
-    def a_coeff(m: int) -> Fraction:
-        return series_c(m) * math.factorial(m)
-
-    # the recurrence's leading band t prod_j (t + k(b_j - 1)) leaves c_t free
-    # at t = 0 and at every nonnegative integer k(1 - b_j): seed past them
-    free = [k * (1 - b) for b in params.lower]
-    last_free = max([0] + [int(t) for t in free if t.denominator == 1 and t >= 0])
-    seeds = [a_coeff(m) for m in range(max(op.order, last_free + 1))]
-    bound = _hypergeometric_coeff_bound(params, a_coeff)
-    sing = Polynomial(
-        (-1,) + (0,) * (k - 1) + (params.scale * Fraction(k) ** k,)
-    ).primitive_int()
     if name is None:
         up = ",".join(str(a) for a in params.upper)
         lo = ",".join(str(b) for b in params.lower)
         name = f"F[{up};{lo}]"
         if params.scale != 1:
             name += f"@{params.scale}"
+
+    # c_{kn} = t_n = scale^n prod (a_i)_n / prod (b_j)_n, the terms of the
+    # sum at 1 over the term ratio, and zero off multiples of k
+    terms = _RecurrenceSum([Fraction(1)], params.ratio_rows, 1, name)
+
+    def a_coeff(m: int) -> Fraction:
+        if m % k != 0:
+            return Fraction(0)
+        return terms.term(m // k) * math.factorial(m)
+
+    # the recurrence's leading band t prod_j (t + k(b_j - 1)) leaves c_t free
+    # at t = 0 and at every nonnegative integer k(1 - b_j): seed past them
+    free = [k * (1 - b) for b in params.lower]
+    last_free = max([0] + [int(t) for t in free if t.denominator == 1 and t >= 0])
+    seeds = [a_coeff(m) for m in range(max(op.order, last_free + 1))]
     return EFunction(
         op,
         seeds,
         name=name,
-        coeff_bound=bound,
-        support_modulus=k,
-        psi_singularity_poly=sing,
+        coeff_bound=_hypergeometric_coeff_bound(params, a_coeff),
+        psi_singularity_poly=params.singular_poly.primitive_int(),
     )
 
 
@@ -376,7 +506,6 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
         seeds,
         name=f"{f.name}({lam}z)" if lam != 1 else f.name,
         coeff_bound=bound,
-        support_modulus=f.support_modulus,
         values_transcendental=f.values_transcendental,
         psi_singularity_poly=None,
     )
@@ -420,7 +549,6 @@ def ef_mul_poly(f: EFunction, p: Polynomial) -> EFunction:
         seeds,
         name=f"({f.name}*poly)",
         coeff_bound=bound,
-        support_modulus=1,
     )
 
 
@@ -437,7 +565,6 @@ def ef_sum(f: EFunction, g: EFunction) -> EFunction:
         seeds,
         name=f"({f.name}+{g.name})",
         coeff_bound=bound,
-        support_modulus=max(1, math.gcd(f.support_modulus, g.support_modulus)),
     )
 
 
@@ -463,7 +590,7 @@ def ef_lagrange_combo(f: EFunction, points: Sequence) -> EFunction:
                 li = li * Polynomial((-b, 1)) * Fraction(1, a - b)
         piece = ef_mul_poly(ef_scale(f, Fraction(1, a)), li)
         total = piece if total is None else ef_sum(total, piece)
-    total.name = f"combo({f.name})"
+    total.name = total._stream.name = f"combo({f.name})"
     return total
 
 

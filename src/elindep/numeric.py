@@ -6,27 +6,9 @@ bound |a_n| <= C^n gives a rigorous one.  Functions without a proven bound
 fall back to a heuristic tail (doubling the truncation point until two
 partial sums agree) and the resulting ball is flagged.
 
-Every partial sum is formed by binary splitting over the series'
-recurrence (Chudnovsky & Chudnovsky 1988; van der Hoeven, "Fast
-evaluation of holonomic functions", TCS 210, 1999).  Past its first
-terms, the sequence of terms u_n of the sum obeys
-
-    den(t) u_m = row_1(t) u_{m-1} + ... + row_r(t) u_{m-r},   t = m - offset,
-
-with integer polynomials den and row_d.  For an EFunction at x = p/q,
-u_n = c_n x^n where c_n are the Taylor coefficients; its annihilator's
-recurrence sum_j P_j(t) c_{t+j} = 0, with the band denominators cleared
-once, gives den = P_jmax q^r and row_d = -P_{jmax-d} p^d q^(r-d) with
-r = jmax - jmin.  A hypergeometric value has r = 1, with its term ratio
-as row_1 / den.  The state at index m is the vector
-(u_{m-r}, ..., u_{m-1}, S_m), S_m = u_0 + ... + u_{m-1}; one step maps it
-to the state at m + 1 by an integer matrix (the shift rows, the new term,
-and the running sum S_{m+1} = S_m + u_m) over the scalar denominator
-den(t).  The product of the steps over [lo, hi) is formed by recursive
-halving, so integers grow in balanced products, not one term at a time,
-and the state is kept as integers over one common denominator.  The only
-gcd is taken when the final partial sum becomes a Fraction; a term-by-term
-sum takes one on numbers of the same size at every term.
+Every partial sum is one binary-splitting product over the integer
+recurrence its series carries (`efunction` module docstring), with row_d
+multiplied by p^d q^(r-d) for the point x = p/q, divided out once.
 
 The truncation N is the least index that meets the series' stopping
 rule, and no Fraction is built per index to find it: a float estimate of
@@ -48,20 +30,25 @@ Neither outcome is ever a transcendence proof.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balls import Ball
 from .criterion import CERTIFIED, Certificate
-from .efunction import EFunction, HypergeometricParams, ef_sin_integral, growth_check
+from .efunction import (
+    EFunction,
+    HypergeometricParams,
+    _horner,
+    _RecurrenceSum,
+    ef_sin_integral,
+    growth_check,
+)
 from .errors import (
     InputError,
     PrecisionExceededError,
     UnsupportedOperationError,
 )
 from .lattice import lll_reduce
-from .polynomials import Polynomial
 from .rationals import format_rational, sci_upper
 
 MAX_TERMS = 500_000
@@ -87,122 +74,19 @@ def _coerce_rational_point(x) -> Fraction:
     return Fraction(x)
 
 
-def _horner(coeffs: list[int], t: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-class _RecurrenceSum:
-    """Exact partial sums S_m = u_0 + ... + u_{m-1} of a recurrent sequence.
-
-    The first terms are given (`seeds`, Fractions); past them
-
-        den(t) u_m = row_1(t) u_{m-1} + ... + row_r(t) u_{m-r},
-        t = m - offset,
-
-    with `rows` = [den, row_1, ..., row_r] integer coefficient lists
-    (ascending).  The state at index m is (u_{m-r}, ..., u_{m-1}, S_m)
-    held as integers over one common denominator, terms before index 0
-    being 0.  advance() moves it on by one binary-splitting product, so
-    successive calls continue the sum and never restart it.
-    """
-
-    def __init__(self, seeds: list[Fraction], rows: list[list[int]],
-                 offset: int, name: str):
-        self._seeds = seeds
-        self._rows = rows
-        self._offset = offset
-        self._name = name
-        self.m = 0
-        self._v = [0] * (len(rows) - 1)
-        self._s = 0
-        self._den = 1
-
-    def advance(self, hi: int):
-        """Move the state to index hi (no-op when hi <= m)."""
-        while self.m < min(hi, len(self._seeds)):
-            self._push(self._seeds[self.m])
-        if self.m >= hi:
-            return
-        a, b, q = self._product(self.m, hi)
-        v = self._v
-        self._v = [_dot(row, v) for row in a]
-        self._s = _dot(b, v) + q * self._s
-        self._den *= q
-        self.m = hi
-
-    def value(self) -> Fraction:
-        """S_m: the one division of the sum."""
-        return Fraction(self._s, self._den)
-
-    def next_term(self) -> tuple[int, int]:
-        """u_m as (numerator, denominator), m at least the seed count."""
-        _, last, q = self._leaf(self.m)
-        return _dot(last, self._v), q * self._den
-
-    def _push(self, u: Fraction):
-        den = math.lcm(self._den, u.denominator)
-        k = den // self._den
-        w = u.numerator * (den // u.denominator)
-        self._v = ([x * k for x in self._v] + [w])[1:]
-        self._s = self._s * k + w
-        self._den = den
-        self.m += 1
-
-    def _leaf(self, m: int):
-        """Step matrix of index m as (A, b, q): the state (u, S) maps to
-        (A u, b.u + q S) / q."""
-        t = m - self._offset
-        q = _horner(self._rows[0], t) if t >= 0 else 0
-        if q == 0:
-            raise UnsupportedOperationError(
-                f"series coefficient {m} of {self._name} is not determined "
-                "by the recurrence; supply it as an initial coefficient"
-            )
-        r = len(self._rows) - 1
-        # column i of the state holds u_{m-r+i}, so row_d sits in column r-d
-        last = [_horner(row, t) for row in reversed(self._rows[1:])]
-        shift = [[q if j == i + 1 else 0 for j in range(r)] for i in range(r - 1)]
-        return (shift + [last] if r else []), last, q
-
-    def _product(self, lo: int, hi: int):
-        """The steps of [lo, hi) in one (A, b, q), by recursive halving."""
-        if hi - lo == 1:
-            return self._leaf(lo)
-        mid = (lo + hi) // 2
-        a1, b1, q1 = self._product(lo, mid)
-        a2, b2, q2 = self._product(mid, hi)
-        cols = list(zip(*a1))
-        a = [[_dot(row, col) for col in cols] for row in a2]
-        b = [_dot(b2, col) + q2 * y for col, y in zip(cols, b1)]
-        return a, b, q2 * q1
-
-
-def _dot(xs, ys) -> int:
-    return sum(map(operator.mul, xs, ys))
+def _scaled_rows(rows: list[list[int]], x: Fraction) -> list[list[int]]:
+    """Recurrence rows of the terms u_n x^n from those of u_n, x = p/q:
+    row_d times p^d q^(r-d)."""
+    p, q = x.numerator, x.denominator
+    r = len(rows) - 1
+    factors = [p**d * q ** (r - d) for d in range(r + 1)]
+    return [[c * f for c in row] for f, row in zip(factors, rows)]
 
 
 def _efunction_sums(f: EFunction, x: Fraction) -> _RecurrenceSum:
     """Partial sums of sum c_n x^n from f's seeds and recurrence."""
-    bands = f.recurrence.bands()
-    jmax = f.recurrence.max_shift
-    r = jmax - f.recurrence.min_shift
-    scale = math.lcm(*(c.denominator for band in bands.values() for c in band.coeffs))
-    p, q = x.numerator, x.denominator
-
-    def row(j: int, factor: int) -> list[int]:
-        band = bands.get(j)
-        if band is None:
-            return []
-        return [c.numerator * (scale // c.denominator) * factor for c in band.coeffs]
-
-    rows = [row(jmax, q**r)] + [
-        row(jmax - d, -(p**d) * q ** (r - d)) for d in range(1, r + 1)
-    ]
     seeds = [f.series_coefficient(n) * x**n for n in range(f.seed_count)]
-    return _RecurrenceSum(seeds, rows, jmax, f.name)
+    return _RecurrenceSum(seeds, _scaled_rows(f.rows, x), f.recurrence.max_shift, f.name)
 
 
 def _efunction_truncation(y: Fraction, digits: int) -> tuple[int, Fraction]:
@@ -310,28 +194,17 @@ def eval_hypergeometric_value(
     q = _coerce_rational_point(x)
     if q == 0:
         return Ball(Fraction(1))
-    s = len(params.lower)
     k = params.k
-    # past n0 every |b_j + n| >= n/2 and |a_i + n| <= (1+|a_i|) n, making
-    # |ratio| <= K / n^k with the constant below
-    n0 = 1 + max((2 * _ceil_abs(b) for b in params.lower), default=0)
-    kconst = abs(params.scale * q) * 2**s
-    for a in params.upper:
-        kconst *= 1 + _ceil_abs(a)
-    n1 = n0
+    # past n1 the ratio, at most K0 |x| / n^k past N*, stays below 1/2
+    n1, const = params.ratio_bound()
+    kconst = const * abs(q)
     while kconst > Fraction(n1**k, 2):
         n1 *= 2
     # the sum cannot stop before n >= n1, and n stops past MAX_TERMS
     if n1 > MAX_TERMS + 1:
         raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
-    # t_{n+1} / t_n = num(n) / den(n) with integer polynomials in n
-    ratio = params.scale * q
-    num, den = Polynomial((ratio.numerator,)), Polynomial((ratio.denominator,))
-    for a in params.upper:
-        num, den = num * Polynomial((a.numerator, a.denominator)), den * a.denominator
-    for b in params.lower:
-        num, den = num * b.denominator, den * Polynomial((b.numerator, b.denominator))
-    num, den = ([c.numerator for c in p.coeffs] for p in (num, den))
+    # t_{n+1} x / t_n = num(n) / den(n) with integer polynomials in n
+    den, num = _scaled_rows(params.ratio_rows, q)
     # the least n >= n1 whose estimate of log10(2 |t_n| 10^digits) is below
     # the margin: the rule fails before it, and the exact check starts there
     n = 0
@@ -357,11 +230,6 @@ def eval_hypergeometric_value(
             )
         sums.advance(n)
     return Ball(sums.value(), Fraction(0), Fraction(2 * abs(tn), abs(td)))
-
-
-def _ceil_abs(q: Fraction) -> int:
-    a = abs(q)
-    return -((-a.numerator) // a.denominator)
 
 
 @dataclass

@@ -99,11 +99,7 @@ def singularity_superset(
 
 def hypergeometric_singularities(params) -> RootSet:
     """Exact set for the z-form series: roots of scale * (k z)^k - 1."""
-    k = params.k
-    poly = Polynomial(
-        (-1,) + (0,) * (k - 1) + (params.scale * Fraction(k) ** k,)
-    )
-    return RootSet.from_poly(poly, provenance=CLOSED_FORM)
+    return RootSet.from_poly(params.singular_poly, provenance=CLOSED_FORM)
 
 
 def _coerce_point(alpha) -> AlgebraicNumber:

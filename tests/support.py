@@ -62,6 +62,30 @@ def random_efunction(rng, max_order=3, max_degree=3, check_terms=90) -> EFunctio
         return f
 
 
+def reference_series(f, count):
+    """Taylor coefficients c_0 .. c_{count-1} of f from its seeds by the
+    term-by-term Fraction loop over its recurrence bands, an oracle that
+    shares nothing with the binary-splitting engine."""
+    bands = f.recurrence.bands()
+    jmax = f.recurrence.max_shift
+    c = [f.series_coefficient(n) for n in range(min(count, f.seed_count))]
+    while len(c) < count:
+        m = len(c)
+        t = m - jmax
+        lead = bands[jmax](Fraction(t)) if t >= 0 else Fraction(0)
+        if lead == 0:
+            raise UnsupportedOperationError(
+                f"series coefficient {m} of {f.name} is not determined "
+                "by the recurrence"
+            )
+        total = Fraction(0)
+        for j, p in bands.items():
+            if j != jmax and t + j >= 0:
+                total += p(Fraction(t)) * c[t + j]
+        c.append(-total / lead)
+    return c
+
+
 def mp_direct_sum(coeff, x, terms, dps=150):
     """Independent series summation: sum coeff(n) x^n / n! at high precision.
 

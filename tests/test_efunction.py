@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from elindep.algebraic import alg_nth_root
-from elindep.diffop import DiffOperator, op_apply, op_to_text, recurrence_from_ode
+from elindep.diffop import (
+    DiffOperator,
+    op_apply,
+    op_from_text,
+    op_to_text,
+    recurrence_from_ode,
+)
 from elindep.efunction import (
     EFunction,
     _singular_seed_length,
@@ -24,10 +30,10 @@ from elindep.efunction import (
     growth_check,
     hypergeometric_annihilator,
 )
-from elindep.errors import InputError
+from elindep.errors import InputError, UnsupportedOperationError
 from elindep.polynomials import Polynomial
 
-from support import random_efunction
+from support import random_efunction, reference_series
 
 
 class TestBuiltins:
@@ -46,7 +52,6 @@ class TestBuiltins:
             assert f.coefficient(2 * m) == want
             if m:
                 assert f.coefficient(2 * m - 1) == 0
-        assert f.support_modulus == 2
         assert f.coeff_bound == 1
 
     def test_sin_integral_coefficients(self):
@@ -97,7 +102,6 @@ class TestHypergeometric:
 
     def test_support_modulus(self):
         f = ef_hypergeometric([], [1, 1, 1], 1)
-        assert f.support_modulus == 3
         assert all(f.coefficient(n) == 0 for n in range(20) if n % 3)
 
     def test_validation(self):
@@ -366,3 +370,33 @@ class TestRandom:
             taylor = [f.series_coefficient(n) for n in range(120)]
             img = op_apply(f.annihilator, taylor, 40)
             assert all(v == 0 for v in img.values())
+
+
+class TestCoefficientStream:
+    """The binary-splitting engine streams the coefficients that the
+    term-by-term Fraction loop over the recurrence gives."""
+
+    def test_matches_the_term_loop(self):
+        rng = random.Random(13)
+        functions = [random_efunction(rng) for _ in range(6)] + [
+            ef_hypergeometric([], ["-7/2", "1"]),
+            ef_hypergeometric(["1/3"], ["1/2", "2/5"]),
+            ef_hypergeometric(["-5/2"], ["-1/3", "7/2", "1"], Fraction(-2, 3)),
+        ]
+        for f in functions:
+            stream = [f.series_coefficient(n) for n in range(120)]
+            assert stream == reference_series(f, 120), f.name
+
+    def test_degenerate_row_with_consistent_seeds(self):
+        # z f'' - (3 + z) f' + 3 f is solved by e^z and by its Taylor
+        # polynomial of degree 3; the leading band vanishes at t = 3, so
+        # coefficient 4 is free
+        op = op_from_text("(z)*D^2 + (-3-z)*D^1 + (3)")
+        f = EFunction(op, ["1", "1"], name="g")
+        assert f.coefficients(4) == [1, 1, 1, 1]
+        with pytest.raises(UnsupportedOperationError,
+                           match="series coefficient 4 of g is not determined"):
+            f.coefficient(4)
+        f = EFunction(op, [1, 1, 1, 1, 7], name="g")
+        assert [f.coefficient(n) for n in range(4, 8)] == [7, 7, 7, 7]
+        assert [f.series_coefficient(n) for n in range(40)] == reference_series(f, 40)

@@ -36,7 +36,7 @@ from elindep.numeric import (
 )
 from elindep.rationals import sci_upper
 
-from support import mp_direct_sum
+from support import mp_direct_sum, reference_series
 
 
 def mpf_frac(x, n=55):
@@ -121,10 +121,11 @@ class TestEvalEFunction:
 
 
 def reference_sum(f, x, terms):
-    """The term-by-term Fraction sum that binary splitting replaces."""
+    """The term-by-term Fraction sum that binary splitting replaces, over
+    coefficients from the Fraction loop of the recurrence."""
     total = Fraction(0)
-    for n in range(terms):
-        total += f.series_coefficient(n) * x**n
+    for n, c in enumerate(reference_series(f, terms)):
+        total += c * x**n
     return total
 
 
