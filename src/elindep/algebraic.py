@@ -645,7 +645,12 @@ def is_root_of(
     q: Polynomial,
     ctx: Precision = DEFAULT_PRECISION,
 ) -> bool:
-    """Decide whether x is a root of q (q nonzero)."""
+    """Decide whether x is a root of q (q nonzero, not necessarily squarefree).
+
+    A rational x is settled by evaluating q exactly.  Otherwise x is a root
+    of q when it is a root of g = gcd(x.poly, q); since x.poly is squarefree,
+    so are g and x.poly/g, whatever the multiplicities in q.
+    """
     if q.is_zero:
         raise ValueError("membership in the zero polynomial")
     if x._rational is not None:

@@ -9,6 +9,7 @@ input, 2 internal contradiction, 3 precision cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -496,7 +497,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused after it:
+    parsing leaves no state in it."""
     parser = _Parser(
         prog="elindep",
         description=(
@@ -516,7 +520,11 @@ def main(argv=None) -> int:
         p.add_argument("--coeff-bound", type=int, default=10**6)
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--max-precision-bits", type=int, default=1 << 16)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if not 1 <= args.digits <= MAX_DECIMAL_DIGITS:

@@ -2,12 +2,15 @@
 
 Coefficients are stored ascending as a tuple of Fractions with trailing zeros
 trimmed; the zero polynomial has an empty tuple and degree -1. Everything here
-is exact: no floats enter or leave.
+is exact: no floats enter or leave.  The normal forms (`int_coeffs`,
+`primitive_int`) and the gcd's pseudo-remainder sequence work on lists of
+Python ints inside and hand back Fraction coefficients.
 
 The polynomials of ratio sets {a/b} and power sets {a^n} come from integer
 power sums of scaled roots, turned back into coefficients by Newton's
 identities (Bostan, Flajolet, Salvy and Schost, "Fast computation of special
-resultants", J. Symb. Comput. 41, 2006).  `squarefree_part` and
+resultants", J. Symb. Comput. 41, 2006).  `ratio_poly` keeps the ratios'
+multiplicities; `ratio_set_poly` is its squarefree part.  `squarefree_part` and
 `is_squarefree` first try a squarefree screen modulo the prime 2^61 - 1 and
 fall back to the rational gcd only when it does not decide.
 `resultant_bivariate` is no longer used by the library; it is kept for the
@@ -17,7 +20,7 @@ tests' oracles and for the bench tracer, which wraps it by name.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 # The prime of the squarefree screen, a Mersenne prime above every degree met.
@@ -241,12 +244,7 @@ class Polynomial:
 
     def primitive_int(self) -> "Polynomial":
         """Integer coefficients, content 1, positive leading coefficient."""
-        if self.is_zero:
-            return self
-        p = self * (1 / self.content())
-        if p.lc < 0:
-            p = -p
-        return p
+        return Polynomial(self.int_coeffs())
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -254,45 +252,63 @@ class Polynomial:
         return self * (1 / self.lc)
 
     def int_coeffs(self) -> list[int]:
-        p = self.primitive_int()
-        return [int(c) for c in p.coeffs]
+        """Coefficients of `primitive_int` as ints; [] for the zero polynomial.
+
+        The lcm of the denominators clears them and the gcd of the resulting
+        numerators is divided out, all in integers.
+        """
+        if not self.coeffs:
+            return []
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        return _primitive(ints)
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a (nonzero, trimmed) divided by its content, leading coefficient > 0."""
+    g = int_gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd over Q via a primitive pseudo-remainder sequence.
 
-    The primitive-PRS form keeps intermediate integer coefficients small
-    enough for the degree ~40 inputs seen here.
+    The sequence runs on the primitive integer coefficient lists of p and q;
+    dividing every pseudo-remainder by its content keeps the integers
+    from growing with the number of steps.
     """
     if p.is_zero:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    a = p.primitive_int()
-    b = q.primitive_int()
-    if a.degree < b.degree:
+    a = p.int_coeffs()
+    b = q.int_coeffs()
+    if len(a) < len(b):
         a, b = b, a
-    while not b.is_zero:
+    while b:
         r = _pseudo_rem(a, b)
-        a, b = b, r.primitive_int()
-    return a.monic()
+        a, b = b, (_primitive(r) if r else r)
+    return Polynomial(a).monic()
 
 
-def _pseudo_rem(a: Polynomial, b: Polynomial) -> Polynomial:
-    """lc(b)^(deg a - deg b + 1) * a mod b, staying in integer coefficients."""
-    d = a.degree - b.degree
-    if d < 0:
-        return a
-    lc_b = b.lc
-    rem = list(a.coeffs)
-    for i in range(d, -1, -1):
-        c = rem[i + b.degree]
-        for j in range(len(rem)):
-            rem[j] *= lc_b
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * a mod b on integer coefficient lists
+    (len a >= len b), trimmed."""
+    db = len(b) - 1
+    lc_b = b[-1]
+    rem = a
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + db]
+        # the top coefficient cancels: c lc_b - c lc_b
+        rem = [x * lc_b for x in rem[: i + db]]
         if c:
-            for j, bc in enumerate(b.coeffs):
-                rem[i + j] -= c * bc
-    return Polynomial(rem[: b.degree] if b.degree > 0 else ())
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
 
 
 def _screened_squarefree(p: Polynomial) -> bool:
@@ -306,7 +322,7 @@ def _screened_squarefree(p: Polynomial) -> bool:
     deg r-bar = deg r therefore rules every repeated factor out.
     """
     prime = _SCREEN_PRIME
-    a = [int(c) % prime for c in p.primitive_int().coeffs]
+    a = [c % prime for c in p.int_coeffs()]
     if a[-1] == 0:
         return False
     # the derivative keeps its degree too: deg r < P
@@ -482,15 +498,16 @@ def _from_power_sums(sums: Sequence[int], scale: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def ratio_set_poly(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Squarefree polynomial whose roots are exactly {a/b : p(a)=0, q(b)=0}.
+def ratio_poly(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Polynomial whose roots are the m n quotients a/b, p(a) = 0, q(b) = 0,
+    each as often as it arises (m = deg p, n = deg q); 1 when m n = 0.
 
     Requires q(0) != 0 so every quotient is defined.  With L = lc(p) and the
     roots v = q(0)/b of q reversed scaled as in `_scaled_power_sums`, the
     products L a * q(0)/b = A a/b, A = L q(0), have the power sums
-    s_k(u) s_k(v); `_from_power_sums` turns them into a polynomial with the
-    m n ratios as roots (with multiplicity), whose squarefree part is
-    returned.
+    s_k(u) s_k(v), which `_from_power_sums` turns into the polynomial.
+    It is not squarefree in general: a/a = 1 is an m-fold root of
+    ratio_poly(p, p).
     """
     if p.is_zero or q.is_zero:
         raise ValueError("ratio set of the zero polynomial")
@@ -502,7 +519,17 @@ def ratio_set_poly(p: Polynomial, q: Polynomial) -> Polynomial:
     b = q.int_coeffs()[::-1]
     count = p.degree * q.degree
     sums = [x * y for x, y in zip(_scaled_power_sums(a, count), _scaled_power_sums(b, count))]
-    return squarefree_part(_from_power_sums(sums, a[-1] * b[-1]))
+    return _from_power_sums(sums, a[-1] * b[-1])
+
+
+def ratio_set_poly(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Squarefree polynomial whose roots are exactly {a/b : p(a)=0, q(b)=0}:
+    the squarefree part of `ratio_poly`, for callers that isolate or
+    certify its roots one at a time (a Krawczyk step needs simple roots).
+
+    Requires q(0) != 0 so every quotient is defined.
+    """
+    return squarefree_part(ratio_poly(p, q))
 
 
 def power_set_poly(p: Polynomial, n: int) -> Polynomial:

@@ -27,7 +27,7 @@ from .algebraic import (
 from .diffop import DiffOperator, psi_transform
 from .efunction import EFunction
 from .errors import InputError
-from .polynomials import Polynomial, poly_gcd, ratio_set_poly, squarefree_part
+from .polynomials import Polynomial, poly_gcd, ratio_poly, squarefree_part
 
 CLOSED_FORM = "closed_form"
 SUPERSET = "superset"
@@ -121,6 +121,10 @@ def ratio_condition(
     A collision r/alpha_i = s/alpha_j means alpha_i/alpha_j = r/s, so it is
     decided exactly by testing alpha_i/alpha_j against the polynomial whose
     roots are the pairwise ratios; no irrational root set is ever formed.
+    That polynomial is `ratio_poly`, with the ratios' multiplicities kept:
+    `is_root_of` evaluates a rational quotient exactly and takes the gcd of
+    an irrational one's squarefree polynomial with it, and neither needs
+    simple roots, so the squarefree part is never computed.
     """
     ai = _coerce_point(alpha_i)
     aj = _coerce_point(alpha_j)
@@ -128,8 +132,6 @@ def ratio_condition(
         raise InputError("ratio condition needs nonzero points")
     if set_i.is_empty or set_j.is_empty:
         return True
-    ratios = ratio_set_poly(set_i.poly, set_j.poly)
-    if ratios.degree <= 0:
-        return True
+    ratios = ratio_poly(set_i.poly, set_j.poly)
     quotient = alg_div(ai, aj, ctx)
     return not is_root_of(quotient, ratios, ctx)

@@ -104,3 +104,42 @@ def mp_direct_sum(coeff, x, terms, dps=150):
             if a:
                 total += mpmath.mpf(a.numerator) / a.denominator * power / fact
         return total
+
+
+def reference_primitive(p):
+    """p * (1/content) with a positive leading coefficient, all in
+    Fractions: the reference for the integer `Polynomial.primitive_int`."""
+    if p.is_zero:
+        return p
+    p = p * (1 / p.content())
+    return -p if p.lc < 0 else p
+
+
+def reference_pseudo_rem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b over Fraction coefficients."""
+    d = a.degree - b.degree
+    if d < 0:
+        return a
+    rem = list(a.coeffs)
+    for i in range(d, -1, -1):
+        c = rem[i + b.degree]
+        rem = [x * b.lc for x in rem]
+        if c:
+            for j, bc in enumerate(b.coeffs):
+                rem[i + j] -= c * bc
+    return Polynomial(rem[: b.degree])
+
+
+def reference_gcd(p, q):
+    """Monic gcd by a primitive pseudo-remainder sequence over Fraction
+    coefficients: the reference for the integer `poly_gcd`."""
+    if p.is_zero:
+        return q.monic()
+    if q.is_zero:
+        return p.monic()
+    a, b = reference_primitive(p), reference_primitive(q)
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero:
+        a, b = b, reference_primitive(reference_pseudo_rem(a, b))
+    return a.monic()

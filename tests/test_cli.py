@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from elindep import efunction
+from elindep import cli, efunction
 from elindep.algebraic import AlgebraicNumber
 from elindep.cli import main, parse_spec, render
 from elindep.efunction import HypergeometricParams
@@ -617,6 +617,48 @@ class TestExitCodes:
             rel = entry.get("relation_report")
             if rel:
                 assert not rel["contradiction"]
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; every later call must
+    behave as a first call does."""
+
+    def test_later_calls_match_first_calls(self, tmp_path, capsys):
+        certify = write_spec(tmp_path, CERTIFY_EXP, "certify.json")
+        eval_doc = dict(CERTIFY_EXP, task="eval", points=["1", "-1/3"])
+        falsify_doc = dict(CERTIFY_EXP, task="falsify", points=["1", "2"])
+        calls = [
+            ["frobnicate"],
+            ["certify", "--help"],
+            ["certify", "--spec", certify],
+            ["eval", "--spec", write_spec(tmp_path, eval_doc, "eval.json"), "--digits", "30"],
+            ["falsify", "--spec", write_spec(tmp_path, falsify_doc, "falsify.json"),
+             "--digits", "40", "--coeff-bound", "1000"],
+            ["demo", "--digits", "25", "--coeff-bound", "50", "--format", "json"],
+            ["certify", "--spec", certify],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        first = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            first.append(outcome(argv))
+        parser = cli._parser()
+        again = [outcome(argv) for argv in calls]
+        assert cli._parser() is parser
+        assert again == first
+        codes = [code for code, _, _ in first]
+        assert codes == [1, 0, 0, 0, 0, 0, 0]
+        assert first[0][2].startswith("usage: elindep")
+        assert "--spec" in first[1][1]
+        assert first[2] == first[-1]
 
 
 RATIONAL = st.builds(

@@ -10,13 +10,14 @@ from elindep.polynomials import (
     is_squarefree,
     poly_gcd,
     power_set_poly,
+    ratio_poly,
     ratio_set_poly,
     resultant,
     resultant_bivariate,
     squarefree_part,
 )
 
-from support import random_polynomial
+from support import random_polynomial, reference_gcd, reference_primitive
 
 
 def P(*coeffs):
@@ -125,12 +126,17 @@ class TestRatioSetPoly:
             assert out(Fraction(ratio)) == 0
 
 
-def elimination_ratio_set(p, q):
-    """The ratio set by the Sylvester/Bareiss route: eliminate y from
-    (q(y), p(x*y))."""
+def elimination_resultant(p, q):
+    """Res_y(q(y), p(x y)) by the Sylvester/Bareiss route: the m n ratios
+    with their multiplicities, up to a constant."""
     pxy = [Polynomial((0,) * k + (c,)) for k, c in enumerate(p.coeffs)]
     qy = [Polynomial.constant(c) for c in q.coeffs]
-    return squarefree_part(resultant_bivariate(qy, pxy))
+    return resultant_bivariate(qy, pxy)
+
+
+def elimination_ratio_set(p, q):
+    """The ratio set by the Sylvester/Bareiss route."""
+    return squarefree_part(elimination_resultant(p, q))
 
 
 def elimination_power_set(p, n):
@@ -272,3 +278,94 @@ def test_content_and_primitive():
     prim = p.primitive_int()
     assert prim == P(2, 1)
     assert prim.lc > 0
+
+
+BIG = 2**64 + 13
+
+KERNEL_CASES = {
+    "negative-leading": (P(3, -7, -2), P(-1, 0, -5)),
+    "zero-constant-terms": (P(0, 0, 2, -4), P(0, 6, -3)),
+    "coprime": (P(-1, 1), P(1, 1)),
+    "one-divides-the-other": (P(-1, 1) * P(2, 0, Fraction(-3, 7)), P(Fraction(-5, 2), Fraction(5, 2))),
+    "constants": (P(Fraction(-6, 5)), P(4)),
+    "constant-and-linear": (P(Fraction(3, 4)), P(-2, 6)),
+    "zero-and-nonzero": (Polynomial.zero(), P(Fraction(6, 7), -4, 2)),
+    "zero-and-zero": (Polynomial.zero(), Polynomial.zero()),
+    "above-2^64": (
+        P(BIG, -(BIG**2)) * P(Fraction(1, BIG), 3, BIG**3),
+        P(BIG, -(BIG**2)) * P(-1, BIG + 2),
+    ),
+    "denominators-above-2^64": (
+        P(Fraction(1, BIG), Fraction(-3, BIG**2), Fraction(BIG, 7)),
+        P(Fraction(2, BIG)) * P(Fraction(1, BIG), Fraction(-3, BIG**2), Fraction(BIG, 7)),
+    ),
+}
+
+
+class TestIntegerKernels:
+    """`poly_gcd`, `primitive_int` and `int_coeffs` run on int lists; the
+    Fraction forms they replace (tests/support.py) are the references."""
+
+    @staticmethod
+    def check(p, q):
+        assert poly_gcd(p, q) == reference_gcd(p, q)
+        assert poly_gcd(q, p) == reference_gcd(q, p)
+        for r in (p, q):
+            prim = r.primitive_int()
+            assert prim == reference_primitive(r)
+            assert r.int_coeffs() == [int(c) for c in prim.coeffs]
+            assert all(type(c) is Fraction for c in prim.coeffs)
+            assert all(type(c) is int for c in r.int_coeffs())
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_named_cases(self, case):
+        self.check(*KERNEL_CASES[case])
+
+    def test_values_of_the_named_cases(self):
+        assert poly_gcd(*KERNEL_CASES["coprime"]) == P(1)
+        assert poly_gcd(*KERNEL_CASES["one-divides-the-other"]) == P(-1, 1)
+        assert poly_gcd(*KERNEL_CASES["above-2^64"]) == P(Fraction(-1, BIG), 1)
+        assert poly_gcd(*KERNEL_CASES["zero-and-zero"]).is_zero
+        assert Polynomial.zero().int_coeffs() == []
+        assert Polynomial.zero().primitive_int().is_zero
+        assert P(Fraction(-6, 5)).int_coeffs() == [1]
+        assert P(3, -7, -2).int_coeffs() == [-3, 7, 2]
+        assert P(0, 0, 2, -4).int_coeffs() == [0, 0, -1, 2]
+
+    def test_random_products(self):
+        rng = random.Random(6464)
+        for _ in range(150):
+            shared = random_polynomial(rng, 3)
+            p = shared * random_polynomial(rng, 4)
+            q = random_polynomial(rng, 4)
+            if rng.random() < 0.6:
+                q = q * shared
+            if rng.random() < 0.2:
+                p = p * Polynomial.constant(Fraction(rng.randint(1, 9), BIG))
+            if rng.random() < 0.2:
+                q = q.shifted(rng.randint(1, 3))
+            self.check(p, q)
+
+
+class TestRatioPoly:
+    """`ratio_poly` keeps every one of the m n ratios: up to a constant it
+    is the elimination resultant itself, before any squarefree part."""
+
+    def test_is_the_elimination_resultant(self):
+        rng = random.Random(1206)
+        for _ in range(15):
+            p = random_int_poly(rng, rng.randint(1, 3), 9)
+            q = p if rng.random() < 0.3 else random_int_poly(rng, rng.randint(1, 3), 9)
+            full = ratio_poly(p, q)
+            assert full.degree == p.degree * q.degree
+            assert full.monic() == elimination_resultant(p, q).monic()
+            assert squarefree_part(full) == ratio_set_poly(p, q)
+
+    def test_keeps_the_repeated_ratio_one(self):
+        p = P(-2, 0, 1)  # roots +-sqrt 2: ratios 1, 1, -1, -1
+        assert ratio_poly(p, p).monic() == (P(-1, 1) * P(1, 1)) ** 2
+        assert ratio_set_poly(p, p) == P(-1, 0, 1)
+
+    def test_constants_have_no_ratios(self):
+        assert ratio_poly(P(5), P(-1, 1)) == Polynomial.one()
+        assert ratio_poly(P(-1, 1), P(3)) == Polynomial.one()

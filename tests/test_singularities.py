@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from elindep.algebraic import AlgebraicNumber, alg_nth_root, canonical_root
+from elindep.algebraic import (
+    AlgebraicNumber,
+    alg_div,
+    alg_nth_root,
+    canonical_root,
+    is_root_of,
+    isolate_roots,
+)
 from elindep.efunction import (
     EFunction,
     HypergeometricParams,
@@ -16,7 +23,7 @@ from elindep.efunction import (
     ef_sin_integral,
 )
 from elindep.errors import InputError
-from elindep.polynomials import Polynomial
+from elindep.polynomials import Polynomial, ratio_poly, ratio_set_poly, squarefree_part
 from elindep.singularities import (
     SUPERSET,
     RootSet,
@@ -206,3 +213,95 @@ class TestRatioCondition:
         i_pt = canonical_root(P(1, 0, 1))
         minus_i = alg_nth_root(-1, 2)  # principal sqrt of -1 is i as well
         assert not ratio_condition(rs, rs, i_pt, i_pt)
+
+
+def squarefree_ratio_condition(set_i, set_j, ai, aj):
+    """The verdict by the squarefree ratio polynomial, the form
+    `ratio_condition` took before it kept the ratios' multiplicities."""
+    if set_i.is_empty or set_j.is_empty:
+        return True
+    ai, aj = (
+        x if isinstance(x, AlgebraicNumber) else AlgebraicNumber.from_rational(x)
+        for x in (ai, aj)
+    )
+    return not is_root_of(alg_div(ai, aj), ratio_set_poly(set_i.poly, set_j.poly))
+
+
+def random_factor(rng):
+    """A squarefree integer polynomial of degree 1 or 2 with p(0) != 0."""
+    while True:
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, 6)]
+        coeffs += [rng.randint(-6, 6) for _ in range(rng.randint(0, 1))]
+        coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 4))
+        f = RootSet.from_poly(P(*coeffs)).poly
+        if f.degree == len(coeffs) - 1:
+            return f
+
+
+def scaled_root(factor, t, index):
+    """t times a root of factor: rational points exactly, the others as an
+    isolating disc of factor(z/t)."""
+    if factor.degree == 1:
+        return AlgebraicNumber.from_rational(-t * factor[0] / factor[1])
+    poly = factor.compose_scale(1 / t).primitive_int()
+    balls = isolate_roots(poly)
+    return AlgebraicNumber(poly, balls[index % len(balls)])
+
+
+class TestRatioConditionAgainstSquarefree:
+    """`ratio_condition` on the ratio polynomial with multiplicities gives
+    the verdict of the squarefree one, for sets that are equal, share a
+    factor or are empty, at points built to collide and at other points."""
+
+    def test_random_sets_and_points(self):
+        rng = random.Random(2026)
+        collisions = disjoint = 0
+        for trial in range(40):
+            fi = [random_factor(rng) for _ in range(rng.randint(1, 2))]
+            shape = trial % 4
+            if shape == 0:  # the same set twice
+                fj = list(fi)
+            elif shape == 1:  # a shared factor
+                fj = [fi[0], random_factor(rng)]
+            elif shape == 2:  # unrelated sets
+                fj = [random_factor(rng)]
+            else:  # an empty set on one side
+                fj = []
+            prod_i = Polynomial.one()
+            for f in fi:
+                prod_i = prod_i * f
+            prod_j = Polynomial.constant(rng.randint(1, 5))
+            for f in fj:
+                prod_j = prod_j * f
+            set_i, set_j = RootSet.from_poly(prod_i), RootSet.from_poly(prod_j)
+            if not set_j.is_empty:
+                full = ratio_poly(set_i.poly, set_j.poly)
+                assert squarefree_part(full) == ratio_set_poly(set_i.poly, set_j.poly)
+
+            t = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 4))
+            ri, si = rng.choice(fi), rng.randrange(2)
+            if fj:
+                rj, sj = rng.choice(fj), rng.randrange(2)
+                # t r / (t s) = r / s: a collision by construction
+                ai, aj = scaled_root(ri, t, si), scaled_root(rj, t, sj)
+                assert not ratio_condition(set_i, set_j, ai, aj)
+                assert not squarefree_ratio_condition(set_i, set_j, ai, aj)
+                collisions += 1
+                u = t + Fraction(rng.randint(1, 5), rng.randint(2, 3))
+                pairs = [(scaled_root(ri, t, si), scaled_root(rj, u, sj))]
+            else:
+                pairs = [(scaled_root(ri, t, si), t)]
+            pairs.append((t, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+            pairs.append((scaled_root(ri, t, si), scaled_root(ri, -t, si)))
+            for ai, aj in pairs:
+                verdict = ratio_condition(set_i, set_j, ai, aj)
+                assert verdict == squarefree_ratio_condition(set_i, set_j, ai, aj)
+                disjoint += verdict
+        assert collisions == 30 and disjoint > 20
+
+    def test_constant_sets(self):
+        one, rs = RootSet.from_poly(P(7)), RootSet.from_poly(P(-2, 0, 1))
+        s = alg_nth_root(2, 2)
+        for a, b in ((one, rs), (rs, one), (one, one)):
+            assert ratio_condition(a, b, s, 1)
+            assert squarefree_ratio_condition(a, b, s, 1)
