@@ -6,9 +6,12 @@ bound |a_n| <= C^n gives a rigorous one.  Functions without a proven bound
 fall back to a heuristic tail (doubling the truncation point until two
 partial sums agree) and the resulting ball is flagged.
 
-Every partial sum is one binary-splitting product over the integer
+Every partial sum is formed by binary splitting over the integer
 recurrence its series carries (`efunction` module docstring), with row_d
-multiplied by p^d q^(r-d) for the point x = p/q, divided out once.
+multiplied by p^d q^(r-d) for the point x = p/q, divided out once.  An
+EFunction's sum runs one product per residue class mod its stride g that
+is not zero, the class rows scaled alike by x^g, and the classes share
+that one division.
 
 The truncation N is the least index that meets the series' stopping
 rule, and no Fraction is built per index to find it: a float estimate of
@@ -38,6 +41,7 @@ from .criterion import CERTIFIED, Certificate
 from .efunction import (
     EFunction,
     HypergeometricParams,
+    _ClassSums,
     _horner,
     _RecurrenceSum,
     ef_sin_integral,
@@ -83,10 +87,17 @@ def _scaled_rows(rows: list[list[int]], x: Fraction) -> list[list[int]]:
     return [[c * f for c in row] for f, row in zip(factors, rows)]
 
 
-def _efunction_sums(f: EFunction, x: Fraction) -> _RecurrenceSum:
-    """Partial sums of sum c_n x^n from f's seeds and recurrence."""
+def _efunction_sums(f: EFunction, x: Fraction) -> _ClassSums:
+    """Partial sums of sum c_n x^n from f's seeds and recurrence: one sum
+    per residue class mod f's stride g that is not zero, its rows scaled
+    by x^g."""
+    g = f.stride
     seeds = [f.series_coefficient(n) * x**n for n in range(f.seed_count)]
-    return _RecurrenceSum(seeds, _scaled_rows(f.rows, x), f.recurrence.max_shift, f.name)
+    xg = x**g
+    return _ClassSums(f, [
+        (c, _RecurrenceSum(seeds[c::g], _scaled_rows(rows, xg), offset, f.name))
+        for c, rows, offset in f.residue_classes
+    ])
 
 
 def _efunction_truncation(y: Fraction, digits: int) -> tuple[int, Fraction]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from elindep import numeric
+from elindep import efunction, numeric
 from elindep.balls import Ball
 from elindep.criterion import certify_multi, certify_si_integrals, certify_single
 from elindep.diffop import op_from_text
@@ -264,6 +264,71 @@ class TestBinarySplitting:
         with pytest.raises(UnsupportedOperationError,
                            match="series coefficient 5 of g is not determined"):
             eval_efunction(f, Fraction(-1, 2), 20)
+
+
+# (name, builder, stride, residue classes run): the recurrence links only
+# indices `stride` apart, and a class whose seeds are all zero is not run
+STRIDED_FUNCTIONS = {
+    "cosh 2z": (lambda: ode("(1)*D^2 + (-4)", ["1", "0"], 2), 2, [0]),
+    "exp(2z)": (lambda: ode("(1)*D^2 + (-4)", ["1", "2"], 2), 2, [0, 1]),
+    "F[;1/2,1,1]": (lambda: ef_hypergeometric([], [Fraction(1, 2), 1, 1]), 3, [0]),
+    "I0": (lambda: ode("(z)*D^2 + (1)*D^1 + (-z)", ["1", "0"], 1), 2, [0]),
+    "I0, no bound": (lambda: ode("(z)*D^2 + (1)*D^1 + (-z)", ["1", "0"], None), 2, [0]),
+}
+
+
+class TestResidueClasses:
+    """A strided recurrence is summed one residue class at a time, each
+    class's tree ending at blocks of steps; every partial sum is still the
+    exact rational of the term-by-term sum."""
+
+    @pytest.mark.parametrize("name", sorted(STRIDED_FUNCTIONS))
+    def test_partial_sums_exact_across_blocks(self, name):
+        build, stride, classes = STRIDED_FUNCTIONS[name]
+        f = build()
+        assert f.stride == stride
+        assert [c for c, _, _ in f.residue_classes] == classes
+        counts = list(range(3 * efunction._BLOCK + 3)) + [300]
+        for x in (Fraction(-22, 7), Fraction(5, 3)):
+            continued = _efunction_sums(f, x)
+            for terms in counts:
+                fresh = _efunction_sums(f, x)
+                fresh.advance(terms)
+                continued.advance(terms)
+                want = reference_sum(f, x, terms)
+                assert fresh.value() == want, (name, x, terms)
+                assert continued.value() == want, (name, x, terms)
+
+    def test_heuristic_path_sums_the_classes_exactly(self):
+        build, _, _ = STRIDED_FUNCTIONS["I0, no bound"]
+        f = build()
+        for x in (Fraction(-22, 7), Fraction(38, 7)):
+            b = eval_efunction(f, x, 60)
+            assert b.heuristic_tail
+            assert b.re == reference_heuristic(f, x, 60)
+
+    @pytest.mark.parametrize("text, free", [
+        # leading band (t + 1)(t - 3), t = m - 1: index 4 is free, in the
+        # class that is run
+        ("(z)*D^2 + (-3)*D^1 + (-z)", 4),
+        # leading band (t + 1)(t - 4): index 5 is free, in the odd class,
+        # whose seeds are zero and which is not run
+        ("(z)*D^2 + (-4)*D^1 + (-z)", 5),
+    ])
+    def test_undetermined_index_in_a_strided_recurrence(self, text, free):
+        message = f"series coefficient {free} of g is not determined"
+        f = ode(text, ["1", "0"], 2)
+        assert f.stride == 2 and [c for c, _, _ in f.residue_classes] == [0]
+        with pytest.raises(UnsupportedOperationError, match=message):
+            eval_efunction(f, Fraction(1, 3), 20)
+        x = Fraction(1, 3)
+        sums = _efunction_sums(f, x)
+        sums.advance(free)
+        assert sums.value() == reference_sum(f, x, free)
+        with pytest.raises(UnsupportedOperationError, match=message):
+            sums.advance(free + 1)
+        with pytest.raises(UnsupportedOperationError, match=message):
+            _efunction_sums(f, x).advance(300)
 
 
 class TestBoundedWork:
