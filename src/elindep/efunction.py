@@ -56,6 +56,12 @@ The index past the seeds at which a sum stops, because the recurrence
 leaves that coefficient free, is found before any class moves, so it is
 the same least index a single sum over every m reports.
 
+Each series type gives `numeric` its running partial sums at x, `sums`,
+and a majorant M of its terms at x that at least halves past a start,
+`majorant`: (C|x|)^n / n! for an EFunction with proven bound C, and the
+terms |t_n x^n| themselves, read off the running sum, for a
+hypergeometric series.  `numeric._truncation` picks N and the radius.
+
 Closure operations build their operator exactly, so it is proven to
 annihilate the result: a rational scale rescales the operator, p f is
 killed by L composed with division by p (denominators cleared), and a sum
@@ -91,6 +97,15 @@ def _dot(xs, ys) -> int:
     return sum(map(operator.mul, xs, ys))
 
 
+def _scaled_rows(rows: list[list[int]], x: Fraction) -> list[list[int]]:
+    """Recurrence rows of the terms u_n x^n from those of u_n, x = p/q:
+    row_d times p^d q^(r-d)."""
+    p, q = x.numerator, x.denominator
+    r = len(rows) - 1
+    factors = [p**d * q ** (r - d) for d in range(r + 1)]
+    return [[c * f for c in row] for f, row in zip(factors, rows)]
+
+
 def _compose_linear(coeffs: list[int], a: int, b: int) -> list[int]:
     """Coefficients (ascending) of P(a + b s) for P given by `coeffs`."""
     acc: list[int] = []
@@ -112,6 +127,11 @@ def _undetermined(m: int, name: str) -> UnsupportedOperationError:
 # time alike, while one-step leaves take twice as long and 4-step ones a
 # third longer
 _BLOCK = 16
+
+# p = u/v with |u|, v below this is 1/v or more from every integer and its
+# float is off by less than 2^-20/v, so float lgamma(p + n) - lgamma(p) is
+# within 1e-4 of log |(p)_n| for n up to 10^6, near poles too
+_FLOAT_SAFE = 2**32
 
 
 class _RecurrenceSum:
@@ -393,6 +413,32 @@ class EFunction:
             if t < 0 or _horner(self.rows[0], t) == 0:
                 raise _undetermined(m, self.name)
 
+    # -- sums at a point ------------------------------------------------------
+
+    def sums(self, x: Fraction) -> _ClassSums:
+        """Partial sums of sum c_n x^n: one sum per residue class mod the
+        stride g that is not zero, its rows scaled by x^g."""
+        g = self.stride
+        seeds = [self.series_coefficient(n) * x**n for n in range(self.seed_count)]
+        xg = x**g
+        return _ClassSums(self, [
+            (c, _RecurrenceSum(seeds[c::g], _scaled_rows(rows, xg), offset, self.name))
+            for c, rows, offset in self.residue_classes
+        ])
+
+    def majorant(self, x: Fraction):
+        """(start, log10 M, M) for M(n) = (C|x|)^n / n!, C the proven
+        bound: |c_n x^n| <= M(n) for n >= 1, and M(n+1) / M(n) = C|x| / (n+1)
+        <= 1/2 from start = max(1, floor(2 C|x|)) on."""
+        y = self.coeff_bound * abs(x)
+        yn, yd = y.numerator, y.denominator
+        log_y = math.log10(yn) - math.log10(yd)
+        return (
+            max(1, 2 * yn // yd),
+            lambda n: n * log_y - math.lgamma(n + 1) / math.log(10),
+            lambda n: (yn**n, yd**n * math.factorial(n)),
+        )
+
     @property
     def order(self) -> int:
         return self.annihilator.order
@@ -478,6 +524,42 @@ class HypergeometricParams:
         for a in self.upper:
             const *= 1 + math.ceil(abs(a))
         return nstar, const
+
+    def sums(self, x: Fraction) -> _RecurrenceSum:
+        """Partial sums of sum t_n x^n: the term ratio's rows scaled by x."""
+        return _RecurrenceSum([Fraction(1)], _scaled_rows(self.ratio_rows, x), 1, "the series")
+
+    def majorant(self, x: Fraction, sums: _RecurrenceSum):
+        """(start, log10 M, M) for M(n) = |t_n x^n|, the terms `sums` adds
+        up.  Each term ratio is at most K0 |x| / n^k from N* on
+        (ratio_bound), so M halves past start = n1, N* doubled until
+        K0 |x| <= n1^k / 2.  M(n) is `sums`' next term once advanced to n,
+        so no product is formed twice; log10 M comes from log |(p)_n| =
+        lgamma(p + n) - lgamma(p), or is -inf when a parameter is too tall
+        for floats (_FLOAT_SAFE), so the exact comparisons start at n1."""
+        k = self.k
+        n1, const = self.ratio_bound()
+        kconst = const * abs(x)
+        while 2 * kconst.numerator > n1**k * kconst.denominator:
+            n1 *= 2
+
+        def term(n: int) -> tuple[int, int]:
+            sums.advance(n)
+            num, den = sums.next_term()
+            return abs(num), abs(den)
+
+        params = [(a, 1) for a in self.upper] + [(b, -1) for b in self.lower]
+        if any(max(abs(p.numerator), p.denominator) >= _FLOAT_SAFE for p, _ in params):
+            return n1, lambda n: -math.inf, term
+        sx = self.scale * x
+        log_sx = math.log10(abs(sx.numerator)) - math.log10(sx.denominator)
+        shifts = [(float(p), math.lgamma(p), sign) for p, sign in params]
+
+        def log_term(n: int) -> float:
+            logs = sum(sign * (math.lgamma(p + n) - lg) for p, lg, sign in shifts)
+            return n * log_sx + logs / math.log(10)
+
+        return n1, log_term, term
 
     @property
     def singular_poly(self) -> Polynomial:
@@ -566,7 +648,7 @@ def ef_hypergeometric(
 
     # c_{kn} = t_n = scale^n prod (a_i)_n / prod (b_j)_n, the terms of the
     # sum at 1 over the term ratio, and zero off multiples of k
-    terms = _RecurrenceSum([Fraction(1)], params.ratio_rows, 1, name)
+    terms = params.sums(Fraction(1))
 
     def a_coeff(m: int) -> Fraction:
         if m % k != 0:

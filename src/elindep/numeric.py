@@ -13,15 +13,13 @@ EFunction's sum runs one product per residue class mod its stride g that
 is not zero, the class rows scaled alike by x^g, and the classes share
 that one division.
 
-The truncation N is the least index that meets the series' stopping
-rule, and no Fraction is built per index to find it: a float estimate of
-log10 of the tail bound, whose error is far below the margin it keeps,
-gives a start that the rule provably fails before, and exact integer
-comparisons settle N from there (for an EFunction on 2 y^n / n! before
-summing; for a hypergeometric value on the next term, read off the state
-of the sum advanced to the start).  N, the terms and hence the exact
-partial sum are the same rationals a term-by-term loop gives, and the
-tail bound is the same rational, so every ball is unchanged.
+One rule, `_truncation`, ends every proven sum.  Each series type gives
+a majorant M of its terms at x that at least halves past a start
+(`EFunction.majorant`, `HypergeometricParams.majorant`), so N is the
+least index past the start with 2 M(N) < 10^-digits, and 2 M(N) is the
+radius.  A float estimate of log10 M, bisected, gives where exact integer
+comparisons begin, and those settle N, so no Fraction is built per index
+and N, the sum and the radius are the rationals a term loop gives.
 
 The relation search is empirical by design: a found relation is certified
 only up to the stated residual bound, and a negative search is an
@@ -32,33 +30,22 @@ Neither outcome is ever a transcendence proof.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .balls import Ball
 from .criterion import CERTIFIED, Certificate
-from .efunction import (
-    EFunction,
-    HypergeometricParams,
-    _ClassSums,
-    _horner,
-    _RecurrenceSum,
-    ef_sin_integral,
-    growth_check,
-)
-from .errors import (
-    InputError,
-    PrecisionExceededError,
-    UnsupportedOperationError,
-)
+from .efunction import EFunction, HypergeometricParams, ef_sin_integral, growth_check
+from .errors import InputError, PrecisionExceededError, UnsupportedOperationError
 from .lattice import lll_reduce
 from .rationals import format_rational, sci_upper
 
 MAX_TERMS = 500_000
-# a float estimate of log10 of a tail, kept this far from the threshold,
-# cannot be on the wrong side of it: its error stays below 1e-6 for any
-# truncation up to MAX_TERMS and rationals of up to 4300 digits
+# where a float estimate of log10(2 M(n) 10^digits) is at least this, the
+# rule fails, as the majorants' estimates are within 1e-4 up to MAX_TERMS + 1;
+# an estimate that is too low only starts the exact comparisons earlier
 _LOG_MARGIN = 1.0
 
 
@@ -78,73 +65,42 @@ def _coerce_rational_point(x) -> Fraction:
     return Fraction(x)
 
 
-def _scaled_rows(rows: list[list[int]], x: Fraction) -> list[list[int]]:
-    """Recurrence rows of the terms u_n x^n from those of u_n, x = p/q:
-    row_d times p^d q^(r-d)."""
-    p, q = x.numerator, x.denominator
-    r = len(rows) - 1
-    factors = [p**d * q ** (r - d) for d in range(r + 1)]
-    return [[c * f for c in row] for f, row in zip(factors, rows)]
-
-
-def _efunction_sums(f: EFunction, x: Fraction) -> _ClassSums:
-    """Partial sums of sum c_n x^n from f's seeds and recurrence: one sum
-    per residue class mod f's stride g that is not zero, its rows scaled
-    by x^g."""
-    g = f.stride
-    seeds = [f.series_coefficient(n) * x**n for n in range(f.seed_count)]
-    xg = x**g
-    return _ClassSums(f, [
-        (c, _RecurrenceSum(seeds[c::g], _scaled_rows(rows, xg), offset, f.name))
-        for c, rows, offset in f.residue_classes
-    ])
-
-
-def _efunction_truncation(y: Fraction, digits: int) -> tuple[int, Fraction]:
-    """Terms N and tail radius 2 y^N / N! of a sum whose coefficients obey
-    |c_n x^n| <= y^n / n!: the least N >= 1 with N + 1 > 2y and
-    2 y^N / N! < 10^-digits.  Past the first condition each further term
-    halves the bound, so the second is monotone there."""
-    yn, yd = y.numerator, y.denominator
-    lo = max(1, 2 * yn // yd)
-    log_y = math.log10(yn) - math.log10(yd)
-
-    def log_tail(n: int) -> float:  # log10(2 y^n / n! * 10^digits)
-        return math.log10(2) + n * log_y - math.lgamma(n + 1) / math.log(10) + digits
-
-    hi = MAX_TERMS + 1
-    if log_tail(hi) >= _LOG_MARGIN:
+def _check_terms(terms: int):
+    """The one cap on the length of a series sum."""
+    if terms > MAX_TERMS + 1:
         raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
-    # least n in [lo, hi] with log_tail(n) < margin: the rule fails before it
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if log_tail(mid) < _LOG_MARGIN:
-            hi = mid
-        else:
-            lo = mid + 1
-    n = lo
-    num, den = yn**n, yd**n * math.factorial(n)
+
+
+def _truncation(start: int, log_term, exact_term, digits: int) -> tuple[int, Fraction]:
+    """The least N >= start with 2 M(N) < 10^-digits, and 2 M(N), for a
+    majorant M of the terms that at least halves at each index past start,
+    so the terms from N on add up to at most 2 M(N).  log_term(n) estimates
+    log10 M(n) in floats; exact_term(n) is M(n) as (numerator, denominator).
+    """
+    # the least n in [start, MAX_TERMS + 1] whose estimate of
+    # log10(2 M(n) 10^digits) is below the margin; MAX_TERMS + 2 when none is
+    shift = math.log10(2) + digits
+    n = start + bisect.bisect_left(range(start, MAX_TERMS + 2), True,
+                                   key=lambda n: log_term(n) + shift < _LOG_MARGIN)
     target = 10**digits
-    while 2 * num * target >= den:
+    while True:
+        _check_terms(n)
+        num, den = exact_term(n)
+        if 2 * num * target < den:
+            return n, Fraction(2 * num, den)
         n += 1
-        if n > MAX_TERMS + 1:
-            raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
-        num *= yn
-        den *= yd * n
-    return n, Fraction(2 * num, den)
 
 
 def eval_efunction(f: EFunction, x, digits: int) -> Ball:
     """Ball around sum a_n x^n / n! with tail radius below 10^-digits.
 
-    With a proven coefficient bound C the tail past N terms is at most
-    2 (C|x|)^N / N!  once N + 1 > 2 C |x|; N is the least such count
-    that brings this below 10^-digits, found before summing (module
-    docstring), and the returned radius is that rigorous bound.  The sum
-    of the N terms is one binary-splitting product over f's recurrence
-    applied to its seeds, divided out once.  Without a proven bound the
-    truncation point is doubled until two successive partial sums agree
-    to the target, and the ball is flagged heuristic.
+    With a proven coefficient bound C the terms are majorized by
+    (C|x|)^n / n! (`EFunction.majorant`), and the rule picks N and the
+    rigorous radius before summing.  The sum of the N terms is one
+    binary-splitting product over f's recurrence applied to its seeds,
+    divided out once.  Without a proven bound the truncation point is
+    doubled until two successive partial sums agree to the target, and the
+    ball is flagged heuristic.
     """
     if digits < 1:
         raise InputError("digits must be positive")
@@ -153,12 +109,8 @@ def eval_efunction(f: EFunction, x, digits: int) -> Ball:
         return Ball(f.coefficient(0))
     if f.coeff_bound is None:
         return _eval_heuristic(f, q, digits)
-    y = f.coeff_bound * abs(q)
-    # the truncation cannot come before N + 1 > 2y, and stops past MAX_TERMS
-    if 2 * y >= MAX_TERMS + 2:
-        raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
-    terms, radius = _efunction_truncation(y, digits)
-    sums = _efunction_sums(f, q)
+    terms, radius = _truncation(*f.majorant(q), digits)
+    sums = f.sums(q)
     sums.advance(terms)
     return Ball(sums.value(), Fraction(0), radius)
 
@@ -166,25 +118,28 @@ def eval_efunction(f: EFunction, x, digits: int) -> Ball:
 def _eval_heuristic(f: EFunction, q: Fraction, digits: int) -> Ball:
     """No proven coefficient bound: double the truncation until stable.
 
-    Each doubling continues the same sum over [terms, 2 terms)."""
-    report = growth_check(f)
-    c_emp = max(2.0, report.coeff_growth_estimate * 1.5)
+    Each doubling continues the same sum over [terms, 2 terms).  A doubling
+    that moves the sum no less than the one before ends the search: the
+    partial sums do not settle, as for a divergent series."""
+    c_emp = max(2.0, growth_check(f).coeff_growth_estimate * 1.5)
     if not math.isfinite(c_emp):
         raise PrecisionExceededError("unbounded coefficient growth estimate")
     terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
-    if terms > MAX_TERMS:
-        raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
+    _check_terms(terms)
     target = Fraction(1, 10**digits)
-    sums = _efunction_sums(f, q)
+    sums = f.sums(q)
     sums.advance(terms)
-    prev = sums.value()
+    prev, moved = sums.value(), None
     while terms <= MAX_TERMS:
         terms *= 2
         sums.advance(terms)
         cur = sums.value()
-        if abs(cur - prev) * 2 < target:
+        step = abs(cur - prev)
+        if step * 2 < target:
             return Ball(cur, Fraction(0), target, heuristic_tail=True)
-        prev = cur
+        if moved is not None and step >= moved:
+            raise PrecisionExceededError("partial sums do not settle")
+        prev, moved = cur, step
     raise PrecisionExceededError("heuristic evaluation did not stabilize")
 
 
@@ -193,54 +148,20 @@ def eval_hypergeometric_value(
 ) -> Ball:
     """Ball around sum scale^n [prod (a)_n / prod (b)_n] x^n.
 
-    Term ratio t_{n+1}/t_n = scale * x * prod(a_i+n) / prod(b_j+n) decays
-    like n^(r-s); past an explicit index n1 the ratio stays below 1/2, so
-    the tail is bounded by twice the first omitted term.  The sum stops at
-    the least n >= n1 with 2|t_n| < 10^-digits; the terms t_0..t_{n-1}
-    are summed by binary splitting over the integer form of the ratio, and
-    n is found from a running float estimate of log|t_n| and settled by
-    exact comparisons on the state of that sum.
+    The terms are majorized by their own absolute values, which at least
+    halve past an explicit index n1 (`HypergeometricParams.majorant`); the
+    rule stops at the least n >= n1 with 2|t_n x^n| < 10^-digits, reading
+    each exact term off the binary-splitting sum over the integer form of
+    the term ratio, which then holds t_0 + ... + t_{n-1}.
     """
     params.validate()
     q = _coerce_rational_point(x)
     if q == 0:
         return Ball(Fraction(1))
-    k = params.k
-    # past n1 the ratio, at most K0 |x| / n^k past N*, stays below 1/2
-    n1, const = params.ratio_bound()
-    kconst = const * abs(q)
-    while kconst > Fraction(n1**k, 2):
-        n1 *= 2
-    # the sum cannot stop before n >= n1, and n stops past MAX_TERMS
-    if n1 > MAX_TERMS + 1:
-        raise PrecisionExceededError(f"series truncation beyond {MAX_TERMS} terms")
-    # t_{n+1} x / t_n = num(n) / den(n) with integer polynomials in n
-    den, num = _scaled_rows(params.ratio_rows, q)
-    # the least n >= n1 whose estimate of log10(2 |t_n| 10^digits) is below
-    # the margin: the rule fails before it, and the exact check starts there
-    n = 0
-    log_term = math.log10(2) + digits
-    while n < n1 or log_term >= _LOG_MARGIN:
-        if n > MAX_TERMS:
-            raise PrecisionExceededError(
-                f"series truncation beyond {MAX_TERMS} terms"
-            )
-        log_term += math.log10(abs(_horner(num, n))) - math.log10(abs(_horner(den, n)))
-        n += 1
-    sums = _RecurrenceSum([Fraction(1)], [den, num], 1, "the series")
-    sums.advance(n)
-    target = 10**digits
-    while True:
-        tn, td = sums.next_term()
-        if 2 * abs(tn) * target < abs(td):
-            break
-        n += 1
-        if n > MAX_TERMS + 1:
-            raise PrecisionExceededError(
-                f"series truncation beyond {MAX_TERMS} terms"
-            )
-        sums.advance(n)
-    return Ball(sums.value(), Fraction(0), Fraction(2 * abs(tn), abs(td)))
+    sums = params.sums(q)
+    terms, radius = _truncation(*params.majorant(q, sums), digits)
+    sums.advance(terms)
+    return Ball(sums.value(), Fraction(0), radius)
 
 
 @dataclass
@@ -259,18 +180,7 @@ class RelationReport:
     notices: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "found": self.found,
-            "coefficients": self.coefficients,
-            "residual_bound": self.residual_bound,
-            "digits": self.digits,
-            "coeff_bound": self.coeff_bound,
-            "excluded": self.excluded,
-            "min_lattice_norm": self.min_lattice_norm,
-            "contradiction": self.contradiction,
-            "skipped": self.skipped,
-            "notices": list(self.notices),
-        }
+        return asdict(self)
 
 
 def find_integer_relation(

@@ -537,6 +537,26 @@ class TestExitCodes:
         assert ("notice: relation found; the certificate is conditional on: "
                 "unless two of them are algebraic") in out
 
+    @pytest.mark.parametrize("task, points", [("eval", ["1/3"]), ("falsify", ["1/3", "1/2"])])
+    def test_divergent_series_stops(self, tmp_path, capsys, task, points):
+        # Euler's series: a_n = (n!)^2, so sum n! z^n diverges at every
+        # z != 0; without a coefficient bound each doubling of the
+        # truncation moves the partial sum by more than the one before
+        doc = {
+            "version": 1,
+            "task": task,
+            "functions": [{"type": "ode", "operator": "(z^2)*D^2 + (3*z-1)*D^1 + (1)",
+                           "initial": ["1", "1"]}],
+            "points": points,
+        }
+        start = time.perf_counter()
+        code = main([task, "--spec", write_spec(tmp_path, doc)])
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "partial sums do not settle" in err
+        assert "Traceback" not in err
+
     def test_heuristic_tail_never_excludes(self, tmp_path, capsys):
         # no coeff_bound: the values' radii rest on an unproven series tail
         doc = {

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from elindep import efunction, numeric
+from elindep import efunction
 from elindep.balls import Ball
 from elindep.criterion import certify_multi, certify_si_integrals, certify_single
 from elindep.diffop import op_from_text
@@ -27,8 +27,7 @@ from elindep.errors import InputError, PrecisionExceededError, UnsupportedOperat
 from elindep.lattice import lll_reduce
 from elindep.numeric import (
     MAX_TERMS,
-    _efunction_sums,
-    _efunction_truncation,
+    _truncation,
     eval_efunction,
     eval_hypergeometric_value,
     falsify,
@@ -98,7 +97,7 @@ class TestEvalEFunction:
             truth = mpf_frac(mpmath.e)
         assert abs(b.re - truth) <= b.rad
 
-    def test_over_budget_fails_before_summing(self):
+    def test_over_budget_fails_before_summing(self, monkeypatch):
         from elindep.efunction import EFunction
 
         unbounded = EFunction(ef_exp().annihilator, [1], name="nb", coeff_bound=None)
@@ -108,8 +107,16 @@ class TestEvalEFunction:
             # far beyond float range: the budget test stays exact
             with pytest.raises(PrecisionExceededError):
                 eval_efunction(f, 10**400, 5)
+
+        # at 10^7, n1 = 3 * 2^23 > MAX_TERMS + 1: the rule stops at its
+        # start, before it reads any term off the sum
+        def summing(*args):
+            raise AssertionError("summed")
+
+        monkeypatch.setattr(efunction._RecurrenceSum, "advance", summing)
+        monkeypatch.setattr(efunction._RecurrenceSum, "next_term", summing)
         params = HypergeometricParams((), (Fraction(1),), Fraction(1))
-        with pytest.raises(PrecisionExceededError):
+        with pytest.raises(PrecisionExceededError, match="series truncation beyond"):
             eval_hypergeometric_value(params, 10**7, 5)
 
     def test_irrational_point_rejected(self):
@@ -202,9 +209,9 @@ class TestBinarySplitting:
         seeds = f.seed_count
         counts = sorted({0, 1, seeds - 1, seeds, seeds + 1, 300})
         for x in SPLIT_POINTS:
-            continued = _efunction_sums(f, x)
+            continued = f.sums(x)
             for terms in counts:
-                fresh = _efunction_sums(f, x)
+                fresh = f.sums(x)
                 fresh.advance(terms)
                 continued.advance(terms)  # as the heuristic path doubles
                 want = reference_sum(f, x, terms)
@@ -225,10 +232,12 @@ class TestBinarySplitting:
             assert b.rad == radius and b.im == 0
 
     def test_truncation_matches_the_term_loop(self):
+        # exp's bound is C = 1, so its majorant at y is y^n / n!
         for y in (Fraction(1), Fraction(5, 7), Fraction(44, 7), Fraction(137, 7),
                   Fraction(1, 10**5), Fraction(1000), Fraction(7, 2)):
             for digits in (1, 11, 60, 300):
-                assert _efunction_truncation(y, digits) == reference_truncation(y, digits)
+                got = _truncation(*ef_exp().majorant(y), digits)
+                assert got == reference_truncation(y, digits)
 
     def test_hypergeometric_value_is_the_term_loop(self):
         cases = [
@@ -237,12 +246,29 @@ class TestBinarySplitting:
             HypergeometricParams((Fraction(-5, 2),), (Fraction(-1, 3), Fraction(7, 2),
                                                       Fraction(1)), Fraction(-2, 3)),
             HypergeometricParams((), (Fraction(1, 7),), Fraction(1, 100)),
+            # the lower parameters of the bench's falsify workload
+            HypergeometricParams((), (Fraction(2, 3),)),
+            HypergeometricParams((), (Fraction(1), Fraction(1, 3))),
+            HypergeometricParams((), (Fraction(3, 2), Fraction(1))),
+            # parameters past float range, and one whose float is the pole -3:
+            # the exact comparisons start at n1
+            HypergeometricParams((Fraction(10**400),), (Fraction(1), Fraction(1)),
+                                 Fraction(1, 10**400)),
+            HypergeometricParams((Fraction(-3 * 10**30 + 1, 10**30),), (Fraction(1), Fraction(1))),
         ]
         for params in cases:
             for x in (Fraction(-22, 7), Fraction(7, 3), Fraction(1, 3)):
                 for digits in (1, 80):
                     b = eval_hypergeometric_value(params, x, digits)
                     assert (b.re, b.rad) == reference_hypergeometric(params, x, digits)
+        # n1 starts at N* = 3 and doubles to 96, the first 3 * 2^j with
+        # K0 |x| = 2 * 20 <= n1^k / 2
+        params, x = HypergeometricParams((), (Fraction(1),)), Fraction(20)
+        assert params.ratio_bound()[0] == 3
+        assert params.majorant(x, params.sums(x))[0] == 96
+        for digits in (1, 80):
+            b = eval_hypergeometric_value(params, x, digits)
+            assert (b.re, b.rad) == reference_hypergeometric(params, x, digits)
 
     def test_degenerate_index_past_the_seeds(self):
         # z f'' - (3 + z) f' - f: the leading band (t + 1)(t - 3) vanishes
@@ -254,7 +280,7 @@ class TestBinarySplitting:
         f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["3", "-1"], 2)
         with pytest.raises(UnsupportedOperationError, match=message):
             eval_efunction(f, Fraction(-1, 2), 20)
-        sums = _efunction_sums(f, Fraction(1, 3))
+        sums = f.sums(Fraction(1, 3))
         sums.advance(4)
         assert sums.value() == reference_sum(f, Fraction(1, 3), 4)
         with pytest.raises(UnsupportedOperationError, match=message):
@@ -290,9 +316,9 @@ class TestResidueClasses:
         assert [c for c, _, _ in f.residue_classes] == classes
         counts = list(range(3 * efunction._BLOCK + 3)) + [300]
         for x in (Fraction(-22, 7), Fraction(5, 3)):
-            continued = _efunction_sums(f, x)
+            continued = f.sums(x)
             for terms in counts:
-                fresh = _efunction_sums(f, x)
+                fresh = f.sums(x)
                 fresh.advance(terms)
                 continued.advance(terms)
                 want = reference_sum(f, x, terms)
@@ -322,13 +348,13 @@ class TestResidueClasses:
         with pytest.raises(UnsupportedOperationError, match=message):
             eval_efunction(f, Fraction(1, 3), 20)
         x = Fraction(1, 3)
-        sums = _efunction_sums(f, x)
+        sums = f.sums(x)
         sums.advance(free)
         assert sums.value() == reference_sum(f, x, free)
         with pytest.raises(UnsupportedOperationError, match=message):
             sums.advance(free + 1)
         with pytest.raises(UnsupportedOperationError, match=message):
-            _efunction_sums(f, x).advance(300)
+            f.sums(x).advance(300)
 
 
 class TestBoundedWork:
@@ -351,8 +377,8 @@ class TestBoundedWork:
         assert b.rad < Fraction(1, 10**3000)
 
     def test_truncation_builds_no_fraction_per_step(self, monkeypatch):
-        # the truncation here is about 54000 terms; finding it may build a
-        # handful of Fractions, and the 20th ends the search at once
+        # the truncations here are about 54000 and 12288 terms; finding one
+        # may build a handful of Fractions, and the 20th ends the search
         made = []
         new = Fraction.__new__
 
@@ -372,10 +398,18 @@ class TestBoundedWork:
             raise SplitReached
 
         f = ef_exp()
-        monkeypatch.setattr(numeric, "_efunction_sums", split)
+        params = HypergeometricParams((), (Fraction(1),))
+        params.ratio_rows  # built once per series, from Fraction coefficients
+        monkeypatch.setattr(EFunction, "sums", split)
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         with pytest.raises(SplitReached):
             eval_efunction(f, 20000, 11)
+        # e^2000 as a hypergeometric value: the rule reads each exact term
+        # off the sum of 12288 terms, so the whole evaluation counts
+        made.clear()
+        b = eval_hypergeometric_value(params, 2000, 11)
+        monkeypatch.undo()
+        assert b.rad < Fraction(1, 10**11)
 
 
 class TestEvalHypergeometric:
