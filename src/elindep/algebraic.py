@@ -122,10 +122,9 @@ _GUARD_BITS = 32
 
 
 def _krawczyk_coeffs(p: Polynomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The coefficients of an integer polynomial p and of p' as ints,
+    """The primitive integer coefficients of p and of their derivative,
     constant term first: the form the Krawczyk step takes."""
-    cs = tuple(c.numerator for c in p.coeffs)
-    return cs, tuple(i * c for i, c in enumerate(cs) if i)
+    return p.prim, tuple(i * c for i, c in enumerate(p.prim) if i)
 
 
 def _gauss_horner(cs: tuple[int, ...], xr: int, xi: int, s: int) -> tuple[int, int]:
@@ -278,27 +277,10 @@ def _radius_bits(radius: Fraction) -> int:
     return max(0, den.bit_length() - num.bit_length() + 1)
 
 
-class _IsolationCache:
-    """Per-polynomial cache of the tightest certified isolation so far.
-
-    Refinement always contracts inside the previously returned discs, so
-    repeated calls at increasing precision yield nested discs.
-    """
-
-    def __init__(self):
-        self._store: dict[tuple, tuple[int, tuple[Ball, ...]]] = {}
-
-    def key(self, p: Polynomial) -> tuple:
-        return tuple(p.int_coeffs())
-
-    def get(self, p: Polynomial):
-        return self._store.get(self.key(p))
-
-    def put(self, p: Polynomial, bits: int, balls: tuple[Ball, ...]):
-        self._store[self.key(p)] = (bits, balls)
-
-
-_CACHE = _IsolationCache()
+# The tightest certified isolation so far, as (bits, discs), by primitive
+# integer polynomial.  Refinement always contracts inside the previously
+# returned discs, so repeated calls at increasing precision yield nested discs.
+_CACHE: dict[tuple[int, ...], tuple[int, tuple[Ball, ...]]] = {}
 
 
 def _propose_roots(p: tuple[int, ...], bits: int):
@@ -330,31 +312,30 @@ def isolate_roots(
         raise ValueError("cannot isolate roots of the zero polynomial")
     if not is_squarefree(p):
         raise ValueError("isolate_roots requires a squarefree polynomial")
-    p = p.primitive_int()
     if p.degree <= 0:
         return []
     target = Fraction(1, 1 << precision_bits)
     pc, dpc = _krawczyk_coeffs(p)
 
-    cached = _CACHE.get(p)
+    cached = _CACHE.get(pc)
     if cached is not None:
         bits, balls = cached
         if bits >= precision_bits:
             return list(balls)
         refined = _refine_balls(pc, dpc, balls, target, ctx)
         if refined is not None:
-            _CACHE.put(p, precision_bits, tuple(refined))
+            _CACHE[pc] = (precision_bits, tuple(refined))
             return refined
 
     if p.degree == 1:
         balls = (Ball.point(-p[0] / p[1]),)
-        _CACHE.put(p, max(precision_bits, ctx.max_bits), balls)
+        _CACHE[pc] = (max(precision_bits, ctx.max_bits), balls)
         return list(balls)
 
     for bits in ctx.ladder():
         balls = _isolate_at(pc, dpc, target, bits)
         if balls is not None:
-            _CACHE.put(p, precision_bits, tuple(balls))
+            _CACHE[pc] = (precision_bits, tuple(balls))
             return balls
     raise ctx.exhausted(f"root isolation for degree {p.degree}")
 
@@ -432,7 +413,7 @@ def refine_root_box(
     target = Fraction(1, 1 << precision_bits)
     if box.rad <= target:
         return box
-    pc, dpc = _krawczyk_coeffs(p.primitive_int())
+    pc, dpc = _krawczyk_coeffs(p)
     tight = _refine_certified(pc, dpc, box, target)
     if tight is None:
         tight = _reisolate_inside(pc, dpc, box, target, ctx)
@@ -457,7 +438,7 @@ class AlgebraicNumber:
     @classmethod
     def from_rational(cls, q) -> "AlgebraicNumber":
         q = Fraction(q)
-        poly = Polynomial((-q.numerator, q.denominator)).primitive_int()
+        poly = Polynomial((-q.numerator, q.denominator))
         return cls(poly, Ball.point(q), q)
 
     @classmethod
@@ -595,7 +576,7 @@ class AlgebraicNumber:
         candidate is a root of the polynomial inside the isolating disc.
         """
         if self._rational is None:
-            lead = abs(int(self.poly.primitive_int().lc))
+            lead = self.poly.prim[-1]
             box = refine_root_box(self.poly, self.box, 2 * lead.bit_length() + 2, ctx)
             cand = box.re.limit_denominator(lead)
             if self.poly(cand) == 0 and box.overlaps(Ball.point(cand)):
@@ -627,7 +608,7 @@ def alg_equals(
         return True
     # a and b are both roots of b.poly: equal once one disc holding both
     # holds only one root of it, different once their discs part
-    pc, dpc = _krawczyk_coeffs(b.poly.primitive_int())
+    pc, dpc = _krawczyk_coeffs(b.poly)
     for bits in ctx.ladder():
         ab = refine_root_box(a.poly, a.box, bits, ctx)
         bb = refine_root_box(b.poly, b.box, bits, ctx)
@@ -689,7 +670,7 @@ def _nonzero_poly_part(a: AlgebraicNumber, ctx: Precision) -> tuple[Polynomial, 
     box = a.box
     for bits in ctx.ladder():
         if not box.contains_zero():
-            return q.primitive_int(), box
+            return q, box
         box = refine_root_box(a.poly, box, bits, ctx)
     raise ctx.exhausted("zero separation")
 
@@ -749,7 +730,7 @@ def _alg_invert(a: AlgebraicNumber, ctx: Precision) -> AlgebraicNumber:
     if ar is not None:
         return AlgebraicNumber.from_rational(1 / ar)
     poly, box = _nonzero_poly_part(a, ctx)
-    rpoly = poly.reversed_coeffs().primitive_int()
+    rpoly = poly.reversed_coeffs()
 
     def shrink(bits: int) -> Ball:
         nb = refine_root_box(a.poly, box, bits, ctx)

@@ -154,6 +154,8 @@ def _parse_function(obj, path: str) -> FunctionSpec:
         _require_keys(
             obj, path, ("type", "operator", "initial"), ("coeff_bound", "name", "scale")
         )
+        if not isinstance(obj["operator"], str):
+            op_from_json(obj["operator"], f"{path}.operator")  # validation only
         data = {"operator": obj["operator"], "initial": _rational_list(obj["initial"], f"{path}.initial")}
         for key in ("coeff_bound", "scale"):
             if key in obj:
@@ -176,7 +178,7 @@ def _parse_point(obj, path: str):
     if isinstance(obj, dict):
         _require_keys(obj, path, ("poly", "box"))
         if not isinstance(obj["poly"], list) or not all(
-            isinstance(c, int) for c in obj["poly"]
+            type(c) is int for c in obj["poly"]  # JSON true/false are not integers
         ):
             _fail(f"{path}.poly", "expected a list of integers")
         box = obj["box"]
@@ -202,7 +204,7 @@ def parse_spec(text: str) -> ProblemSpec:
     _require_keys(
         doc, "$", ("version", "task"), ("functions", "points", "pairs")
     )
-    if doc["version"] != SPEC_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != SPEC_VERSION:
         _fail("$.version", f"unsupported version {doc['version']!r} (expected {SPEC_VERSION})")
     if doc["task"] not in TASKS:
         _fail("$.task", f"unknown task {doc['task']!r}; choose from " + ", ".join(TASKS))
@@ -284,7 +286,7 @@ def _build_function(fs: FunctionSpec, ctx: Precision) -> EFunction:
 def _build_point(p, ctx: Precision) -> AlgebraicNumber:
     if isinstance(p, str):
         return AlgebraicNumber.from_rational(parse_decimal(p))
-    poly = Polynomial([Fraction(c) for c in p["poly"]])
+    poly = Polynomial(p["poly"])
     re_lo, re_hi = (parse_decimal(x) for x in p["box"]["re"])
     im_lo, im_hi = (parse_decimal(x) for x in p["box"]["im"])
     try:
@@ -516,7 +518,8 @@ def _parser() -> _Parser:
         p = sub.add_parser(name)
         if name != "demo":
             p.add_argument("--spec", required=True, help="path to a JSON problem file")
-        p.add_argument("--digits", type=int, default=60)
+        p.add_argument("--digits", type=int, default=60, help="decimals, 1..4300; a printed "
+                       "value has at most 4300 digits in all, so 4300 fails if |value| >= 1")
         p.add_argument("--coeff-bound", type=int, default=10**6)
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--max-precision-bits", type=int, default=1 << 16)

@@ -41,12 +41,15 @@ largest derivative order in the text form."""
 
 def _monomials(p: Polynomial):
     """(power, coefficient) for the nonzero coefficients of p."""
-    return ((m, c) for m, c in enumerate(p.coeffs) if c != 0)
+    return ((m, p.scale * c) for m, c in enumerate(p.prim) if c)
 
 
 def _content(polys: Iterable[Polynomial]) -> Fraction:
     """Positive rational content of a family of polynomials; 0 if all are zero."""
-    return Polynomial([p.content() for p in polys]).content()
+    scales = [p.scale for p in polys]
+    return Fraction(
+        math.gcd(*(s.numerator for s in scales)), math.lcm(*(s.denominator for s in scales))
+    )
 
 
 class DiffOperator:
@@ -194,8 +197,7 @@ def _primitive_row(row: list[Polynomial]) -> list[Polynomial]:
     """row divided by the monic gcd of its entries and its rational content."""
     g = Polynomial.zero()
     for p in row:
-        if not p.is_zero:
-            g = poly_gcd(g, p)
+        g = poly_gcd(g, p)
     row = [p.exact_div(g) for p in row]
     content = _content(row)
     return [p * (1 / content) for p in row]
@@ -418,13 +420,15 @@ def _poly_to_json(p: Polynomial) -> dict:
     return {"zmin": zmin, "coeffs": [format_rational(c) for c in rest.coeffs]}
 
 
-def _poly_from_json(obj: dict) -> Polynomial:
+def _poly_from_json(obj: dict, path: str) -> Polynomial:
     try:
         zmin = obj["zmin"]
         coeffs = [parse_decimal(c) for c in obj["coeffs"]]
     except (KeyError, TypeError) as exc:
-        raise InputError(f"bad polynomial object: {exc}") from exc
-    p = Polynomial([Fraction(0)] * _exponent(zmin) + coeffs)
+        raise InputError(f"{path}: bad polynomial object: {exc}") from exc
+    if type(zmin) is not int:  # not a bool, float or string
+        raise InputError(f"{path}.zmin: expected an integer, got {zmin!r:.40}")
+    p = Polynomial([0] * _exponent(zmin, f"{path}.zmin") + coeffs)
     _exponent(max(p.degree, 0))
     return p
 
@@ -437,21 +441,22 @@ def op_to_json(op: DiffOperator) -> dict:
     }
 
 
-def op_from_json(obj: dict) -> DiffOperator:
+def op_from_json(obj: dict, path: str = "operator") -> DiffOperator:
     if not isinstance(obj, dict) or "terms" not in obj:
-        raise InputError("operator object needs a 'terms' list")
+        raise InputError(f"{path}: operator object needs a 'terms' list")
     terms: dict[int, Polynomial] = {}
     if not isinstance(obj["terms"], list):
-        raise InputError("'terms' must be a list")
-    for entry in obj["terms"]:
+        raise InputError(f"{path}.terms: must be a list")
+    for i, entry in enumerate(obj["terms"]):
+        where = f"{path}.terms[{i}]"
         if not isinstance(entry, dict) or "dorder" not in entry or "poly" not in entry:
-            raise InputError("each term needs 'dorder' and 'poly'")
+            raise InputError(f"{where}: each term needs 'dorder' and 'poly'")
         b = entry["dorder"]
-        if not isinstance(b, int) or b < 0:
-            raise InputError("'dorder' must be a nonnegative integer")
-        p = _poly_from_json(entry["poly"])
+        if type(b) is not int or b < 0:  # a bool is not an integer here
+            raise InputError(f"{where}.dorder: must be a nonnegative integer")
+        p = _poly_from_json(entry["poly"], f"{where}.poly")
         if b in terms:
-            raise InputError(f"duplicate derivative order {b}")
+            raise InputError(f"{where}.dorder: duplicate derivative order {b}")
         terms[b] = p
     return DiffOperator(terms)
 

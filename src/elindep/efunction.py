@@ -317,13 +317,14 @@ class EFunction:
         self.recurrence = recurrence_from_ode(annihilator)
         bands = self.recurrence.bands()
         jmax = self.recurrence.max_shift
-        scale = math.lcm(*(c.denominator for band in bands.values() for c in band.coeffs))
+        den = math.lcm(*(band.scale.denominator for band in bands.values()))
 
         def row(j: int, sign: int) -> list[int]:
             band = bands.get(j)
             if band is None:
                 return []
-            return [sign * c.numerator * (scale // c.denominator) for c in band.coeffs]
+            k = sign * band.scale.numerator * (den // band.scale.denominator)
+            return [k * c for c in band.prim]
 
         self.rows = [row(jmax, 1)] + [
             row(jmax - d, -1) for d in range(1, jmax - self.recurrence.min_shift + 1)
@@ -510,7 +511,8 @@ class HypergeometricParams:
             num, den = num * Polynomial((a.numerator, a.denominator)), den * a.denominator
         for b in self.lower:
             num, den = num * b.denominator, den * Polynomial((b.numerator, b.denominator))
-        return [[c.numerator for c in p.coeffs] for p in (den, num)]
+        # both have integer coefficients, so their scales are integers
+        return [[p.scale.numerator * c for c in p.prim] for p in (den, num)]
 
     def ratio_bound(self) -> tuple[int, Fraction]:
         """(N*, K0) with |t_{n+1} / t_n| <= K0 / n^k for every n >= N*.
@@ -757,7 +759,7 @@ def ef_mul_poly(f: EFunction, p: Polynomial) -> EFunction:
     seeds = [new_coeff(m) for m in range(seed_len)]
     bound = None
     if f.coeff_bound is not None:
-        absum = sum(abs(c) for c in p.coeffs)
+        absum = p.content() * sum(map(abs, p.prim))
         bound = max(Fraction(1), absum) * (2 ** p.degree) * f.coeff_bound
     return EFunction(
         op,

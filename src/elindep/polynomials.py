@@ -1,10 +1,14 @@
-"""Univariate polynomials over exact rationals.
+"""Univariate polynomials over exact rationals, in one normal form.
 
-Coefficients are stored ascending as a tuple of Fractions with trailing zeros
-trimmed; the zero polynomial has an empty tuple and degree -1. Everything here
-is exact: no floats enter or leave.  The normal forms (`int_coeffs`,
-`primitive_int`) and the gcd's pseudo-remainder sequence work on lists of
-Python ints inside and hand back Fraction coefficients.
+A polynomial is stored as scale * prim: `prim` is a tuple of ints, constant
+term first, with content 1 and a positive leading coefficient; `scale` is a
+nonzero Fraction that carries the sign; zero is 0 * ().  The form is unique,
+so equality and hashing compare the two fields and the normal forms
+(`int_coeffs`, `primitive_int`, `content`, `monic`) are field reads.  A
+product of primitive polynomials is primitive (Gauss's lemma), so `*` needs no
+gcd; every other result goes through one integer normalizer, `_from_ints`, and
+`divmod` and `poly_gcd` share one integer pseudo-division kernel.  `coeffs` is
+the Fraction view for printing and parsing.  No floats enter or leave.
 
 The polynomials of ratio sets {a/b} and power sets {a^n} come from integer
 power sums of scaled roots, turned back into coefficients by Newton's
@@ -21,40 +25,59 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
+from operator import floordiv
 from typing import Callable, Iterable, Sequence
 
 # The prime of the squarefree screen, a Mersenne prime above every degree met.
 _SCREEN_PRIME = (1 << 61) - 1
 
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients."""
+    """Dense univariate polynomial over Q, stored as scale * prim."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("scale", "prim")
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __new__(cls, coeffs: Iterable[Fraction | int] = ()):
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError("polynomial coefficients must be exact rationals")
+        den = lcm(*(c.denominator for c in cs))
+        return cls._from_ints([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
+
+    @classmethod
+    def _from_ints(cls, ints: list[int], scale: Fraction) -> "Polynomial":
+        """The normalizer: scale * ints (a list it consumes) with trailing zeros
+        dropped and the content and sign of ints moved into the scale."""
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            return cls._of(_ZERO, ())
+        g = int_gcd(*ints)
+        if ints[-1] < 0:
+            g = -g
+        if g == 1:
+            return cls._of(scale, tuple(ints))
+        return cls._of(scale * g, tuple(c // g for c in ints))
+
+    @classmethod
+    def _of(cls, scale: Fraction, prim: tuple[int, ...]) -> "Polynomial":
+        """scale * prim for fields already in normal form."""
+        p = object.__new__(cls)
+        p.scale, p.prim = scale, prim
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls(())
+        return cls._of(_ZERO, ())
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls((1,))
+        return cls._of(_ONE, (1,))
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -62,44 +85,50 @@ class Polynomial:
 
     @classmethod
     def x(cls) -> "Polynomial":
-        return cls((0, 1))
+        return cls._of(_ONE, (0, 1))
 
     @classmethod
     def x_power(cls, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative exponent")
-        return cls((0,) * k + (1,))
+        return cls._of(_ONE, (0,) * k + (1,))
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first; () for 0."""
+        s = self.scale
+        return tuple(s * c for c in self.prim)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.scale * self.prim[-1] if self.prim else _ZERO
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        if 0 <= i < len(self.prim):
+            return self.scale * self.prim[i]
+        return _ZERO
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.prim == other.prim and self.scale == other.scale
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.scale, self.prim))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.prim)
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -111,24 +140,25 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        # over the common denominator of the two scales
+        sa, sb = self.scale, other.scale
+        den = lcm(sa.denominator, sb.denominator)
+        ka = sa.numerator * (den // sa.denominator)
+        kb = sb.numerator * (den // sb.denominator)
+        a, b = self.prim, other.prim
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, ka, kb = b, a, kb, ka
+        out = [ka * c for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            out[i] += kb * c
+        return Polynomial._from_ints(out, Fraction(1, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._of(-self.scale, self.prim)
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -136,17 +166,21 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            if not other or not self.prim:
+                return Polynomial.zero()
+            return Polynomial._of(self.scale * other, self.prim)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self.prim or not other.prim:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self.prim, other.prim
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        # primitive with a positive leading coefficient, by Gauss's lemma
+        return Polynomial._of(self.scale * other.scale, tuple(out))
 
     __rmul__ = __mul__
 
@@ -166,17 +200,10 @@ class Polynomial:
         """Euclidean division over Q: self = q*other + r with deg r < deg other."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.lc
-        q = [Fraction(0)] * max(0, len(rem) - d)
-        for i in range(len(rem) - d - 1, -1, -1):
-            c = rem[i + d] / lc
-            if c:
-                q[i] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] -= c * oc
-        return Polynomial(q), Polynomial(rem[:d] if d > 0 else ())
+        # m prim = q' other.prim + r', so self = (scale/m) (q' other.prim + r')
+        q, r, m = _pseudo_divmod(self.prim, other.prim)
+        scale = self.scale / m
+        return Polynomial._from_ints(q, scale / other.scale), Polynomial._from_ints(r, scale)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         q, r = self.divmod(other)
@@ -187,26 +214,27 @@ class Polynomial:
     # -- calculus and evaluation ---------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Polynomial._from_ints([i * c for i, c in enumerate(self.prim) if i], self.scale)
 
     def __call__(self, x):
-        """Horner evaluation; x may be any type closed under + and *."""
-        if not self.coeffs:
-            return Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        """Horner evaluation; x may be any type closed under + and *.  It runs
+        on the coefficients themselves: a Ball's radius depends on them."""
+        cs = self.prim if self.scale == 1 else self.coeffs
+        if not cs:
+            return _ZERO
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
             acc = acc * x + c
         return acc
 
     def compose_scale(self, c) -> "Polynomial":
         """Return p(c*z) for an exact rational c."""
-        c = _as_fraction(c)
-        power = Fraction(1)
-        out = []
-        for a in self.coeffs:
-            out.append(a * power)
-            power *= c
-        return Polynomial(out)
+        if not self.prim:
+            return self
+        # p(n z / d) = (scale / d^m) sum prim_i n^i d^(m-i) z^i
+        n, d, m = c.numerator, c.denominator, self.degree
+        ints = [a * n**i * d ** (m - i) for i, a in enumerate(self.prim)]
+        return Polynomial._from_ints(ints, self.scale / d**m)
 
     def shifted(self, k: int) -> "Polynomial":
         """Multiply by z^k, k >= 0."""
@@ -214,68 +242,74 @@ class Polynomial:
             raise ValueError("negative shift")
         if self.is_zero:
             return self
-        return Polynomial((Fraction(0),) * k + self.coeffs)
+        return Polynomial._of(self.scale, (0,) * k + self.prim)
 
     def reversed_coeffs(self) -> "Polynomial":
         """Coefficient reversal: roots map to reciprocals when p(0) != 0."""
-        return Polynomial(tuple(reversed(self.coeffs)))
+        return Polynomial._from_ints(list(reversed(self.prim)), self.scale)
 
     def deflate_z(self) -> tuple[int, "Polynomial"]:
         """Write p = z^k * q with q(0) != 0; returns (k, q). Zero poly gives (0, 0)."""
         if self.is_zero:
             return 0, self
         k = 0
-        while self.coeffs[k] == 0:
+        while self.prim[k] == 0:
             k += 1
-        return k, Polynomial(self.coeffs[k:])
+        return k, Polynomial._of(self.scale, self.prim[k:])
 
     # -- normal forms --------------------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational content; 0 for the zero polynomial."""
-        if self.is_zero:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        return abs(self.scale)
 
     def primitive_int(self) -> "Polynomial":
         """Integer coefficients, content 1, positive leading coefficient."""
-        return Polynomial(self.int_coeffs())
+        if self.scale == 1 or not self.prim:
+            return self
+        return Polynomial._of(_ONE, self.prim)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        return self * (1 / self.lc)
+        return Polynomial._of(Fraction(1, self.prim[-1]), self.prim)
 
     def int_coeffs(self) -> list[int]:
-        """Coefficients of `primitive_int` as ints; [] for the zero polynomial.
-
-        The lcm of the denominators clears them and the gcd of the resulting
-        numerators is divided out, all in integers.
-        """
-        if not self.coeffs:
-            return []
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        return _primitive(ints)
+        """Coefficients of `primitive_int` as ints; [] for the zero polynomial."""
+        return list(self.prim)
 
 
-def _primitive(a: list[int]) -> list[int]:
-    """a (nonzero, trimmed) divided by its content, leading coefficient > 0."""
-    g = int_gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return a if g == 1 else [c // g for c in a]
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer coefficient lists, b nonzero and trimmed:
+    (q, r, m) with m a = q b + r, m = lc(b)^k, k = max(0, len a - len b + 1),
+    and r untrimmed, shorter than b (r = a when k = 0).  Step i multiplies the
+    remainder by lc(b) and cancels its top coefficient c_i; the i later steps
+    scale c_i too, so q has c_i lc(b)^i at z^i."""
+    db = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    tops = []
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem.pop()
+        # the top coefficient cancels: c lead - c lead
+        if lead != 1:
+            rem = [x * lead for x in rem]
+        if c:
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+        tops.append(c)
+    q = []
+    m = 1
+    for c in reversed(tops):
+        q.append(c * m)
+        m *= lead
+    return q, rem, m
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd over Q via a primitive pseudo-remainder sequence.
 
-    The sequence runs on the primitive integer coefficient lists of p and q;
+    The sequence runs on the primitive integer vectors of p and q;
     dividing every pseudo-remainder by its content keeps the integers
     from growing with the number of steps.
     """
@@ -283,32 +317,11 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    a = p.int_coeffs()
-    b = q.int_coeffs()
-    if len(a) < len(b):
-        a, b = b, a
+    # when a is the shorter, the first step only swaps the two
+    a, b = p.prim, q.prim
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, (_primitive(r) if r else r)
-    return Polynomial(a).monic()
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^(deg a - deg b + 1) * a mod b on integer coefficient lists
-    (len a >= len b), trimmed."""
-    db = len(b) - 1
-    lc_b = b[-1]
-    rem = a
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + db]
-        # the top coefficient cancels: c lc_b - c lc_b
-        rem = [x * lc_b for x in rem[: i + db]]
-        if c:
-            for j in range(db):
-                rem[i + j] -= c * b[j]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+        a, b = b, Polynomial._from_ints(_pseudo_divmod(a, b)[1], _ONE).prim
+    return Polynomial._of(_ONE, a).monic()
 
 
 def _screened_squarefree(p: Polynomial) -> bool:
@@ -322,7 +335,7 @@ def _screened_squarefree(p: Polynomial) -> bool:
     deg r-bar = deg r therefore rules every repeated factor out.
     """
     prime = _SCREEN_PRIME
-    a = [c % prime for c in p.int_coeffs()]
+    a = [c % prime for c in p.prim]
     if a[-1] == 0:
         return False
     # the derivative keeps its degree too: deg r < P
@@ -413,14 +426,9 @@ def resultant(p: Polynomial, q: Polynomial) -> Fraction:
         return Fraction(0)
     if p.degree == 0 and q.degree == 0:
         return Fraction(1)
-    if p.degree == 0:
-        return p.lc**q.degree
-    if q.degree == 0:
-        return q.lc**p.degree
-    rows = _sylvester_rows(
-        list(reversed(p.coeffs)), list(reversed(q.coeffs)), Fraction(0)
-    )
-    return _bareiss_det(rows, Fraction(0), lambda a, b: a / b)
+    # res(s A, t B) = s^deg B t^deg A res(A, B), the last over the integers
+    det = _bareiss_det(_sylvester_rows(p.prim[::-1], q.prim[::-1], 0), 0, floordiv)
+    return p.scale**q.degree * q.scale**p.degree * det
 
 
 def resultant_bivariate(p: Sequence[Polynomial], q: Sequence[Polynomial]) -> Polynomial:
@@ -495,7 +503,7 @@ def _from_power_sums(sums: Sequence[int], scale: int) -> Polynomial:
     for j in range(n + 1):
         coeffs.append(e[n - j] * power if (n - j) % 2 == 0 else -e[n - j] * power)
         power *= scale
-    return Polynomial(coeffs)
+    return Polynomial._from_ints(coeffs, _ONE)
 
 
 def ratio_poly(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -515,8 +523,8 @@ def ratio_poly(p: Polynomial, q: Polynomial) -> Polynomial:
         raise ValueError("q must not vanish at zero")
     if p.degree == 0 or q.degree == 0:
         return Polynomial.one()
-    a = p.int_coeffs()
-    b = q.int_coeffs()[::-1]
+    a = p.prim
+    b = q.prim[::-1]
     count = p.degree * q.degree
     sums = [x * y for x, y in zip(_scaled_power_sums(a, count), _scaled_power_sums(b, count))]
     return _from_power_sums(sums, a[-1] * b[-1])
@@ -545,6 +553,6 @@ def power_set_poly(p: Polynomial, n: int) -> Polynomial:
         raise ValueError("power must be positive")
     if p.degree == 0:
         return Polynomial.one()
-    a = p.int_coeffs()
+    a = p.prim
     sums = _scaled_power_sums(a, p.degree * n)[::n]
     return squarefree_part(_from_power_sums(sums, a[-1] ** n))

@@ -50,8 +50,6 @@ class RootSet:
         if p.is_zero:
             raise InputError("root set of the zero polynomial is not finite")
         _, stripped = squarefree_part(p).deflate_z()
-        if stripped.degree < 0 or stripped.is_zero:
-            stripped = Polynomial.one()
         return cls(stripped.primitive_int(), provenance=provenance)
 
     @property
@@ -64,7 +62,7 @@ class RootSet:
 
     def to_json(self) -> dict:
         return {
-            "poly": [int(c) for c in self.poly.int_coeffs()],
+            "poly": self.poly.int_coeffs(),
             # the origin is never in a root set; the key keeps the report's shape
             "includes_zero": False,
             "provenance": self.provenance,

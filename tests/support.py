@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random instances and slow oracles."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import mpmath
 
@@ -104,6 +105,84 @@ def mp_direct_sum(coeff, x, terms, dps=150):
             if a:
                 total += mpmath.mpf(a.numerator) / a.denominator * power / fact
         return total
+
+
+# -- a plain tuple-of-Fraction polynomial oracle -------------------------------
+# Coefficients ascending, trailing zeros trimmed, () for zero.  None of it
+# goes through `Polynomial`, so it checks the class's scale * prim form from
+# outside.
+
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    return ref_trim(out)
+
+
+def ref_scale(a, c):
+    return ref_trim([x * c for x in a])
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    """Schoolbook long division over Q (b nonzero)."""
+    rem = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        q[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return ref_trim(q), ref_trim(rem[: len(b) - 1])
+
+
+def ref_derivative(a):
+    return ref_trim([i * c for i, c in enumerate(a)][1:])
+
+
+def ref_compose_scale(a, c):
+    return ref_trim([x * c**i for i, x in enumerate(a)])
+
+
+def ref_content(a):
+    """gcd of the numerators over lcm of the denominators."""
+    return Fraction(gcd(*(c.numerator for c in a)), lcm(*(c.denominator for c in a)))
+
+
+def ref_int_coeffs(a):
+    if not a:
+        return []
+    g = ref_content(a) * (1 if a[-1] > 0 else -1)
+    return [int(c / g) for c in a]
+
+
+def ref_eval(a, x):
+    """Horner over the Fraction coefficients, from the leading one down (a
+    Ball's radius depends on the order of the operations)."""
+    if not a:
+        return Fraction(0)
+    acc = a[-1]
+    for c in reversed(a[:-1]):
+        acc = acc * x + c
+    return acc
 
 
 def reference_primitive(p):

@@ -112,7 +112,7 @@ class TestIsolation:
     def test_close_roots_quartic(self, monkeypatch):
         # proposal centres rounded to 2^-96, far coarser than the start
         # radius of about 2^-144, failed every rung up to 65536 bits
-        monkeypatch.setattr(algebraic, "_CACHE", algebraic._IsolationCache())
+        monkeypatch.setattr(algebraic, "_CACHE", {})
         ctx = Precision(max_bits=1024)  # so that a regression fails, not hangs
         start = time.perf_counter()
         boxes = isolate_roots(CLOSE_QUARTIC, 64, ctx)
@@ -558,7 +558,7 @@ class TestOneRoot:
             calls.append(p)
             return real(p, *args, **kwargs)
 
-        monkeypatch.setattr(algebraic, "_CACHE", algebraic._IsolationCache())
+        monkeypatch.setattr(algebraic, "_CACHE", {})
         monkeypatch.setattr(algebraic, "_UNIT_ROOTS", {})
         monkeypatch.setattr(algebraic, "isolate_roots", recording)
         a = alg_nth_root(-2, 3)

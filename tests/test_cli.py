@@ -1,5 +1,6 @@
 """Command-line interface: spec parsing, report rendering, exit codes."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -481,6 +482,38 @@ class TestExitCodes:
         assert err.startswith("input error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("poly", [True, False, True], r"$.points[0].poly"),
+        ("version", True, r"$.version"),
+        ("version", 1.0, r"$.version"),
+        ("dorder", True, r"$.functions[0].operator.terms[0].dorder"),
+        ("zmin", 2.7, r"$.functions[0].operator.terms[1].poly.zmin"),
+        ("zmin", "3", r"$.functions[0].operator.terms[1].poly.zmin"),
+        ("zmin", True, r"$.functions[0].operator.terms[1].poly.zmin"),
+    ], ids=["poly-bools", "version-bool", "version-float", "dorder-bool",
+            "zmin-float", "zmin-string", "zmin-bool"])
+    def test_integer_fields_take_json_integers_only(self, tmp_path, capsys, field, value, path):
+        # exp: (1)*D^1 + (-z^0), with the zmin of the second term spelled out
+        terms = [{"dorder": 1, "poly": {"zmin": 0, "coeffs": ["1"]}},
+                 {"dorder": 0, "poly": {"zmin": 0, "coeffs": ["-1"]}}]
+        point = {"poly": [1, 0, 1], "box": {"re": ["-1", "1"], "im": ["1/2", "2"]}}
+        doc = {"version": 1, "task": "certify",
+               "functions": [{"type": "ode", "operator": {"terms": terms}, "initial": ["1"]}],
+               "points": [point]}
+        if field == "poly":
+            point["poly"] = value
+        elif field == "version":
+            doc["version"] = value
+        elif field == "dorder":
+            terms[0]["dorder"] = value
+        else:
+            terms[1]["poly"]["zmin"] = value
+        code = main(["certify", "--spec", write_spec(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"input error: {path}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--spec", "spec.json", "--digits", "abc"],
         ["frobnicate"],
@@ -637,6 +670,22 @@ class TestExitCodes:
             rel = entry.get("relation_report")
             if rel:
                 assert not rel["contradiction"]
+
+
+class TestDemoDocuments:
+    """The demo's certificate documents, byte for byte.  The demo points are
+    rational, so no floating-point root proposal reaches the printed bytes,
+    and the hashes hold across PYTHONHASHSEED values."""
+
+    @pytest.mark.parametrize("options, sha256", [
+        ([], "50cc9b094400289fa0eed040b939413297c17f36afa190fd7d64d6c918992028"),
+        (["--digits", "40", "--coeff-bound", "1000"],
+         "db2adc79c67438a77940933e1222202a5011f8d0c7de7dc1e31ac1ecd8ffbcd4"),
+    ], ids=["defaults", "digits-40"])
+    def test_demo_json_is_pinned(self, capsys, options, sha256):
+        assert main(["demo", "--format", "json", *options]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestParserReuse:

@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elindep.balls import Ball
 
 from elindep import polynomials
 from elindep.polynomials import (
@@ -17,7 +21,21 @@ from elindep.polynomials import (
     squarefree_part,
 )
 
-from support import random_polynomial, reference_gcd, reference_primitive
+from support import (
+    random_polynomial,
+    ref_add,
+    ref_compose_scale,
+    ref_content,
+    ref_derivative,
+    ref_divmod,
+    ref_eval,
+    ref_int_coeffs,
+    ref_mul,
+    ref_scale,
+    ref_trim,
+    reference_gcd,
+    reference_primitive,
+)
 
 
 def P(*coeffs):
@@ -271,6 +289,89 @@ class TestSquarefreeScreen:
             assert squarefree_part(p) == p.exact_div(g).monic()
             screened += polynomials._screened_squarefree(p)
         assert screened > 10
+
+
+RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+COEFFS = st.lists(st.one_of(RATIONALS, st.integers(-40, 40)), max_size=6)
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestAgainstFractionTuples:
+    """Every operation of the scale * prim form against the plain
+    tuple-of-Fraction oracle of tests/support.py."""
+
+    @PROPERTY
+    @given(COEFFS, COEFFS, RATIONALS)
+    def test_ring_operations(self, a, b, c):
+        p, q = Polynomial(a), Polynomial(b)
+        ra, rb = ref_trim(a), ref_trim(b)
+        assert p.coeffs == ra and q.coeffs == rb
+        assert (p + q).coeffs == ref_add(ra, rb)
+        assert (p - q).coeffs == ref_add(ra, ref_scale(rb, -1))
+        assert (-p).coeffs == ref_scale(ra, -1)
+        assert (p * q).coeffs == ref_mul(ra, rb)
+        assert (p * c).coeffs == (c * p).coeffs == ref_scale(ra, c)
+        assert (p + c).coeffs == ref_add(ra, (c,))
+        assert (p**3).coeffs == ref_mul(ra, ref_mul(ra, ra))
+        assert (p**0).coeffs == (1,)
+        if rb:
+            quo, rem = p.divmod(q)
+            assert (quo.coeffs, rem.coeffs) == ref_divmod(ra, rb)
+            assert (p * q).exact_div(q) == p
+        else:
+            with pytest.raises(ZeroDivisionError):
+                p.divmod(q)
+
+    @PROPERTY
+    @given(COEFFS, RATIONALS, st.integers(0, 3))
+    def test_calculus_and_shape(self, a, c, k):
+        p, ra = Polynomial(a), ref_trim(a)
+        assert p.derivative().coeffs == ref_derivative(ra)
+        assert p.compose_scale(c).coeffs == ref_compose_scale(ra, c)
+        assert p.shifted(k).coeffs == (ref_trim((0,) * k + ra) if ra else ())
+        assert p.reversed_coeffs().coeffs == ref_trim(ra[::-1])
+        zeros = next((i for i, x in enumerate(ra) if x), 0)
+        assert p.deflate_z()[0] == zeros
+        assert p.deflate_z()[1].coeffs == ra[zeros:]
+        assert p.degree == len(ra) - 1 and p.is_zero == (not ra)
+        assert p.lc == (ra[-1] if ra else 0)
+        assert [p[i] for i in range(-1, 8)] == [0] + list(ra) + [0] * (8 - len(ra))
+
+    @PROPERTY
+    @given(COEFFS, RATIONALS)
+    def test_normal_forms_and_values(self, a, c):
+        p, ra = Polynomial(a), ref_trim(a)
+        assert p.int_coeffs() == ref_int_coeffs(ra)
+        assert p.primitive_int().coeffs == tuple(map(Fraction, ref_int_coeffs(ra)))
+        assert p.content() == (ref_content(ra) if ra else 0)
+        assert p.monic().coeffs == (ref_scale(ra, 1 / ra[-1]) if ra else ())
+        assert p(c) == ref_eval(ra, c)
+        ball = Ball(c, Fraction(1, 3), Fraction(1, 7))
+        assert p(ball) == ref_eval(ra, ball)
+
+    @PROPERTY
+    @given(COEFFS, st.integers(-30, 30).filter(bool))
+    def test_equal_polynomials_hash_equal(self, a, k):
+        p = Polynomial(a)
+        routes = [
+            Polynomial([x * k for x in ref_trim(a)]) * Fraction(1, k),
+            p * Fraction(k, 3) * Fraction(3, k),
+            (p * Polynomial.x()).exact_div(Polynomial.x()),
+            p.shifted(2).divmod(Polynomial.x_power(2))[0],
+            p + p - p,
+            Polynomial(p.coeffs),
+        ]
+        for r in routes:
+            assert r == p and hash(r) == hash(p)
+
+    def test_scale_and_primitive_fields(self):
+        assert P(2, 4) * Fraction(1, 2) == P(1, 2)
+        assert hash(P(2, 4) * Fraction(1, 2)) == hash(P(1, 2))
+        p = P(Fraction(-4, 3), Fraction(-2, 3), 0)
+        assert (p.scale, p.prim) == (Fraction(-2, 3), (2, 1))
+        assert (Polynomial.zero().scale, Polynomial.zero().prim) == (0, ())
+        with pytest.raises(TypeError):
+            Polynomial([0.5])
 
 
 def test_content_and_primitive():
