@@ -24,7 +24,7 @@ from .criterion import (
     certify_si_integrals,
     certify_single,
 )
-from .diffop import op_from_json, op_from_text, op_to_json, op_to_text, psi_transform
+from .diffop import DiffOperator, op_from_json, op_from_text, op_to_json, op_to_text, psi_transform
 from .efunction import (
     EFunction,
     HypergeometricParams,
@@ -64,6 +64,8 @@ BUILTINS = {"exp": ef_exp, "J0": ef_bessel_j0, "Si": ef_sin_integral}
 class FunctionSpec:
     kind: str  # builtin | hypergeometric | ode
     data: dict
+    # an ode's operator, parsed once from data["operator"] where it is checked
+    operator: DiffOperator | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         out = {"type": self.kind}
@@ -154,8 +156,14 @@ def _parse_function(obj, path: str) -> FunctionSpec:
         _require_keys(
             obj, path, ("type", "operator", "initial"), ("coeff_bound", "name", "scale")
         )
-        if not isinstance(obj["operator"], str):
-            op_from_json(obj["operator"], f"{path}.operator")  # validation only
+        if isinstance(obj["operator"], str):
+            try:
+                op = op_from_text(obj["operator"])
+            except InputError as exc:
+                # the text parser's message, then the field it came from
+                raise InputError(f"{exc} ({path}.operator)") from None
+        else:
+            op = op_from_json(obj["operator"], f"{path}.operator")
         data = {"operator": obj["operator"], "initial": _rational_list(obj["initial"], f"{path}.initial")}
         for key in ("coeff_bound", "scale"):
             if key in obj:
@@ -164,7 +172,7 @@ def _parse_function(obj, path: str) -> FunctionSpec:
             if not isinstance(obj["name"], str):
                 _fail(f"{path}.name", "expected a string")
             data["name"] = obj["name"]
-        return FunctionSpec("ode", data)
+        return FunctionSpec("ode", data, op)
     _fail(f"{path}.type", f"unknown function type {kind!r}")
 
 
@@ -269,11 +277,9 @@ def _build_function(fs: FunctionSpec, ctx: Precision) -> EFunction:
         params = _hyp_params(fs.data)
         return ef_hypergeometric(params.upper, params.lower, params.scale)
     else:
-        op_spec = fs.data["operator"]
-        op = op_from_text(op_spec) if isinstance(op_spec, str) else op_from_json(op_spec)
         bound = fs.data.get("coeff_bound")
         f = EFunction(
-            op,
+            fs.operator,
             [parse_decimal(v) for v in fs.data["initial"]],
             name=fs.data.get("name", "f"),
             coeff_bound=parse_decimal(bound) if bound is not None else None,

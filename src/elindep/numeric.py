@@ -21,11 +21,32 @@ radius.  A float estimate of log10 M, bisected, gives where exact integer
 comparisons begin, and those settle N, so no Fraction is built per index
 and N, the sum and the radius are the rationals a term loop gives.
 
-The relation search is empirical by design: a found relation is certified
-only up to the stated residual bound, and a negative search is an
-exclusion statement about integer vectors below the coefficient bound,
-proven through the Gram-Schmidt floor of an exactly reduced lattice.
-Neither outcome is ever a transcendence proof.
+The relation search embeds m values v in the lattice spanned by the rows
+of identity | round(10^d v), with one big column for real values and two
+(real and imaginary parts) otherwise, and reduces it exactly
+(`lattice.lll_reduce`) on a ladder of precisions d_1 < ... < d_K = digits
+(`_rungs`).  Rung j starts from the basis U (I | C_j), where C_j is the
+rounded column at d_j and U the unimodular first m columns of rung j-1's
+reduced basis; it spans exactly the lattice at d_j, and the digits enter a
+few at a time (van Hoeij and Novocin, gradual sub-lattice reduction,
+LATIN 2010).  After each rung, with B the coefficient bound:
+
+- a reduced row c with |c_k| <= B whose residual |sum c_k v_k|, bounded
+  in ball arithmetic, is at most 10^-digits is a found relation;
+- a true relation sum c_k v_k = 0 with |c_k| <= B is a lattice vector
+  whose big coordinates are at most slack_j = m B (1/2 + 10^d_j guard) in
+  size (a rounding error plus a scaled radius per value, the radii below
+  guard = 10^-(digits+10)), so its squared norm is at most worst_j =
+  m B^2 + cols slack_j^2.  A floor min ||b_i*||^2 of the reduced basis
+  above worst_j (compared as printed, rounded toward zero) excludes every
+  such relation.  The bound holds at every rung, so no rung can exclude
+  a true relation that the full-digit lattice would show.
+
+The search stops at the first rung that finds or excludes and raises
+only when the rung at full digits does neither.  It is empirical by
+design: a found relation is certified only up to the stated residual
+bound, and an exclusion is a statement about integer vectors below the
+coefficient bound.  Neither outcome is ever a transcendence proof.
 """
 
 from __future__ import annotations
@@ -37,16 +58,18 @@ from fractions import Fraction
 
 from .balls import Ball
 from .criterion import CERTIFIED, Certificate
-from .efunction import EFunction, HypergeometricParams, ef_sin_integral, growth_check
+from .efunction import EFunction, HypergeometricParams, _dot, ef_sin_integral, growth_check
 from .errors import InputError, PrecisionExceededError, UnsupportedOperationError
 from .lattice import lll_reduce
-from .rationals import format_rational, sci_upper
+from .rationals import format_rational, sci_rounded, sci_upper
 
 MAX_TERMS = 500_000
 # where a float estimate of log10(2 M(n) 10^digits) is at least this, the
 # rule fails, as the majorants' estimates are within 1e-4 up to MAX_TERMS + 1;
 # an estimate that is too low only starts the exact comparisons earlier
 _LOG_MARGIN = 1.0
+# digits fed into the relation search's lattice per rung (`_rungs`)
+_RUNG_STEP = 15
 
 
 def _coerce_rational_point(x) -> Fraction:
@@ -175,6 +198,7 @@ class RelationReport:
     coeff_bound: int
     excluded: bool = False
     min_lattice_norm: str | None = None
+    lattice_digits: int | None = None
     contradiction: bool = False
     skipped: bool = False
     notices: list[str] = field(default_factory=list)
@@ -188,13 +212,17 @@ def find_integer_relation(
 ) -> RelationReport:
     """Search for integers c with |sum c_k v_k| below the resolution.
 
-    A found vector is reported together with a certified residual bound
-    computed in ball arithmetic.  When nothing is found, the reduced
-    lattice's Gram-Schmidt floor is compared against the largest norm a
-    true relation could produce; if the floor is higher, no relation with
+    The lattice is identity | round(10^d v) for d on the ladder `_rungs`,
+    each rung started from the unimodular part of the last rung's reduced
+    basis.  After each rung, a reduced row c with |c_k| <= coeff_bound
+    whose residual, bounded in ball arithmetic, is at most 10^-digits is
+    reported as found, with that bound.  Otherwise the rung's Gram-Schmidt
+    floor is compared against the largest squared norm a true relation can
+    have in that lattice; if the printed floor is higher, no relation with
     coefficients up to coeff_bound exists within the values' accuracy, and
-    the report says so (excluded).  If the floor is too low the exclusion
-    would be vacuous and a precision error is raised instead.
+    the report says so (excluded), naming the rung in lattice_digits.  If
+    no rung up to digits decides, the exclusion would be vacuous and a
+    precision error is raised instead.
     """
     if len(values) < 2:
         raise InputError("need at least two values")
@@ -207,45 +235,49 @@ def find_integer_relation(
                 f"value {idx} radius exceeds the 10^-(digits+10) margin"
             )
     m = len(values)
-    scale = 10**digits
-    complex_mode = any(v.im != 0 for v in values)
-    rows = []
-    for kk, v in enumerate(values):
-        row = [0] * m
-        row[kk] = 1
-        row.append(_round_frac(scale * v.re))
-        if complex_mode:
-            row.append(_round_frac(scale * v.im))
-        rows.append(row)
-    reduced, min_norm_sq = lll_reduce(rows)
-
-    tol = Fraction(1, 10**digits)
-    best = None
-    for vec in sorted(reduced, key=lambda r: sum(x * x for x in r)):
-        coeffs = vec[:m]
-        if all(c == 0 for c in coeffs):
-            continue
-        if max(abs(c) for c in coeffs) > coeff_bound:
-            continue
-        resid = Ball(Fraction(0))
-        for c, v in zip(coeffs, values):
-            resid = resid + v.scaled(c)
-        # L1 upper bound for |residual| over the ball
-        bound = abs(resid.re) + abs(resid.im) + resid.rad
-        if bound <= tol:
-            best = (coeffs, bound)
-            break
-    if best is not None:
-        coeffs, bound = best
-        return RelationReport(
-            found=True,
-            coefficients=list(coeffs),
-            residual_bound=sci_upper(bound),
-            digits=digits,
-            coeff_bound=coeff_bound,
+    parts = [[v.re for v in values]]
+    if any(v.im != 0 for v in values):
+        parts.append([v.im for v in values])
+    full = [_scaled_column(part, 10**digits) for part in parts]
+    heuristic = any(v.heuristic_tail for v in values)
+    basis = [[int(i == k) for i in range(m)] for k in range(m)]
+    for rung in _rungs(m, len(parts), coeff_bound, digits):
+        scale = 10**rung
+        columns = [_scaled_column(part, scale) for part in parts]
+        reduced, min_norm_sq = lll_reduce(
+            [u + [_dot(u, col) for col in columns] for u in basis]
         )
-
-    if any(v.heuristic_tail for v in values):
+        basis = [row[:m] for row in reduced]
+        found = _relation(values, reduced, m, coeff_bound, full, digits)
+        if found is not None:
+            coeffs, bound = found
+            return RelationReport(
+                found=True,
+                coefficients=coeffs,
+                residual_bound=sci_upper(bound),
+                digits=digits,
+                coeff_bound=coeff_bound,
+            )
+        if heuristic:
+            continue
+        # a true relation sum c_k v_k = 0 with |c_k| <= coeff_bound embeds
+        # to a lattice vector whose big coordinates are each at most slack:
+        # rounding plus scaled radii
+        slack = m * coeff_bound * (Fraction(1, 2) + scale * guard)
+        worst_sq = m * coeff_bound**2 + len(parts) * slack**2
+        floor, printed = sci_rounded(min_norm_sq, away=False)
+        if floor > worst_sq:
+            return RelationReport(
+                found=False,
+                coefficients=None,
+                residual_bound=None,
+                digits=digits,
+                coeff_bound=coeff_bound,
+                excluded=True,
+                min_lattice_norm=printed,
+                lattice_digits=rung,
+            )
+    if heuristic:
         return RelationReport(
             found=False,
             coefficients=None,
@@ -254,29 +286,58 @@ def find_integer_relation(
             coeff_bound=coeff_bound,
             notices=["no exclusion: a value's radius rests on an unproven series tail"],
         )
-    # exclusion argument: a true relation sum c_k v_k = 0 with
-    # |c_k| <= coeff_bound embeds to a lattice vector whose extra
-    # coordinates are bounded by rounding plus scaled radii
-    slack = m * coeff_bound * (Fraction(1, 2) + scale * guard)
-    worst_sq = m * coeff_bound**2 + (2 if complex_mode else 1) * slack**2
-    if min_norm_sq > worst_sq:
-        return RelationReport(
-            found=False,
-            coefficients=None,
-            residual_bound=None,
-            digits=digits,
-            coeff_bound=coeff_bound,
-            excluded=True,
-            min_lattice_norm=sci_upper(min_norm_sq),
-        )
     raise PrecisionExceededError(
         "cannot exclude relations at this precision/coefficient bound; "
         "raise digits or lower the bound"
     )
 
 
-def _round_frac(q: Fraction) -> int:
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
+def _rungs(m: int, cols: int, coeff_bound: int, digits: int) -> list[int]:
+    """The lattice precisions d_1 < ... < d_K = digits of the search.
+
+    An m-row lattice with cols big columns at d digits has volume about
+    10^(cols d), and the squared Gram-Schmidt norms of its reduced basis
+    lie near the volume's (2/m)-th power, the last of them lower by about
+    10^(m/30) (the slope of LLL along the basis; 10^0.9 at 31 rows).
+    Exclusion needs them above about m B^2 (1 + cols m / 4), B =
+    coeff_bound, which puts an estimate `need` on the digits it takes.
+    The rungs are need + k _RUNG_STEP for whole k, from need or the least
+    such one of at least _RUNG_STEP, whichever is lower, up to the last
+    below digits; then digits itself.
+    """
+    worst = m * coeff_bound**2 * (4 + cols * m) // 4
+    need = math.ceil(m * (math.log10(worst) + m / 30) / (2 * cols))
+    start = min(need, need % _RUNG_STEP + _RUNG_STEP)
+    return [*range(start, digits, _RUNG_STEP), digits]
+
+
+def _relation(values, reduced, m, coeff_bound, full, digits):
+    """The first reduced row, shortest first, whose coefficients are at most
+    coeff_bound and whose residual is proven at most 10^-digits, with that
+    bound; None if there is none."""
+    tol = Fraction(1, 10**digits)
+    for vec in sorted(reduced, key=lambda r: sum(x * x for x in r)):
+        coeffs = vec[:m]
+        if max(abs(c) for c in coeffs) > coeff_bound:
+            continue
+        # |sum c_k v_k| <= 10^-digits puts each full-digit coordinate
+        # sum c_k round(10^digits v_k) within 1 + sum |c_k| / 2 of 0
+        reach = sum(abs(c) for c in coeffs) + 2
+        if any(2 * abs(_dot(coeffs, col)) > reach for col in full):
+            continue
+        resid = Ball(Fraction(0))
+        for c, v in zip(coeffs, values):
+            resid = resid + v.scaled(c)
+        # L1 upper bound for |residual| over the ball
+        bound = abs(resid.re) + abs(resid.im) + resid.rad
+        if bound <= tol:
+            return coeffs, bound
+    return None
+
+
+def _scaled_column(part: list[Fraction], scale: int) -> list[int]:
+    """round(scale * x) for each x, ties up, without building a Fraction."""
+    return [(2 * scale * x.numerator + x.denominator) // (2 * x.denominator) for x in part]
 
 
 def falsify(

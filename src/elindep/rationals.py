@@ -77,9 +77,22 @@ def parse_decimal(text: str) -> Fraction:
 
 def sci_upper(q: Fraction) -> str:
     """Scientific-notation upper bound like '3.142e-52' (rounded away from 0)."""
+    return _sci_text(*_sci(q, away=True))
+
+
+def sci_rounded(q: Fraction, away: bool) -> tuple[Fraction, str]:
+    """q to four significant digits, rounded away from 0 or toward it: the
+    rational, and its scientific notation like '3.142e-52'."""
+    m, e = _sci(q, away)
+    return m * Fraction(10) ** (e - 3), _sci_text(m, e)
+
+
+def _sci(q: Fraction, away: bool) -> tuple[int, int]:
+    """(m, e) with 1000 <= |m| <= 9999, or (0, 0), such that m 10^(e-3) is q
+    rounded to four significant digits away from 0 or toward it."""
     q = Fraction(q)
     if q == 0:
-        return "0"
+        return 0, 0
     mag = abs(q)
     # log10(2) ~ 0.30103 puts e within one of floor(log10(mag)); the
     # exact comparisons settle it without floats or decimal strings
@@ -90,10 +103,17 @@ def sci_upper(q: Fraction) -> str:
         e += 1
     mant = mag * 1000 / Fraction(10) ** e
     m = mant.numerator // mant.denominator
-    if m * mant.denominator < mant.numerator:
+    if away and m * mant.denominator < mant.numerator:
         m += 1
     if m >= 10000:
         m //= 10
         e += 1
-    sign = "-" if q < 0 else ""
+    return (-m if q < 0 else m), e
+
+
+def _sci_text(m: int, e: int) -> str:
+    if m == 0:
+        return "0"
+    sign = "-" if m < 0 else ""
+    m = abs(m)
     return f"{sign}{m // 1000}.{m % 1000:03d}e{e:+d}"

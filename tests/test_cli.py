@@ -338,6 +338,20 @@ class TestExitCodes:
         want = Fraction(want.man) * Fraction(2) ** want.exp
         assert abs(want - Fraction(value["re"])) <= radius
 
+    def test_falsify_at_the_digits_cap_is_fast(self, tmp_path, capsys):
+        # an 11-row lattice: exclusion needs about 77 of the 4300 digits,
+        # and a single reduction at 4300 digits did not finish in 90 s
+        points = [f"{i}/{i + 1}" for i in range(1, 11)]
+        doc = dict(CERTIFY_EXP, task="falsify", points=points)
+        start = time.perf_counter()
+        code = main(["falsify", "--spec", write_spec(tmp_path, doc), "--digits", "4300",
+                     "--format", "json"])
+        assert time.perf_counter() - start < 20
+        assert code == 0
+        rel = json.loads(capsys.readouterr().out)["relation_report"]
+        assert rel["excluded"] and not rel["found"]
+        assert rel["lattice_digits"] < 4300
+
     def test_scaled_ode_with_a_large_parameter_is_fast(self, tmp_path, capsys):
         # the leading band (t + 1)(t + N) has no nonnegative integer root;
         # a scan up to its Cauchy bound did not finish within 120 s
@@ -472,7 +486,9 @@ class TestExitCodes:
                  '"name": "exp"}], "points": ["1"], "x": ' + "9" * 5000 + "}"),
         ("transform", json.dumps({"version": 1, "task": "transform", "functions": [
             {"type": "ode", "operator": "(1)*D^" + "9" * 5000 + " + (1)", "initial": ["1"]}]})),
-    ], ids=["json-integer", "derivative-order"])
+        ("transform", json.dumps({"version": 1, "task": "transform", "functions": [
+            {"type": "ode", "operator": "(1)*D^1 + (z^999)", "initial": ["1"]}]})),
+    ], ids=["json-integer", "derivative-order", "text-power-of-z"])
     def test_oversized_integer_rejected(self, tmp_path, capsys, command, text):
         path = tmp_path / "spec.json"
         path.write_text(text)
@@ -481,6 +497,23 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("input error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("operator, message", [
+        ("(1)*D^1 + (z^999)", "power of z must lie in 0..256, got 999"),
+        ("(1)*D^300 + (1)", "derivative order must lie in 0..256, got 300"),
+        ("(1)*D^1 + (2*y)", "cannot parse monomial '2*y'"),
+    ])
+    def test_text_operator_error_names_its_field(self, tmp_path, capsys, operator, message):
+        # the same check as for the JSON form, at parse time, with the path
+        doc = {"version": 1, "task": "transform", "functions": [
+            {"type": "builtin", "name": "exp"},
+            {"type": "ode", "operator": operator, "initial": ["1"]}]}
+        code = main(["transform", "--spec", write_spec(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"input error: {message} ($.functions[1].operator)\n"
+        with pytest.raises(InputError, match=r"\(\$\.functions\[1\]\.operator\)$"):
+            parse_spec(json.dumps(doc))
 
     @pytest.mark.parametrize("field, value, path", [
         ("poly", [True, False, True], r"$.points[0].poly"),
@@ -678,9 +711,9 @@ class TestDemoDocuments:
     and the hashes hold across PYTHONHASHSEED values."""
 
     @pytest.mark.parametrize("options, sha256", [
-        ([], "50cc9b094400289fa0eed040b939413297c17f36afa190fd7d64d6c918992028"),
+        ([], "113dff8a3d0f9d8a976dcfc24de4c76430e06043c8951dc554e151fa86dc1adf"),
         (["--digits", "40", "--coeff-bound", "1000"],
-         "db2adc79c67438a77940933e1222202a5011f8d0c7de7dc1e31ac1ecd8ffbcd4"),
+         "cf0008ab52c94748e5f56da5888897289c159251f581502e9629e2110e952574"),
     ], ids=["defaults", "digits-40"])
     def test_demo_json_is_pinned(self, capsys, options, sha256):
         assert main(["demo", "--format", "json", *options]) == 0

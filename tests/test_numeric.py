@@ -1,5 +1,6 @@
 """Rigorous evaluation balls and the integer-relation falsifier."""
 
+import functools
 import math
 import random
 import time
@@ -7,8 +8,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elindep import efunction
+from elindep import efunction, numeric
 from elindep.balls import Ball
 from elindep.criterion import certify_multi, certify_si_integrals, certify_single
 from elindep.diffop import op_from_text
@@ -33,7 +36,7 @@ from elindep.numeric import (
     falsify,
     find_integer_relation,
 )
-from elindep.rationals import sci_upper
+from elindep.rationals import parse_decimal, sci_rounded, sci_upper
 
 from support import mp_direct_sum, reference_series
 
@@ -464,6 +467,29 @@ class TestSciUpper:
         assert sci_upper(Fraction(1000)) == "1.000e+3"
 
 
+class TestSciRounded:
+    def test_rounds_toward_zero(self):
+        def lower(q):
+            return sci_rounded(q, away=False)[1]
+
+        assert lower(Fraction(10**5 + 1, 10**10)) == "1.000e-5"
+        assert lower(Fraction(1, 3)) == "3.333e-1"
+        assert lower(Fraction(9999_9, 10**4)) == "9.999e+0"
+        assert lower(-Fraction(2, 3)) == "-6.666e-1"
+        assert lower(Fraction(1000)) == "1.000e+3"
+        assert lower(Fraction(8957_1, 10**405)) == "8.957e-401"
+
+    def test_value_is_the_text(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            q = Fraction(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**30))
+            down, down_text = sci_rounded(q, away=False)
+            up, up_text = sci_rounded(q, away=True)
+            assert abs(down) <= abs(q) <= abs(up)
+            assert (parse_decimal(down_text), parse_decimal(up_text)) == (down, up)
+            assert up_text == sci_upper(q)
+
+
 class TestIntegerRelation:
     def exp_ball(self, digits):
         return eval_efunction(ef_exp(), 1, digits)
@@ -615,3 +641,143 @@ class TestFalsify:
         rep = falsify(cert, digits=40, coeff_bound=1000)
         assert not rep.found
         assert not rep.contradiction
+
+
+@functools.cache
+def exp_value(point: Fraction) -> Ball:
+    """exp(point) with a radius below the search guard for up to 110 digits."""
+    return eval_efunction(ef_exp(), point, 125)
+
+
+def worst_sq(m, cols, coeff_bound, lattice_digits, digits):
+    """The largest squared norm of a true relation's vector at a rung."""
+    guard = Fraction(1, 10 ** (digits + 10))
+    slack = m * coeff_bound * (Fraction(1, 2) + 10**lattice_digits * guard)
+    return m * coeff_bound**2 + cols * slack**2
+
+
+def embedding(values, lattice_digits):
+    """identity | round(10^d v), the lattice of one rung, built directly."""
+    scale = 10**lattice_digits
+    parts = ("re", "im") if any(v.im for v in values) else ("re",)
+    return [[int(i == k) for i in range(len(values))]
+            + [math.floor(scale * getattr(v, part) + Fraction(1, 2)) for part in parts]
+            for k, v in enumerate(values)]
+
+
+def planted(values, coeffs):
+    """The ball sum c_k v_k: a value with the relation (coeffs, -1)."""
+    v = Ball(Fraction(0))
+    for c, b in zip(coeffs, values):
+        v = v + b.scaled(c)
+    return v
+
+
+def record_floors(monkeypatch):
+    """Record every exact floor the relation search's reductions return."""
+    floors = []
+
+    def recording(rows):
+        reduced, floor = lll_reduce(rows)
+        floors.append(floor)
+        return reduced, floor
+
+    monkeypatch.setattr(numeric, "lll_reduce", recording)
+    return floors
+
+
+PLANTED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+COEFF = st.integers(-10**5, 10**5)
+POINT = st.builds(Fraction, st.integers(1, 24), st.integers(1, 9))
+
+
+class TestRelationLadder:
+    """The search on a ladder of lattice precisions finds every planted
+    relation and excludes only with a floor above the rung's bound."""
+
+    @PLANTED
+    @given(COEFF, COEFF, COEFF, st.integers(40, 110), st.booleans())
+    def test_planted_relations_found(self, p, q, r, digits, complex_mode):
+        one, e3, e27 = Ball.point(1), exp_value(Fraction(1, 3)), exp_value(Fraction(2, 7))
+        if complex_mode:
+            # i e^(2/7) and i e^(3/4) are Z-independent of the real parts
+            e3 = Ball(e3.re, e27.re, e3.rad + e27.rad)
+            e15, e34 = exp_value(Fraction(1, 5)), exp_value(Fraction(3, 4))
+            e27 = Ball(e15.re, e34.re, e15.rad + e34.rad)
+        values = [one, e3, e27]
+        values.append(planted(values, [p, q, r]))
+        rep = find_integer_relation(values, 10**6, digits)
+        assert rep.found and not rep.excluded
+        c = rep.coefficients
+        t = -c[3]
+        assert t != 0 and c == [t * p, t * q, t * r, -t]
+
+    def test_relation_only_the_full_digit_rung_sees(self, monkeypatch):
+        base = [Ball.point(1)] + [exp_value(Fraction(*pq))
+                                  for pq in ((1, 3), (2, 7), (3, 5), (5, 4), (4, 9))]
+        coeffs = [-99325, -94179, -98117, 97737, 93439, -97993]
+        values = base + [planted(base, coeffs)]
+        rungs = numeric._rungs(len(values), 1, 10**6, 40)
+        assert rungs == [18, 33, 40]
+        # the two lower rungs alone neither find it nor exclude
+        with pytest.raises(PrecisionExceededError):
+            find_integer_relation(values, 10**6, 33)
+        floors = record_floors(monkeypatch)
+        rep = find_integer_relation(values, 10**6, 40)
+        assert len(floors) == 3
+        assert rep.found and rep.coefficients == [-c for c in coeffs] + [1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(POINT, min_size=1, max_size=4, unique=True),
+           st.integers(1, 110), st.sampled_from([10**3, 10**6]), st.booleans())
+    def test_exclusion_floor_above_its_rung_bound(self, points, digits, bound, complex_mode):
+        values = [Ball.point(1)] + [exp_value(x) for x in points]
+        if complex_mode:
+            values = [values[0]] + [Ball(v.re, w.re, v.rad + w.rad) for v, w in
+                                    zip(values[1:], [exp_value(-x / 2) for x in points])]
+        try:
+            rep = find_integer_relation(values, bound, digits)
+        except PrecisionExceededError:
+            return
+        if rep.found:  # a near-relation within a coarse resolution
+            assert digits < 20
+            return
+        assert rep.excluded
+        assert 1 <= rep.lattice_digits <= digits
+        floor = parse_decimal(rep.min_lattice_norm)
+        cols = 2 if complex_mode else 1
+        assert floor > worst_sq(len(values), cols, bound, rep.lattice_digits, digits)
+        # the printed floor bounds every vector of the rung's lattice,
+        # rebuilt here as today's embedding at lattice_digits
+        reduced, _ = lll_reduce(embedding(values, rep.lattice_digits))
+        assert all(sum(x * x for x in row) >= floor for row in reduced)
+
+    def test_printed_floor_rounds_down(self, monkeypatch):
+        values = [Ball.point(1), exp_value(Fraction(1, 3)), exp_value(Fraction(2, 7))]
+        floors = record_floors(monkeypatch)
+        rep = find_integer_relation(values, 10**6, 60)
+        assert rep.excluded and rep.lattice_digits < 60
+        exact = floors[-1]
+        printed = parse_decimal(rep.min_lattice_norm)
+        assert printed <= exact and (printed, rep.min_lattice_norm) == sci_rounded(exact, False)
+        assert printed > worst_sq(3, 1, 10**6, rep.lattice_digits, 60)
+
+    def test_floor_beyond_the_decimal_limit(self):
+        # complex values and a bound of 10^3000: the floor that excludes
+        # has more than 4300 digits
+        a, b = (eval_efunction(ef_exp(), x, 4312) for x in (Fraction(1, 3), Fraction(2, 7)))
+        values = [Ball.point(1), Ball(a.re, b.re, a.rad + b.rad)]
+        rep = find_integer_relation(values, 10**3000, 4300)
+        assert rep.excluded and rep.lattice_digits < 4300
+        mant, exp = rep.min_lattice_norm.split("e")
+        floor = Fraction(mant) * Fraction(10) ** int(exp)
+        assert int(exp) > 4300
+        assert floor > worst_sq(2, 2, 10**3000, rep.lattice_digits, 4300)
+
+    def test_heuristic_tail_climbs_to_full_digits(self, monkeypatch):
+        e = exp_value(Fraction(1, 3))
+        values = [Ball.point(1), Ball(e.re, e.im, e.rad, heuristic_tail=True)]
+        floors = record_floors(monkeypatch)
+        rep = find_integer_relation(values, 10**6, 60)
+        assert not rep.found and not rep.excluded and rep.lattice_digits is None
+        assert len(floors) == len(numeric._rungs(2, 1, 10**6, 60)) > 1
