@@ -61,6 +61,9 @@ and a majorant M of its terms at x that at least halves past a start,
 `majorant`: (C|x|)^n / n! for an EFunction with proven bound C, and the
 terms |t_n x^n| themselves, read off the running sum, for a
 hypergeometric series.  `numeric._truncation` picks N and the radius.
+An EFunction built by `ef_hypergeometric` keeps its parameters
+(`EFunction.hypergeometric`), so `numeric` sums it as the hypergeometric
+series in z^k, against its terms.
 
 Closure operations build their operator exactly, so it is proven to
 annihilate the result: a rational scale rescales the operator, p f is
@@ -284,7 +287,9 @@ class EFunction:
     order; more when the recurrence has degenerate indices).  `rows` is
     the integer recurrence [den, row_1, ..., row_r] of the Taylor
     coefficients c_n = a_n / n!, with offset `recurrence.max_shift`
-    (module docstring).
+    (module docstring).  `hypergeometric` holds the parameters of a
+    function built by `ef_hypergeometric`, f(z) = sum t_n z^(kn); closure
+    results are new functions and leave it None.
     """
 
     def __init__(
@@ -295,6 +300,7 @@ class EFunction:
         coeff_bound=None,
         values_transcendental: bool = False,
         psi_singularity_poly: Polynomial | None = None,
+        hypergeometric: HypergeometricParams | None = None,
     ):
         if annihilator.is_zero:
             raise InputError("annihilator must be nonzero")
@@ -307,6 +313,7 @@ class EFunction:
             self.coeff_bound = Fraction(1)
         self.values_transcendental = values_transcendental
         self.psi_singularity_poly = psi_singularity_poly
+        self.hypergeometric = hypergeometric
 
         seeds = [Fraction(v) for v in initial_coeffs]
         if len(seeds) < annihilator.order:
@@ -668,6 +675,7 @@ def ef_hypergeometric(
         name=name,
         coeff_bound=_hypergeometric_coeff_bound(params, a_coeff),
         psi_singularity_poly=params.singular_poly.primitive_int(),
+        hypergeometric=params,
     )
 
 

@@ -21,6 +21,11 @@ radius.  A float estimate of log10 M, bisected, gives where exact integer
 comparisons begin, and those settle N, so no Fraction is built per index
 and N, the sum and the radius are the rationals a term loop gives.
 
+A function built by `ef_hypergeometric` is summed as its series
+sum t_n y^n at y = x^k, against the terms |t_n y^n| themselves, not
+against (C|x|)^n / n!: its C is at least every |a_m| up to an index, so
+that majorant lies far above the terms t_{m/k} x^m it bounds.
+
 The relation search embeds m values v in the lattice spanned by the rows
 of identity | round(10^d v), with one big column for real values and two
 (real and imaginary parts) otherwise, and reduces it exactly
@@ -117,19 +122,25 @@ def _truncation(start: int, log_term, exact_term, digits: int) -> tuple[int, Fra
 def eval_efunction(f: EFunction, x, digits: int) -> Ball:
     """Ball around sum a_n x^n / n! with tail radius below 10^-digits.
 
-    With a proven coefficient bound C the terms are majorized by
-    (C|x|)^n / n! (`EFunction.majorant`), and the rule picks N and the
-    rigorous radius before summing.  The sum of the N terms is one
-    binary-splitting product over f's recurrence applied to its seeds,
-    divided out once.  Without a proven bound the truncation point is
-    doubled until two successive partial sums agree to the target, and the
-    ball is flagged heuristic.
+    A function built by `ef_hypergeometric` is the value of its series
+    sum t_n y^n at y = x^k (`eval_hypergeometric_value`), summed against
+    its own terms, so N counts the terms t_n.  Otherwise, with a proven
+    coefficient bound C the terms are majorized by (C|x|)^n / n!
+    (`EFunction.majorant`), and the rule picks N and the rigorous radius
+    before summing.  The sum of the N terms is one binary-splitting
+    product over f's recurrence applied to its seeds, divided out once.
+    Without a proven bound the truncation point is doubled until two
+    successive partial sums agree to the target, and the ball is flagged
+    heuristic.
     """
     if digits < 1:
         raise InputError("digits must be positive")
     q = _coerce_rational_point(x)
     if q == 0:
         return Ball(f.coefficient(0))
+    params = f.hypergeometric
+    if params is not None:
+        return eval_hypergeometric_value(params, q**params.k, digits)
     if f.coeff_bound is None:
         return _eval_heuristic(f, q, digits)
     terms, radius = _truncation(*f.majorant(q), digits)

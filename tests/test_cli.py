@@ -656,6 +656,28 @@ class TestExitCodes:
         want = Fraction(want.man) * Fraction(2) ** want.exp
         assert abs(want - Fraction(value["re"])) <= radius
 
+    def test_hypergeometric_summed_against_its_terms(self, tmp_path, capsys):
+        # its coefficient bound C is about 10^8, so (C/3)^n / n! would ask
+        # for more than MAX_TERMS terms; its own terms stop at 15
+        doc = {
+            "version": 1,
+            "task": "eval",
+            "functions": [{"type": "hypergeometric", "upper": [], "lower": ["-7/2", "1"]}],
+            "points": ["1/3"],
+        }
+        code = main(["eval", "--spec", write_spec(tmp_path, doc), "--digits", "30",
+                     "--format", "json"])
+        assert code == 0
+        value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+        assert value["heuristic_tail"] is False
+        mant, exp = value["radius"].split("e")
+        radius = Fraction(mant) * Fraction(10) ** int(exp)
+        assert radius <= Fraction(1, 10**30)
+        with mpmath.workdps(60):
+            want = mpmath.hyp0f1(mpmath.mpf(-7) / 2, mpmath.mpf(1) / 9)
+        want = Fraction(want.man) * Fraction(2) ** want.exp
+        assert abs(want - Fraction(value["re"])) <= radius
+
     @pytest.mark.parametrize(
         "operator, initial, point, exit_code",
         [

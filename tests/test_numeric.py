@@ -24,6 +24,7 @@ from elindep.efunction import (
     ef_lagrange_combo,
     ef_scale,
     ef_sin_integral,
+    ef_sum,
     growth_check,
 )
 from elindep.errors import InputError, PrecisionExceededError, UnsupportedOperationError
@@ -226,6 +227,12 @@ class TestBinarySplitting:
         f = SPLIT_FUNCTIONS[name]()
         for x in (Fraction(-22, 7), Fraction(5, 3)):
             b = eval_efunction(f, x, 60)
+            params = f.hypergeometric
+            if params is not None:
+                # summed in y = x^k against its own terms, not (C|x|)^n / n!
+                assert (b.re, b.rad) == reference_hypergeometric(params, x**params.k, 60)
+                assert b.im == 0 and not b.heuristic_tail
+                continue
             if f.coeff_bound is None:
                 assert b.heuristic_tail
                 assert b.re == reference_heuristic(f, x, 60)
@@ -447,6 +454,57 @@ class TestEvalHypergeometric:
         with mpmath.workdps(60):
             truth = mpf_frac(mpmath.exp(-10))
         assert abs(b.re - truth) <= b.rad
+
+
+def mp_hypergeometric(params, y, dps):
+    """mpmath's sum t_n y^n as an exact Fraction; the series has no
+    implicit n!, so an upper 1 cancels mpmath's.  mpmath needs more digits
+    than a parameter has: with fewer, a parameter of 10^400 stalls it."""
+    with mpmath.workdps(dps):
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        v = mpmath.hyper([mp(a) for a in params.upper] + [1],
+                         [mp(b) for b in params.lower], mp(params.scale) * mp(y))
+    return Fraction(*mpmath.libmp.to_rational(v._mpf_))
+
+
+class TestHypergeometricEFunction:
+    """A function built by ef_hypergeometric is summed in y = x^k against
+    its own terms; closure results keep the (C|x|)^n / n! majorant."""
+
+    CASES = [
+        ((Fraction(1, 3),), (Fraction(1, 2), Fraction(2, 5)), 1),  # k = 1
+        ((), (Fraction(1, 2), 1), 1),  # k = 2
+        ((), (Fraction(-7, 2), 1), Fraction(-1, 4)),  # k = 2
+        ((), (Fraction(1, 3), Fraction(2, 3), 1), 1),  # k = 3
+        ((Fraction(-5, 2),), (Fraction(-1, 3), Fraction(7, 2), 1), Fraction(-2, 3)),
+        # a parameter past float range: the exact comparisons start at n1
+        ((10**400,), (1, 1), Fraction(1, 10**400)),
+    ]
+
+    @pytest.mark.parametrize("upper, lower, scale", CASES, ids=[
+        "k1", "k2", "k2-scaled", "k3", "k2-upper", "k1-parameter-1e400"])
+    def test_ball_contains_mpmath(self, upper, lower, scale):
+        f = ef_hypergeometric(upper, lower, scale)
+        params = f.hypergeometric
+        assert params == HypergeometricParams(
+            tuple(map(Fraction, upper)), tuple(map(Fraction, lower)), Fraction(scale))
+        for x in (Fraction(-22, 7), Fraction(-1, 3), Fraction(5, 3)):
+            b = eval_efunction(f, x, 80)
+            assert b.rad < Fraction(1, 10**80) and b.im == 0 and not b.heuristic_tail
+            truth = mp_hypergeometric(params, x**params.k, 500)
+            assert abs(b.re - truth) <= b.rad + Fraction(1, 10**100), (f.name, x)
+
+    def test_closure_results_keep_the_coefficient_majorant(self):
+        hyp = ef_hypergeometric([], [Fraction(1, 2), 1])
+        for f in (ef_scale(hyp, 2), ef_sum(hyp, ef_exp())):
+            assert f.hypergeometric is None
+            for x in (Fraction(-22, 7), Fraction(5, 3)):
+                b = eval_efunction(f, x, 60)
+                terms, radius = reference_truncation(f.coeff_bound * abs(x), 60)
+                assert b.re == reference_sum(f, x, terms)
+                assert b.rad == radius and b.im == 0
 
 
 class TestSciUpper:
