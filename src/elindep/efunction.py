@@ -137,6 +137,20 @@ _BLOCK = 16
 _FLOAT_SAFE = 2**32
 
 
+def _ceil_root(t: int, k: int) -> int:
+    """The least n >= 0 with n^k >= t, for k >= 1."""
+    if t <= 1:
+        return max(t, 0)
+    # integer Newton steps fall to floor(t^(1/k)) from any start above it
+    r = 1 << -(-t.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + t // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k >= t else r + 1
+
+
 class _RecurrenceSum:
     """Exact partial sums S_m = u_0 + ... + u_{m-1} of a recurrent sequence.
 
@@ -308,9 +322,7 @@ class EFunction:
             raise InputError("annihilator must involve at least one derivative")
         self.annihilator = annihilator
         self.name = name
-        self.coeff_bound = Fraction(coeff_bound) if coeff_bound is not None else None
-        if self.coeff_bound is not None and self.coeff_bound < 1:
-            self.coeff_bound = Fraction(1)
+        self._coeff_bound = coeff_bound
         self.values_transcendental = values_transcendental
         self.psi_singularity_poly = psi_singularity_poly
         self.hypergeometric = hypergeometric
@@ -342,6 +354,16 @@ class EFunction:
         self._check_seed_consistency(taylor)
         # the terms of the sum at x = 1, extended past the seeds on demand
         self._stream = _RecurrenceSum(taylor, self.rows, jmax, name)
+
+    @functools.cached_property
+    def coeff_bound(self) -> Fraction | None:
+        """C >= 1 with |a_n| <= C^n for n >= 1, or None.  A bound given as
+        a function (as `ef_hypergeometric` does) is computed on first read:
+        only closures and the (C|x|)^n / n! majorant read it."""
+        bound = self._coeff_bound
+        if callable(bound):
+            bound = bound()
+        return None if bound is None else max(Fraction(1), Fraction(bound))
 
     # -- coefficient stream ---------------------------------------------------
 
@@ -541,16 +563,17 @@ class HypergeometricParams:
     def majorant(self, x: Fraction, sums: _RecurrenceSum):
         """(start, log10 M, M) for M(n) = |t_n x^n|, the terms `sums` adds
         up.  Each term ratio is at most K0 |x| / n^k from N* on
-        (ratio_bound), so M halves past start = n1, N* doubled until
-        K0 |x| <= n1^k / 2.  M(n) is `sums`' next term once advanced to n,
-        so no product is formed twice; log10 M comes from log |(p)_n| =
-        lgamma(p + n) - lgamma(p), or is -inf when a parameter is too tall
-        for floats (_FLOAT_SAFE), so the exact comparisons start at n1."""
+        (ratio_bound), so M halves past start = n1, the least n >= N* with
+        2 K0 |x| <= n^k.  M(n) is `sums`' next term once advanced to n, so
+        no product is formed twice; n must not lie behind the index `sums`
+        has reached.  log10 M comes from log |(p)_n| = lgamma(p + n) -
+        lgamma(p), or is -inf when a parameter is too tall for floats
+        (_FLOAT_SAFE), so the exact comparisons start at n1."""
         k = self.k
-        n1, const = self.ratio_bound()
+        nstar, const = self.ratio_bound()
         kconst = const * abs(x)
-        while 2 * kconst.numerator > n1**k * kconst.denominator:
-            n1 *= 2
+        # n^k >= 2 K0 |x| holds for integer n^k exactly when it reaches the ceiling
+        n1 = max(nstar, _ceil_root(-(-2 * kconst.numerator // kconst.denominator), k))
 
         def term(n: int) -> tuple[int, int]:
             sums.advance(n)
@@ -673,7 +696,7 @@ def ef_hypergeometric(
         op,
         seeds,
         name=name,
-        coeff_bound=_hypergeometric_coeff_bound(params, a_coeff),
+        coeff_bound=lambda: _hypergeometric_coeff_bound(params, a_coeff),
         psi_singularity_poly=params.singular_poly.primitive_int(),
         hypergeometric=params,
     )

@@ -17,8 +17,8 @@ One rule, `_truncation`, ends every proven sum.  Each series type gives
 a majorant M of its terms at x that at least halves past a start
 (`EFunction.majorant`, `HypergeometricParams.majorant`), so N is the
 least index past the start with 2 M(N) < 10^-digits, and 2 M(N) is the
-radius.  A float estimate of log10 M, bisected, gives where exact integer
-comparisons begin, and those settle N, so no Fraction is built per index
+radius.  A float estimate of log10 M, searched from the start by doubling
+steps and then bisected, gives where exact integer comparisons begin, and those settle N, so no Fraction is built per index
 and N, the sum and the radius are the rationals a term loop gives.
 
 A function built by `ef_hypergeometric` is summed as its series
@@ -34,18 +34,32 @@ of identity | round(10^d v), with one big column for real values and two
 rounded column at d_j and U the unimodular first m columns of rung j-1's
 reduced basis; it spans exactly the lattice at d_j, and the digits enter a
 few at a time (van Hoeij and Novocin, gradual sub-lattice reduction,
-LATIN 2010).  After each rung, with B the coefficient bound:
+LATIN 2010).  The values climb the same ladder: `falsify` hands the search
+series values that refine on demand (`_SeriesValue`, which continues its
+running sums), and C_j is built from them summed to d_j + 12 digits, so a
+series is summed only as far as the rung that decides.  A Ball is a value
+that does not refine; so are values with a heuristic tail and values at 0,
+summed once at digits + 12.  After each rung, with B the coefficient
+bound:
 
 - a reduced row c with |c_k| <= B whose residual |sum c_k v_k|, bounded
-  in ball arithmetic, is at most 10^-digits is a found relation;
+  in ball arithmetic on the values summed to digits + 12, is at most
+  10^-digits is a found relation.  A row is first tested against the
+  rung's values: at e = d_j + 11 digits, where every radius is below
+  10^-e (a sine-integral difference adds two below 10^-(e+1)), such a
+  residual puts 2 |sum c_k round(10^e v_k)| at most 2 10^max(0, e-digits)
+  + 3 sum |c_k| + 2.  Only a row that passes makes the values be summed to
+  full digits, so the row found and its bound are those of values summed
+  in advance;
 - a true relation sum c_k v_k = 0 with |c_k| <= B is a lattice vector
-  whose big coordinates are at most slack_j = m B (1/2 + 10^d_j guard) in
-  size (a rounding error plus a scaled radius per value, the radii below
-  guard = 10^-(digits+10)), so its squared norm is at most worst_j =
-  m B^2 + cols slack_j^2.  A floor min ||b_i*||^2 of the reduced basis
-  above worst_j (compared as printed, rounded toward zero) excludes every
-  such relation.  The bound holds at every rung, so no rung can exclude
-  a true relation that the full-digit lattice would show.
+  whose big coordinates are at most slack = m B (1/2 + 10^d_j 10^-(d_j+10))
+  in size (a rounding error plus a scaled radius per value: the rung's
+  values are summed past 10^-(d_j+10), and a Ball's radius is at most
+  guard = 10^-(digits+10)), so its squared norm is at most worst = m B^2
+  + cols slack^2.  A floor min ||b_i*||^2 of the reduced basis above
+  worst (compared as printed, rounded toward zero) excludes every such
+  relation.  The bound holds at every rung, so no rung can exclude a true
+  relation that the full-digit lattice would show.
 
 The search stops at the first rung that finds or excludes and raises
 only when the rung at full digits does neither.  It is empirical by
@@ -106,10 +120,20 @@ def _truncation(start: int, log_term, exact_term, digits: int) -> tuple[int, Fra
     log10 M(n) in floats; exact_term(n) is M(n) as (numerator, denominator).
     """
     # the least n in [start, MAX_TERMS + 1] whose estimate of
-    # log10(2 M(n) 10^digits) is below the margin; MAX_TERMS + 2 when none is
+    # log10(2 M(n) 10^digits) is below the margin; MAX_TERMS + 2 when none
+    # is.  Steps doubling from start find a range that holds it, which is
+    # then bisected: a sum continued from its last N finds the next one in
+    # a few estimates.
     shift = math.log10(2) + digits
-    n = start + bisect.bisect_left(range(start, MAX_TERMS + 2), True,
-                                   key=lambda n: log_term(n) + shift < _LOG_MARGIN)
+
+    def below(n: int) -> bool:
+        return log_term(n) + shift < _LOG_MARGIN
+
+    lo = hi = start
+    while hi <= MAX_TERMS + 1 and not below(hi):
+        lo, hi = hi + 1, 2 * hi - start + 1
+    hi = min(hi, MAX_TERMS + 2)
+    n = lo + bisect.bisect_left(range(lo, hi), True, key=below)
     target = 10**digits
     while True:
         _check_terms(n)
@@ -117,6 +141,74 @@ def _truncation(start: int, log_term, exact_term, digits: int) -> tuple[int, Fra
         if 2 * num * target < den:
             return n, Fraction(2 * num, den)
         n += 1
+
+
+class _SeriesValue:
+    """The value of a series at a point that refines on demand.
+
+    It keeps the running partial sums of the series (`sums`) and the
+    majorant that stops them (`majorant`: start, log10 M, M).  Asked for d
+    digits it continues the sums to the N `_truncation` picks for d,
+    searching from the last N on: N grows with d, so that is the N and the
+    ball a fresh sum to d digits gives, and the hypergeometric majorant,
+    which reads its exact terms off the running sum, is never asked for an
+    index behind it.  Fewer digits than the most asked for so far give the
+    ball already summed.
+    """
+
+    def __init__(self, sums, majorant):
+        self._sums = sums
+        self._start, self._log_term, self._exact_term = majorant
+        self._digits = 0
+        self._ball = None
+
+    def ball(self, digits: int) -> Ball:
+        if digits > self._digits:
+            terms, radius = _truncation(max(self._start, self._sums.m),
+                                        self._log_term, self._exact_term, digits)
+            self._sums.advance(terms)
+            self._digits = digits
+            self._ball = Ball(self._sums.value(), Fraction(0), radius)
+        return self._ball
+
+
+@dataclass(frozen=True)
+class _Difference:
+    """hi - lo for two values, each refined to the digits asked for: the
+    radius is below twice theirs."""
+
+    hi: object
+    lo: object
+
+    def ball(self, digits: int) -> Ball:
+        return _ball(self.hi, digits) - _ball(self.lo, digits)
+
+
+def _ball(value, digits: int) -> Ball:
+    """A value's ball at `digits`; a Ball is a value that does not refine."""
+    return value if isinstance(value, Ball) else value.ball(digits)
+
+
+def _efunction_value(f: EFunction, q: Fraction, digits: int):
+    """f(q) as a value that refines on demand.  Two kinds stay fixed and
+    are summed once, at `digits`: f(0), and a function without a proven
+    coefficient bound, whose tail is heuristic."""
+    if q == 0:
+        return Ball(f.coefficient(0))
+    params = f.hypergeometric
+    if params is not None:
+        return _hypergeometric_value(params, q**params.k)
+    if f.coeff_bound is None:
+        return _eval_heuristic(f, q, digits)
+    return _SeriesValue(f.sums(q), f.majorant(q))
+
+
+def _hypergeometric_value(params: HypergeometricParams, q: Fraction):
+    """sum t_n q^n as a value that refines on demand; 1 at q = 0."""
+    if q == 0:
+        return Ball(Fraction(1))
+    sums = params.sums(q)
+    return _SeriesValue(sums, params.majorant(q, sums))
 
 
 def eval_efunction(f: EFunction, x, digits: int) -> Ball:
@@ -131,22 +223,11 @@ def eval_efunction(f: EFunction, x, digits: int) -> Ball:
     product over f's recurrence applied to its seeds, divided out once.
     Without a proven bound the truncation point is doubled until two
     successive partial sums agree to the target, and the ball is flagged
-    heuristic.
+    heuristic.  It is a one-shot use of the value `falsify` refines.
     """
     if digits < 1:
         raise InputError("digits must be positive")
-    q = _coerce_rational_point(x)
-    if q == 0:
-        return Ball(f.coefficient(0))
-    params = f.hypergeometric
-    if params is not None:
-        return eval_hypergeometric_value(params, q**params.k, digits)
-    if f.coeff_bound is None:
-        return _eval_heuristic(f, q, digits)
-    terms, radius = _truncation(*f.majorant(q), digits)
-    sums = f.sums(q)
-    sums.advance(terms)
-    return Ball(sums.value(), Fraction(0), radius)
+    return _ball(_efunction_value(f, _coerce_rational_point(x), digits), digits)
 
 
 def _eval_heuristic(f: EFunction, q: Fraction, digits: int) -> Ball:
@@ -189,13 +270,7 @@ def eval_hypergeometric_value(
     the term ratio, which then holds t_0 + ... + t_{n-1}.
     """
     params.validate()
-    q = _coerce_rational_point(x)
-    if q == 0:
-        return Ball(Fraction(1))
-    sums = params.sums(q)
-    terms, radius = _truncation(*params.majorant(q, sums), digits)
-    sums.advance(terms)
-    return Ball(sums.value(), Fraction(0), radius)
+    return _ball(_hypergeometric_value(params, _coerce_rational_point(x)), digits)
 
 
 @dataclass
@@ -223,17 +298,21 @@ def find_integer_relation(
 ) -> RelationReport:
     """Search for integers c with |sum c_k v_k| below the resolution.
 
-    The lattice is identity | round(10^d v) for d on the ladder `_rungs`,
-    each rung started from the unimodular part of the last rung's reduced
-    basis.  After each rung, a reduced row c with |c_k| <= coeff_bound
-    whose residual, bounded in ball arithmetic, is at most 10^-digits is
-    reported as found, with that bound.  Otherwise the rung's Gram-Schmidt
-    floor is compared against the largest squared norm a true relation can
-    have in that lattice; if the printed floor is higher, no relation with
-    coefficients up to coeff_bound exists within the values' accuracy, and
-    the report says so (excluded), naming the rung in lattice_digits.  If
-    no rung up to digits decides, the exclusion would be vacuous and a
-    precision error is raised instead.
+    Each value is a Ball, or a series value that `falsify` refines on
+    demand (a Ball is a value that does not refine); a Ball's radius must
+    be at most 10^-(digits+10).  The lattice is identity | round(10^d v)
+    for d on the ladder `_rungs`, with the series values summed to d + 12
+    digits, each rung started from the unimodular part of the last rung's
+    reduced basis.  After each rung, a reduced row c with |c_k| <=
+    coeff_bound whose residual, bounded in ball arithmetic at d + 12
+    digits and then, if it may still be small enough, at digits + 12, is
+    at most 10^-digits is reported as found, with that bound.  Otherwise
+    the rung's Gram-Schmidt floor is compared against the largest squared
+    norm a true relation can have in that lattice; if the printed floor is
+    higher, no relation with coefficients up to coeff_bound exists within
+    the values' accuracy, and the report says so (excluded), naming the
+    rung in lattice_digits.  If no rung up to digits decides, the
+    exclusion would be vacuous and a precision error is raised instead.
     """
     if len(values) < 2:
         raise InputError("need at least two values")
@@ -241,25 +320,29 @@ def find_integer_relation(
         raise InputError("coefficient bound must be positive")
     guard = Fraction(1, 10 ** (digits + 10))
     for idx, v in enumerate(values):
-        if v.rad > guard:
+        if isinstance(v, Ball) and v.rad > guard:
             raise InputError(
                 f"value {idx} radius exceeds the 10^-(digits+10) margin"
             )
     m = len(values)
-    parts = [[v.re for v in values]]
-    if any(v.im != 0 for v in values):
-        parts.append([v.im for v in values])
-    full = [_scaled_column(part, 10**digits) for part in parts]
-    heuristic = any(v.heuristic_tail for v in values)
+    # series values at rational points are real, and their tails proven
+    fixed = [v for v in values if isinstance(v, Ball)]
+    cols = 2 if any(v.im != 0 for v in fixed) else 1
+    heuristic = any(v.heuristic_tail for v in fixed)
+    # a true relation sum c_k v_k = 0 with |c_k| <= coeff_bound embeds at
+    # rung d to a lattice vector whose big coordinates are each at most
+    # slack: rounding plus radii below 10^-(d+10) scaled by 10^d
+    slack = m * coeff_bound * (Fraction(1, 2) + Fraction(1, 10**10))
+    worst_sq = m * coeff_bound**2 + cols * slack**2
     basis = [[int(i == k) for i in range(m)] for k in range(m)]
-    for rung in _rungs(m, len(parts), coeff_bound, digits):
-        scale = 10**rung
-        columns = [_scaled_column(part, scale) for part in parts]
+    for rung in _rungs(m, cols, coeff_bound, digits):
+        balls = [_ball(v, rung + 12) for v in values]
+        columns = _columns(balls, cols, 10**rung)
         reduced, min_norm_sq = lll_reduce(
             [u + [_dot(u, col) for col in columns] for u in basis]
         )
         basis = [row[:m] for row in reduced]
-        found = _relation(values, reduced, m, coeff_bound, full, digits)
+        found = _relation(values, balls, rung + 11, reduced, m, coeff_bound, cols, digits)
         if found is not None:
             coeffs, bound = found
             return RelationReport(
@@ -271,11 +354,6 @@ def find_integer_relation(
             )
         if heuristic:
             continue
-        # a true relation sum c_k v_k = 0 with |c_k| <= coeff_bound embeds
-        # to a lattice vector whose big coordinates are each at most slack:
-        # rounding plus scaled radii
-        slack = m * coeff_bound * (Fraction(1, 2) + scale * guard)
-        worst_sq = m * coeff_bound**2 + len(parts) * slack**2
         floor, printed = sci_rounded(min_norm_sq, away=False)
         if floor > worst_sq:
             return RelationReport(
@@ -322,22 +400,40 @@ def _rungs(m: int, cols: int, coeff_bound: int, digits: int) -> list[int]:
     return [*range(start, digits, _RUNG_STEP), digits]
 
 
-def _relation(values, reduced, m, coeff_bound, full, digits):
+def _relation(values, balls, e, reduced, m, coeff_bound, cols, digits):
     """The first reduced row, shortest first, whose coefficients are at most
     coeff_bound and whose residual is proven at most 10^-digits, with that
-    bound; None if there is none."""
+    bound; None if there is none.
+
+    `balls` are the values with radii below 10^-e.  A row is first tested
+    against their column at 10^e, and only a row that passes makes the
+    values be summed to digits + 12 digits for the full-digit tests, so
+    the row found and its bound are those of values summed in advance."""
     tol = Fraction(1, 10**digits)
+    near = _columns(balls, cols, 10**e)
+    spare = 2 * 10 ** max(0, e - digits) + 2
+    full = None
     for vec in sorted(reduced, key=lambda r: sum(x * x for x in r)):
         coeffs = vec[:m]
         if max(abs(c) for c in coeffs) > coeff_bound:
             continue
-        # |sum c_k v_k| <= 10^-digits puts each full-digit coordinate
-        # sum c_k round(10^digits v_k) within 1 + sum |c_k| / 2 of 0
-        reach = sum(abs(c) for c in coeffs) + 2
-        if any(2 * abs(_dot(coeffs, col)) > reach for col in full):
+        size = sum(abs(c) for c in coeffs)
+        # a residual bound of at most 10^-digits over the full-digit balls
+        # leaves room for their radii, so it puts each coordinate
+        # sum c_k round(10^e v_k) within 10^(e - digits) + 3/2 sum |c_k| of
+        # 0: the balls here have radii below 10^-e, plus rounding (a Ball
+        # is the same at both precisions)
+        if any(2 * abs(_dot(coeffs, col)) > spare + 3 * size for col in near):
+            continue
+        if full is None:
+            full_balls = [_ball(v, digits + 12) for v in values]
+            full = _columns(full_balls, cols, 10**digits)
+        # and each full-digit coordinate sum c_k round(10^digits v_k)
+        # within 1 + sum |c_k| / 2 of 0
+        if any(2 * abs(_dot(coeffs, col)) > size + 2 for col in full):
             continue
         resid = Ball(Fraction(0))
-        for c, v in zip(coeffs, values):
+        for c, v in zip(coeffs, full_balls):
             resid = resid + v.scaled(c)
         # L1 upper bound for |residual| over the ball
         bound = abs(resid.re) + abs(resid.im) + resid.rad
@@ -346,9 +442,28 @@ def _relation(values, reduced, m, coeff_bound, full, digits):
     return None
 
 
-def _scaled_column(part: list[Fraction], scale: int) -> list[int]:
-    """round(scale * x) for each x, ties up, without building a Fraction."""
-    return [(2 * scale * x.numerator + x.denominator) // (2 * x.denominator) for x in part]
+def _columns(balls: list[Ball], cols: int, scale: int) -> list[list[int]]:
+    """round(scale * x), ties up and without building a Fraction, for the
+    real parts x of the balls' midpoints, and for the imaginary parts too
+    when cols is 2."""
+    parts = [[b.re for b in balls], [b.im for b in balls]][:cols]
+    return [[(2 * scale * x.numerator + x.denominator) // (2 * x.denominator) for x in part]
+            for part in parts]
+
+
+def _falsify_value(f: EFunction, q: Fraction, digits: int):
+    """f(q) for the relation search, to be refined up to `digits`.  A
+    coefficient that f's recurrence leaves free below the truncation for
+    `digits` is reported here, as summing that far would report it, so
+    that `falsify` skips the item; the truncation is only worked out when
+    f has a free coefficient at all."""
+    value = _efunction_value(f, q, digits)
+    if isinstance(value, _SeriesValue) and f.hypergeometric is None:
+        try:
+            f.check_determined(0, MAX_TERMS + 2)
+        except UnsupportedOperationError:
+            f.check_determined(0, _truncation(*f.majorant(q), digits)[0])
+    return value
 
 
 def falsify(
@@ -356,9 +471,13 @@ def falsify(
 ) -> RelationReport:
     """Empirically probe a certificate's value list for integer relations.
 
-    Evaluates {1, values...} from the certificate's evaluation plan and
-    searches for relations.  Items at irrational points (no rational
-    scaling route) and items at 0 (value is a rational constant) are
+    Builds {1, values...} from the certificate's evaluation plan as
+    series values that refine on demand and searches for relations among
+    them: each is summed to the digits of the rung that decides, plus 12,
+    and to digits + 12 only when a row may be a relation.  Items at
+    irrational points (no rational scaling route), items at 0 (value is a
+    rational constant) and items with a series coefficient their
+    recurrence leaves free below the truncation for digits + 12 are
     skipped with a notice.  An unconditional CertifiedIndependent
     certificate together with a found relation inside the certified scope
     is flagged as a contradiction; that event failing loudly is the
@@ -387,7 +506,7 @@ def falsify(
                         f"constant {format_rational(f.coefficient(0))})"
                     )
                     continue
-                values.append(eval_efunction(f, q, eval_digits))
+                values.append(_falsify_value(f, q, eval_digits))
             elif kind == "hyp_value":
                 _, params, point = item
                 q = point.as_rational()
@@ -397,7 +516,8 @@ def falsify(
                 if q == 0:
                     notices.append("skipped a series value at 0 (equals 1)")
                     continue
-                values.append(eval_hypergeometric_value(params, q, eval_digits))
+                params.validate()
+                values.append(_hypergeometric_value(params, q))
             elif kind == "si_integral":
                 _, lo, hi = item
                 qlo = lo.as_rational()
@@ -406,10 +526,8 @@ def falsify(
                     notices.append("skipped an integral with irrational endpoints")
                     continue
                 f = ef_sin_integral()
-                values.append(
-                    eval_efunction(f, qhi, eval_digits)
-                    - eval_efunction(f, qlo, eval_digits)
-                )
+                values.append(_Difference(_falsify_value(f, qhi, eval_digits),
+                                          _falsify_value(f, qlo, eval_digits)))
             else:
                 notices.append(f"skipped unknown item kind {kind!r}")
         except UnsupportedOperationError as exc:

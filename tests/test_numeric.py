@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from elindep import efunction, numeric
 from elindep.balls import Ball
-from elindep.criterion import certify_multi, certify_si_integrals, certify_single
+from elindep.criterion import (
+    certify_hypergeometric,
+    certify_multi,
+    certify_si_integrals,
+    certify_single,
+)
 from elindep.diffop import op_from_text
 from elindep.efunction import (
     EFunction,
@@ -112,8 +117,8 @@ class TestEvalEFunction:
             with pytest.raises(PrecisionExceededError):
                 eval_efunction(f, 10**400, 5)
 
-        # at 10^7, n1 = 3 * 2^23 > MAX_TERMS + 1: the rule stops at its
-        # start, before it reads any term off the sum
+        # at 10^7, n1 = 2 K0 |x| = 4 * 10^7 > MAX_TERMS + 1: the rule stops
+        # at its start, before it reads any term off the sum
         def summing(*args):
             raise AssertionError("summed")
 
@@ -167,13 +172,14 @@ def reference_heuristic(f, x, digits):
 def reference_hypergeometric(params, x, digits):
     """Sum and radius of a hypergeometric value term by term: stop at the
     least n >= n1 with 2 |t_n| < 10^-digits, past which every term ratio
-    is at most 1/2 (n1 as in eval_hypergeometric_value)."""
+    is at most 1/2 (n1 as in eval_hypergeometric_value: the least
+    n >= N* with 2 K0 |x| <= n^k, found by counting up)."""
     n1 = 1 + max(2 * math.ceil(abs(b)) for b in params.lower)
     kconst = abs(params.scale * x) * 2 ** len(params.lower)
     for a in params.upper:
         kconst *= 1 + math.ceil(abs(a))
-    while kconst > Fraction(n1**params.k, 2):
-        n1 *= 2
+    while 2 * kconst > n1**params.k:
+        n1 += 1
     term, total, n = Fraction(1), Fraction(0), 0
     while not (n >= n1 and 2 * abs(term) < Fraction(1, 10**digits)):
         total += term
@@ -271,11 +277,11 @@ class TestBinarySplitting:
                 for digits in (1, 80):
                     b = eval_hypergeometric_value(params, x, digits)
                     assert (b.re, b.rad) == reference_hypergeometric(params, x, digits)
-        # n1 starts at N* = 3 and doubles to 96, the first 3 * 2^j with
-        # K0 |x| = 2 * 20 <= n1^k / 2
+        # n1 is the least n >= N* = 3 with 2 K0 |x| = 2 * 2 * 20 <= n^k, where
+        # doubling N* overshot to 96
         params, x = HypergeometricParams((), (Fraction(1),)), Fraction(20)
         assert params.ratio_bound()[0] == 3
-        assert params.majorant(x, params.sums(x))[0] == 96
+        assert params.majorant(x, params.sums(x))[0] == 80
         for digits in (1, 80):
             b = eval_hypergeometric_value(params, x, digits)
             assert (b.re, b.rad) == reference_hypergeometric(params, x, digits)
@@ -387,7 +393,7 @@ class TestBoundedWork:
         assert b.rad < Fraction(1, 10**3000)
 
     def test_truncation_builds_no_fraction_per_step(self, monkeypatch):
-        # the truncations here are about 54000 and 12288 terms; finding one
+        # the truncations here are about 54000 and 8000 terms; finding one
         # may build a handful of Fractions, and the 20th ends the search
         made = []
         new = Fraction.__new__
@@ -404,18 +410,18 @@ class TestBoundedWork:
                 raise TooMany
             return new(cls, *args, **kwargs)
 
-        def split(f, x):
+        def split(sums, hi):
             raise SplitReached
 
         f = ef_exp()
         params = HypergeometricParams((), (Fraction(1),))
         params.ratio_rows  # built once per series, from Fraction coefficients
-        monkeypatch.setattr(EFunction, "sums", split)
+        monkeypatch.setattr(efunction._ClassSums, "advance", split)
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         with pytest.raises(SplitReached):
             eval_efunction(f, 20000, 11)
         # e^2000 as a hypergeometric value: the rule reads each exact term
-        # off the sum of 12288 terms, so the whole evaluation counts
+        # off the sum of about 8000 terms, so the whole evaluation counts
         made.clear()
         b = eval_hypergeometric_value(params, 2000, 11)
         monkeypatch.undo()
@@ -495,6 +501,23 @@ class TestHypergeometricEFunction:
             assert b.rad < Fraction(1, 10**80) and b.im == 0 and not b.heuristic_tail
             truth = mp_hypergeometric(params, x**params.k, 500)
             assert abs(b.re - truth) <= b.rad + Fraction(1, 10**100), (f.name, x)
+
+    def test_coefficient_bound_is_computed_only_when_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the coefficient bound was computed")
+
+        monkeypatch.setattr(efunction, "_hypergeometric_coeff_bound", refuse)
+        for upper, lower, scale in self.CASES[:3]:
+            f = ef_hypergeometric(upper, lower, scale)
+            eval_efunction(f, Fraction(-22, 7), 40)
+            rep = falsify(certify_single(f, [Fraction(1, 2), Fraction(2, 3)]), 40, 1000)
+            assert rep.excluded
+        monkeypatch.undo()
+        # read by a closure, it is the eager bound: 16, 64 and 2431/7
+        for (upper, lower, scale), bound in zip(self.CASES[:3], (16, 64, Fraction(2431, 7))):
+            f = ef_hypergeometric(upper, lower, scale)
+            assert ef_scale(f, 2).coeff_bound == 2 * bound
+            assert f.coeff_bound == bound
 
     def test_closure_results_keep_the_coefficient_majorant(self):
         hyp = ef_hypergeometric([], [Fraction(1, 2), 1])
@@ -708,9 +731,11 @@ def exp_value(point: Fraction) -> Ball:
 
 
 def worst_sq(m, cols, coeff_bound, lattice_digits, digits):
-    """The largest squared norm of a true relation's vector at a rung."""
-    guard = Fraction(1, 10 ** (digits + 10))
-    slack = m * coeff_bound * (Fraction(1, 2) + 10**lattice_digits * guard)
+    """The largest squared norm of a true relation's vector at a rung, whose
+    values have radii below 10^-(lattice_digits+10) (digits + 10 at full
+    digits, the margin of a Ball)."""
+    radius = Fraction(1, 10 ** (min(lattice_digits, digits) + 10))
+    slack = m * coeff_bound * (Fraction(1, 2) + 10**lattice_digits * radius)
     return m * coeff_bound**2 + cols * slack**2
 
 
@@ -839,3 +864,162 @@ class TestRelationLadder:
         rep = find_integer_relation(values, 10**6, 60)
         assert not rep.found and not rep.excluded and rep.lattice_digits is None
         assert len(floors) == len(numeric._rungs(2, 1, 10**6, 60)) > 1
+
+
+# (name, builder) of the functions whose values the relation search refines
+REFINED_FUNCTIONS = {
+    "exp": ef_exp,
+    "J0": ef_bessel_j0,
+    "Si": ef_sin_integral,
+    "(1+z)e^z": lambda: ode("(1+z)*D^1 + (-2-z)", ["1", "2"], 2),
+    "F[1/3;1/2,2/5]": lambda: ef_hypergeometric([Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 5)]),
+    "F[;1/2,1]": lambda: ef_hypergeometric([], [Fraction(1, 2), 1]),
+}
+
+
+def eager_values(cert, digits):
+    """The certificate's values summed in advance at digits + 12, as
+    falsify summed them before it refined them (zero and irrational points
+    skipped alike)."""
+    values = [Ball.point(1)]
+    for kind, *rest in cert.eval_items:
+        if kind == "efunction":
+            f, point = rest
+            q = point.as_rational()
+            if q:
+                values.append(eval_efunction(f, q, digits + 12))
+        elif kind == "hyp_value":
+            params, point = rest
+            q = point.as_rational()
+            if q:
+                values.append(eval_hypergeometric_value(params, q, digits + 12))
+        else:
+            lo, hi = (x.as_rational() for x in rest)
+            si = ef_sin_integral()
+            values.append(eval_efunction(si, hi, digits + 12) - eval_efunction(si, lo, digits + 12))
+    return values
+
+
+def outcome(search):
+    """What a relation search reports, notices aside, or that it raised."""
+    try:
+        rep = search()
+    except PrecisionExceededError:
+        return "precision exceeded"
+    return (rep.found, rep.coefficients, rep.residual_bound, rep.excluded,
+            rep.min_lattice_norm, rep.lattice_digits)
+
+
+def series_values(monkeypatch):
+    """Record every series value numeric builds."""
+    made = []
+
+    class Recorded(numeric._SeriesValue):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(numeric, "_SeriesValue", Recorded)
+    return made
+
+
+class TestRefinedValues:
+    """falsify hands the search values that are summed only as far as the
+    rung that decides; the balls, and so the reports, are those of values
+    summed in advance."""
+
+    @pytest.mark.parametrize("name", sorted(REFINED_FUNCTIONS))
+    def test_rising_digits_give_the_fresh_balls(self, name):
+        f = REFINED_FUNCTIONS[name]()
+        for x in (Fraction(-22, 7), Fraction(5, 3), Fraction(1, 9)):
+            value = numeric._efunction_value(f, x, 1)
+            for digits in (5, 20, 21, 47, 47, 90, 150):
+                assert value.ball(digits) == eval_efunction(f, x, digits), (name, x, digits)
+            # fewer digits give the ball already summed, which is finer
+            assert value.ball(30) == eval_efunction(f, x, 150)
+        params = HypergeometricParams((Fraction(-5, 2),), (Fraction(-1, 3), Fraction(7, 2), 1),
+                                      Fraction(-2, 3))
+        value = numeric._hypergeometric_value(params, Fraction(7, 3))
+        for digits in (1, 12, 40, 41, 200):
+            assert value.ball(digits) == eval_hypergeometric_value(params, Fraction(7, 3), digits)
+
+    @pytest.mark.parametrize("kind", ["exp", "J0", "planted", "hyp", "si"])
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(points=st.lists(POINT, min_size=1, max_size=3, unique=True),
+           digits=st.integers(4, 90), bound=st.sampled_from([10**3, 10**6]))
+    def test_falsify_reports_as_values_summed_in_advance(self, kind, points, digits, bound):
+        if kind == "exp":
+            cert = certify_single(ef_exp(), points)
+        elif kind == "J0":
+            cert = certify_single(ef_bessel_j0(), points)
+        elif kind == "planted":
+            # exp(2x) = exp at 2x: the relation (0, -1, 1, 0)
+            x, y = points[0], points[-1] + 3
+            cert = certify_multi([ef_scale(ef_exp(), 2), ef_exp(), ef_exp()], [x, 2 * x, y])
+        elif kind == "hyp":
+            lowers = [(Fraction(1, 2),), (Fraction(1), Fraction(1, 3)), (Fraction(3, 2), Fraction(1))]
+            cert = certify_hypergeometric(
+                [HypergeometricParams((), lower) for lower in lowers[:len(points)]], points)
+        else:
+            cert = certify_si_integrals([(x, x + 1) for x in points])
+        got = outcome(lambda: falsify(cert, digits, bound))
+        assert got == outcome(lambda: find_integer_relation(eager_values(cert, digits), bound, digits))
+        if kind == "planted":
+            assert got[1] == [0, -1, 1, 0] or got[1] == [0, 1, -1, 0]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.lists(POINT, min_size=1, max_size=3, unique=True), st.integers(20, 90),
+           st.one_of(st.none(), st.tuples(COEFF, COEFF)))
+    def test_complex_values_among_refined_ones(self, points, digits, plant):
+        # a fixed complex ball among series values, and a planted relation
+        # through it
+        z = Ball(exp_value(Fraction(1, 3)).re, exp_value(Fraction(2, 7)).re,
+                 exp_value(Fraction(1, 3)).rad + exp_value(Fraction(2, 7)).rad)
+        fixed = [Ball.point(1), z]
+        if plant is not None:
+            fixed.append(planted(fixed, plant))
+        refined = [numeric._efunction_value(ef_exp(), x, digits + 12) for x in points]
+        eager = [eval_efunction(ef_exp(), x, digits + 12) for x in points]
+        got = outcome(lambda: find_integer_relation(fixed + refined, 10**6, digits))
+        assert got == outcome(lambda: find_integer_relation(fixed + eager, 10**6, digits))
+        if plant is not None and any(plant):
+            assert got[0]
+
+    def test_exclusion_sums_to_its_rung_only(self, monkeypatch):
+        made = series_values(monkeypatch)
+        points = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+        for cert in (certify_single(ef_exp(), points), certify_single(ef_bessel_j0(), points),
+                     certify_hypergeometric([HypergeometricParams((), (Fraction(1, 2),))] * 3,
+                                            points)):
+            made.clear()
+            rep = falsify(cert, 100, 10**6)
+            assert rep.excluded and rep.lattice_digits < 100
+            assert len(made) == 3
+            lattice = rep.lattice_digits
+            for value, item in zip(made[:3], cert.eval_items):
+                if item[0] == "efunction":
+                    fresh = numeric._efunction_value(item[1], item[2].as_rational(), 1)
+                else:
+                    fresh = numeric._hypergeometric_value(item[1], item[2].as_rational())
+                fresh.ball(lattice + 12)
+                assert value._sums.m == fresh._sums.m
+                # the sum to full digits goes further
+                fresh.ball(112)
+                assert value._sums.m < fresh._sums.m
+
+    def test_relation_sums_to_full_digits(self, monkeypatch):
+        made = series_values(monkeypatch)
+        cert = certify_multi([ef_scale(ef_exp(), 2), ef_exp(), ef_exp()],
+                             [Fraction(1, 2), 1, Fraction(2, 3)])
+        rep = falsify(cert, 60, 10**6)
+        assert rep.found and rep.coefficients in ([0, -1, 1, 0], [0, 1, -1, 0])
+        refined = [v.ball(1) for v in made]
+        assert refined == eager_values(cert, 60)[1:]
+
+    def test_undetermined_coefficient_is_still_skipped(self):
+        # coefficient 4 is free, below the truncation at either point
+        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["3", "-1"], 2)
+        cert = certify_single(f, [1, 2])
+        rep = falsify(cert, 30, 10**6)
+        assert rep.skipped
+        assert rep.notices[0].startswith("skipped: series coefficient 4 of g is not determined")
