@@ -64,8 +64,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterable
 
-import mpmath
-
 from .balls import Ball, _sqrt_upper
 from .errors import InputError, PrecisionExceededError
 from .polynomials import (
@@ -284,7 +282,11 @@ _CACHE: dict[tuple[int, ...], tuple[int, tuple[Ball, ...]]] = {}
 
 
 def _propose_roots(p: tuple[int, ...], bits: int):
-    """Untrusted root approximations at about `bits` bits of precision."""
+    """Untrusted root approximations at about `bits` bits of precision.
+    mpmath is imported here, on first use, so that a process that isolates
+    no root never loads it."""
+    import mpmath
+
     dps = max(30, int(bits * 0.302) + 10 + 2 * (len(p) - 1))
     # coefficients and roots must both live at the working precision
     with mpmath.workdps(dps):

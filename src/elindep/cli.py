@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,6 +59,10 @@ TASKS = (
 )
 
 BUILTINS = {"exp": ef_exp, "J0": ef_bessel_j0, "Si": ef_sin_integral}
+
+# the precision ladder doubles up to --max-precision-bits; at the edge-root
+# point of a box, 2^18 bits take about 2 s, 2^20 about 25 s
+MAX_PRECISION_BITS = 1 << 18
 
 
 @dataclass
@@ -528,7 +533,8 @@ def _parser() -> _Parser:
                        "value has at most 4300 digits in all, so 4300 fails if |value| >= 1")
         p.add_argument("--coeff-bound", type=int, default=10**6)
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--max-precision-bits", type=int, default=1 << 16)
+        p.add_argument("--max-precision-bits", type=int, default=1 << 16,
+                       help=f"cap of the precision ladder, at most {MAX_PRECISION_BITS} (2^18)")
     return parser
 
 
@@ -540,6 +546,11 @@ def main(argv=None) -> int:
             raise InputError(
                 f"digits must be positive and at most {MAX_DECIMAL_DIGITS}, "
                 f"got {args.digits}"
+            )
+        if args.max_precision_bits > MAX_PRECISION_BITS:
+            raise InputError(
+                f"max precision bits must be at most {MAX_PRECISION_BITS}, "
+                f"got {args.max_precision_bits}"
             )
         if args.command == "demo":
             report, code = _run_demo(args.digits, args.coeff_bound)
@@ -574,10 +585,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(_render_text(report))
+    try:
+        if args.format == "json":
+            print(json.dumps(report, indent=2))
+        else:
+            print(_render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send the rest, and the flush at exit,
+        # to devnull (Python docs, note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

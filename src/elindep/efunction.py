@@ -12,7 +12,17 @@ growth metadata:
 Coefficients are generated from the recurrence induced by the annihilator;
 indices where the recurrence degenerates must be covered by the supplied
 initial coefficients, and supplied coefficients are checked against every
-recurrence row they determine.
+recurrence row they determine, in integers, row by row.
+
+A function built by `ef_hypergeometric` is its parameters
+(`EFunction.hypergeometric`).  Its Taylor coefficients are the terms t_n
+of its series, c_{kn} = t_n, read off the term ratio's running sum, so no
+n! is formed and divided out again; its order and seed count have closed
+forms; and its annihilator, recurrence, seeds and seed check are built
+only when something reads them (a closure, or the `transform` task).
+Evaluation sums the parameters' own series and certification reads the
+closed-form singular polynomial, so neither builds the operator, and a
+parameter of any size costs nothing to build.
 
 Each series carries one integer recurrence, built once here, and one
 engine, `_RecurrenceSum`, runs it by binary splitting (Chudnovsky &
@@ -61,9 +71,8 @@ and a majorant M of its terms at x that at least halves past a start,
 `majorant`: (C|x|)^n / n! for an EFunction with proven bound C, and the
 terms |t_n x^n| themselves, read off the running sum, for a
 hypergeometric series.  `numeric._truncation` picks N and the radius.
-An EFunction built by `ef_hypergeometric` keeps its parameters
-(`EFunction.hypergeometric`), so `numeric` sums it as the hypergeometric
-series in z^k, against its terms.
+A function built by `ef_hypergeometric` is summed by `numeric` as the
+hypergeometric series in z^k, against its terms.
 
 Closure operations build their operator exactly, so it is proven to
 annihilate the result: a rational scale rescales the operator, p f is
@@ -71,7 +80,9 @@ killed by L composed with division by p (denominators cleared), and a sum
 takes the least common left multiple of both operators
 (`diffop.op_lclm`), a left multiple of each.  No operator is guessed from
 a coefficient prefix.  Derivatives and irrational scale factors are not
-offered.
+offered.  A closure whose operator needs more than MAX_TERMS + 1 seeds,
+the cap on every series sum, raises PrecisionExceededError before it
+builds any.
 """
 
 from __future__ import annotations
@@ -84,8 +95,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebraic import AlgebraicNumber, Precision, DEFAULT_PRECISION, isolate_roots
-from .diffop import DiffOperator, op_compose, op_lclm, recurrence_from_ode
-from .errors import InputError, UnsupportedOperationError
+from .diffop import DiffOperator, Recurrence, op_compose, op_lclm, recurrence_from_ode
+from .errors import InputError, PrecisionExceededError, UnsupportedOperationError
 from .polynomials import Polynomial, squarefree_part
 
 
@@ -123,6 +134,17 @@ def _undetermined(m: int, name: str) -> UnsupportedOperationError:
         f"series coefficient {m} of {name} is not determined "
         "by the recurrence; supply it as an initial coefficient"
     )
+
+
+# the cap on the length of every series sum, and on a seed list
+MAX_TERMS = 500_000
+
+
+def _check_seed_count(count: int):
+    if count > MAX_TERMS + 1:
+        raise PrecisionExceededError(
+            f"the series needs {count} seed coefficients, more than {MAX_TERMS + 1}"
+        )
 
 
 # steps a leaf of the splitting tree multiplies one after another: on the
@@ -298,42 +320,64 @@ class EFunction:
     """Solution of an ODE with polynomial coefficients, given by series data.
 
     initial_coeffs are a_0, a_1, ... (at least as many as the operator
-    order; more when the recurrence has degenerate indices).  `rows` is
-    the integer recurrence [den, row_1, ..., row_r] of the Taylor
-    coefficients c_n = a_n / n!, with offset `recurrence.max_shift`
-    (module docstring).  `hypergeometric` holds the parameters of a
-    function built by `ef_hypergeometric`, f(z) = sum t_n z^(kn); closure
-    results are new functions and leave it None.
+    order; more when the recurrence has degenerate indices), checked here
+    against every recurrence row they determine.  `rows` is the integer
+    recurrence [den, row_1, ..., row_r] of the Taylor coefficients
+    c_n = a_n / n!, with offset `recurrence.max_shift` (module docstring).
+
+    A function built by `ef_hypergeometric`, f(z) = sum t_n z^(kn), is its
+    parameters, `hypergeometric`; it is given no annihilator and no initial
+    coefficients.  Its Taylor coefficients are the terms t_n, and its
+    annihilator, recurrence, seeds and seed check are built from the
+    parameters on first read.  Closure results are new functions and leave
+    `hypergeometric` None.
     """
 
     def __init__(
         self,
-        annihilator: DiffOperator,
-        initial_coeffs: Sequence,
+        annihilator: DiffOperator | None,
+        initial_coeffs: Sequence = (),
         name: str = "f",
         coeff_bound=None,
         values_transcendental: bool = False,
         psi_singularity_poly: Polynomial | None = None,
         hypergeometric: HypergeometricParams | None = None,
     ):
-        if annihilator.is_zero:
-            raise InputError("annihilator must be nonzero")
-        if annihilator.order < 1:
-            raise InputError("annihilator must involve at least one derivative")
-        self.annihilator = annihilator
         self.name = name
         self._coeff_bound = coeff_bound
         self.values_transcendental = values_transcendental
         self.psi_singularity_poly = psi_singularity_poly
         self.hypergeometric = hypergeometric
-
-        seeds = [Fraction(v) for v in initial_coeffs]
+        if hypergeometric is not None:
+            return
+        if annihilator is None or annihilator.is_zero:
+            raise InputError("annihilator must be nonzero")
+        if annihilator.order < 1:
+            raise InputError("annihilator must involve at least one derivative")
+        self.annihilator = annihilator
+        # ordinary series coefficients c_n = a_n / n!
+        seeds = [Fraction(a) / math.factorial(n) for n, a in enumerate(initial_coeffs)]
         if len(seeds) < annihilator.order:
             raise InputError(
                 f"order {annihilator.order} operator needs at least "
                 f"{annihilator.order} initial coefficients, got {len(seeds)}"
             )
-        self.recurrence = recurrence_from_ode(annihilator)
+        self._check_seed_consistency(seeds)
+        self.seeds = seeds
+        self.seed_count = len(seeds)
+
+    @functools.cached_property
+    def annihilator(self) -> DiffOperator:
+        return hypergeometric_annihilator(self.hypergeometric)
+
+    @functools.cached_property
+    def recurrence(self) -> Recurrence:
+        return recurrence_from_ode(self.annihilator)
+
+    @functools.cached_property
+    def rows(self) -> list[list[int]]:
+        """[den, row_1, ..., row_r]: the recurrence's bands P_j with their
+        denominators cleared once, den = P_jmax and row_d = -P_{jmax-d}."""
         bands = self.recurrence.bands()
         jmax = self.recurrence.max_shift
         den = math.lcm(*(band.scale.denominator for band in bands.values()))
@@ -345,54 +389,88 @@ class EFunction:
             k = sign * band.scale.numerator * (den // band.scale.denominator)
             return [k * c for c in band.prim]
 
-        self.rows = [row(jmax, 1)] + [
+        return [row(jmax, 1)] + [
             row(jmax - d, -1) for d in range(1, jmax - self.recurrence.min_shift + 1)
         ]
-        # ordinary series coefficients c_n = a_n / n!
-        taylor = [a / math.factorial(n) for n, a in enumerate(seeds)]
-        self.seed_count = len(seeds)
-        self._check_seed_consistency(taylor)
-        # the terms of the sum at x = 1, extended past the seeds on demand
-        self._stream = _RecurrenceSum(taylor, self.rows, jmax, name)
+
+    @functools.cached_property
+    def seed_count(self) -> int:
+        """How many seeds pin the series: the initial coefficients given,
+        or, from parameters, max(order, the last free index + 1).  The
+        recurrence's leading band t prod_j (t + k(b_j - 1)) leaves c_t free
+        at t = 0 and at every nonnegative integer k(1 - b_j)."""
+        params = self.hypergeometric
+        free = [params.k * (1 - b) for b in params.lower]
+        last_free = max([0] + [int(t) for t in free if t.denominator == 1 and t >= 0])
+        return max(self.order, last_free + 1)
+
+    @functools.cached_property
+    def seeds(self) -> list[Fraction]:
+        """The Taylor coefficients c_0, ..., c_{seed_count - 1}.  From
+        parameters they are the terms, checked against the annihilator's
+        recurrence when first read, as given seeds are when built."""
+        _check_seed_count(self.seed_count)
+        seeds = [self.series_coefficient(n) for n in range(self.seed_count)]
+        self._check_seed_consistency(seeds)
+        return seeds
 
     @functools.cached_property
     def coeff_bound(self) -> Fraction | None:
-        """C >= 1 with |a_n| <= C^n for n >= 1, or None.  A bound given as
-        a function (as `ef_hypergeometric` does) is computed on first read:
-        only closures and the (C|x|)^n / n! majorant read it."""
+        """C >= 1 with |a_n| <= C^n for n >= 1, or None.  A function given
+        by its parameters computes its own on first read: only closures and
+        the (C|x|)^n / n! majorant read it."""
         bound = self._coeff_bound
-        if callable(bound):
-            bound = bound()
+        if self.hypergeometric is not None:
+            bound = _hypergeometric_coeff_bound(self.hypergeometric, self.coefficient)
         return None if bound is None else max(Fraction(1), Fraction(bound))
 
     # -- coefficient stream ---------------------------------------------------
 
-    def _check_seed_consistency(self, taylor: list[Fraction]):
-        """Every recurrence row fully determined by the seeds must vanish."""
+    def _check_seed_consistency(self, seeds: list[Fraction]):
+        """Every recurrence row fully determined by the seeds must vanish.
+        A row is checked in integers, over the common denominator of the
+        r + 1 seeds it reads; one denominator for all the seeds grows with
+        their count (at 4002 seeds its check took 6 times as long)."""
+        lead, *rows = self.rows
         offset = self.recurrence.max_shift
-        for m in range(max(offset, 0), len(taylor)):
+        for m in range(max(offset, 0), len(seeds)):
             t = m - offset
-            total = _horner(self.rows[0], t) * taylor[m] - sum(
-                _horner(row, t) * taylor[m - d]
-                for d, row in enumerate(self.rows[1:], 1)
-                if m >= d
+            # u[d] is the seed m - d over the row's denominator
+            window = seeds[max(m - len(rows), 0) : m + 1][::-1]
+            den = math.lcm(*(c.denominator for c in window))
+            u = [c.numerator * (den // c.denominator) for c in window]
+            total = _horner(lead, t) * u[0] - sum(
+                _horner(row, t) * v for row, v in zip(rows, u[1:])
             )
             if total != 0:
                 raise InputError(
                     f"initial coefficients violate the recurrence at row {t}"
                 )
 
+    @functools.cached_property
+    def _stream(self) -> _RecurrenceSum:
+        """The terms of the sum at x = 1, extended past the seeds on
+        demand; from parameters, the terms t_n of the term ratio's sum."""
+        if self.hypergeometric is not None:
+            return self.hypergeometric.sums(Fraction(1))
+        return _RecurrenceSum(list(self.seeds), self.rows, self.recurrence.max_shift, self.name)
+
     def coefficient(self, n: int) -> Fraction:
         """a_n, the n-th coefficient of the z^n/n! expansion."""
-        if n < 0:
-            return Fraction(0)
-        return self.series_coefficient(n) * math.factorial(n)
+        c = self.series_coefficient(n)
+        # off multiples of k a hypergeometric series is 0: no n! to form
+        return c * math.factorial(n) if c else c
 
     def series_coefficient(self, n: int) -> Fraction:
-        """c_n = a_n / n!, the plain Taylor coefficient."""
+        """c_n = a_n / n!, the plain Taylor coefficient; from parameters,
+        c_{kn} = t_n and zero off multiples of k."""
         if n < 0:
             return Fraction(0)
-        return self._stream.term(n)
+        params = self.hypergeometric
+        if params is None:
+            return self._stream.term(n)
+        q, r = divmod(n, params.k)
+        return self._stream.term(q) if r == 0 else Fraction(0)
 
     def coefficients(self, count: int) -> list[Fraction]:
         return [self.coefficient(n) for n in range(count)]
@@ -419,7 +497,7 @@ class EFunction:
         jmax = self.recurrence.max_shift
         classes = []
         for c in range(g):
-            if not any(self.series_coefficient(n) for n in range(c, self.seed_count, g)):
+            if not any(self.seeds[c::g]):
                 continue
             offset = -((c - jmax) // g)
             base = c - jmax + g * offset
@@ -449,7 +527,7 @@ class EFunction:
         """Partial sums of sum c_n x^n: one sum per residue class mod the
         stride g that is not zero, its rows scaled by x^g."""
         g = self.stride
-        seeds = [self.series_coefficient(n) * x**n for n in range(self.seed_count)]
+        seeds = [c * x**n for n, c in enumerate(self.seeds)]
         xg = x**g
         return _ClassSums(self, [
             (c, _RecurrenceSum(seeds[c::g], _scaled_rows(rows, xg), offset, self.name))
@@ -471,6 +549,10 @@ class EFunction:
 
     @property
     def order(self) -> int:
+        params = self.hypergeometric
+        if params is not None:
+            # the theta form's theta prod_j (theta + k(b_j - 1)) leads
+            return len(params.lower) + 1
         return self.annihilator.order
 
     def __repr__(self) -> str:
@@ -663,40 +745,24 @@ def _hypergeometric_coeff_bound(params: HypergeometricParams, prefix) -> Fractio
 def ef_hypergeometric(
     upper: Sequence, lower: Sequence, scale=Fraction(1), name: str | None = None
 ) -> EFunction:
+    """sum_n [prod (a_i)_n / prod (b_j)_n] scale^n z^(kn) as an EFunction
+    given by its parameters: its annihilator and seeds are built only when
+    read (`EFunction`)."""
     params = HypergeometricParams(
         tuple(Fraction(a) for a in upper),
         tuple(Fraction(b) for b in lower),
         Fraction(scale),
     )
     params.validate()
-    k = params.k
-    op = hypergeometric_annihilator(params)
     if name is None:
         up = ",".join(str(a) for a in params.upper)
         lo = ",".join(str(b) for b in params.lower)
         name = f"F[{up};{lo}]"
         if params.scale != 1:
             name += f"@{params.scale}"
-
-    # c_{kn} = t_n = scale^n prod (a_i)_n / prod (b_j)_n, the terms of the
-    # sum at 1 over the term ratio, and zero off multiples of k
-    terms = params.sums(Fraction(1))
-
-    def a_coeff(m: int) -> Fraction:
-        if m % k != 0:
-            return Fraction(0)
-        return terms.term(m // k) * math.factorial(m)
-
-    # the recurrence's leading band t prod_j (t + k(b_j - 1)) leaves c_t free
-    # at t = 0 and at every nonnegative integer k(1 - b_j): seed past them
-    free = [k * (1 - b) for b in params.lower]
-    last_free = max([0] + [int(t) for t in free if t.denominator == 1 and t >= 0])
-    seeds = [a_coeff(m) for m in range(max(op.order, last_free + 1))]
     return EFunction(
-        op,
-        seeds,
+        None,
         name=name,
-        coeff_bound=lambda: _hypergeometric_coeff_bound(params, a_coeff),
         psi_singularity_poly=params.singular_poly.primitive_int(),
         hypergeometric=params,
     )
@@ -745,6 +811,7 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
     new = [coeffs[i].compose_scale(lam) * lam ** (order - i) for i in range(order + 1)]
     op = DiffOperator.from_poly_coeffs(new).primitive_normalized()
     seed_len = _singular_seed_length(op, ctx)
+    _check_seed_count(seed_len)
     seeds = [f.coefficient(m) * lam**m for m in range(seed_len)]
     bound = None
     if f.coeff_bound is not None:
@@ -787,6 +854,7 @@ def ef_mul_poly(f: EFunction, p: Polynomial) -> EFunction:
         return total
 
     seed_len = _singular_seed_length(op)
+    _check_seed_count(seed_len)
     seeds = [new_coeff(m) for m in range(seed_len)]
     bound = None
     if f.coeff_bound is not None:
@@ -804,7 +872,9 @@ def ef_sum(f: EFunction, g: EFunction) -> EFunction:
     """f + g, annihilated by the least common left multiple of their
     operators, which right-divides by each and so kills both."""
     op = op_lclm(f.annihilator, g.annihilator)
-    seeds = [f.coefficient(m) + g.coefficient(m) for m in range(_singular_seed_length(op))]
+    seed_len = _singular_seed_length(op)
+    _check_seed_count(seed_len)
+    seeds = [f.coefficient(m) + g.coefficient(m) for m in range(seed_len)]
     bound = None
     if f.coeff_bound is not None and g.coeff_bound is not None:
         bound = 2 * max(f.coeff_bound, g.coeff_bound)
@@ -838,7 +908,7 @@ def ef_lagrange_combo(f: EFunction, points: Sequence) -> EFunction:
                 li = li * Polynomial((-b, 1)) * Fraction(1, a - b)
         piece = ef_mul_poly(ef_scale(f, Fraction(1, a)), li)
         total = piece if total is None else ef_sum(total, piece)
-    total.name = total._stream.name = f"combo({f.name})"
+    total.name = f"combo({f.name})"
     return total
 
 

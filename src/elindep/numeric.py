@@ -77,12 +77,18 @@ from fractions import Fraction
 
 from .balls import Ball
 from .criterion import CERTIFIED, Certificate
-from .efunction import EFunction, HypergeometricParams, _dot, ef_sin_integral, growth_check
+from .efunction import (
+    MAX_TERMS,
+    EFunction,
+    HypergeometricParams,
+    _dot,
+    ef_sin_integral,
+    growth_check,
+)
 from .errors import InputError, PrecisionExceededError, UnsupportedOperationError
 from .lattice import lll_reduce
 from .rationals import format_rational, sci_rounded, sci_upper
 
-MAX_TERMS = 500_000
 # where a float estimate of log10(2 M(n) 10^digits) is at least this, the
 # rule fails, as the majorants' estimates are within 1e-4 up to MAX_TERMS + 1;
 # an estimate that is too low only starts the exact comparisons earlier

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -783,6 +786,118 @@ class TestParserReuse:
         assert first[0][2].startswith("usage: elindep")
         assert "--spec" in first[1][1]
         assert first[2] == first[-1]
+
+
+def run_cli_process(args, **kwargs):
+    """`python -m elindep.cli` in a fresh interpreter that imports this
+    checkout's elindep."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
+class TestProcess:
+    """Behaviour that only a fresh interpreter shows."""
+
+    def test_closed_stdout_prints_no_traceback(self):
+        # the read end is closed before the child writes: the demo report
+        # fits in a pipe buffer, so `| head -1` may not show the fault
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_cli_process(["-m", "elindep.cli", "demo", "--digits", "20",
+                                    "--coeff-bound", "50"], stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+
+    def test_eval_at_a_rational_point_loads_no_mpmath(self, tmp_path):
+        doc = {
+            "version": 1,
+            "task": "eval",
+            "functions": [{"type": "builtin", "name": "J0"},
+                          {"type": "hypergeometric", "upper": ["1/3"], "lower": ["1/2", "2/5"]}],
+            "points": ["1/3", "-2"],
+        }
+        code = (
+            "import sys, elindep.cli\n"
+            f"assert elindep.cli.main(['eval', '--spec', {write_spec(tmp_path, doc)!r}]) == 0\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+        )
+        proc = run_cli_process(["-c", code], stdout=subprocess.DEVNULL)
+        assert proc.returncode == 0, proc.stderr
+
+
+# exp at 1, and i on an edge of its box: 2^20 bits took 25 s to exit 3
+EDGE_ROOT = {
+    "version": 1,
+    "task": "certify",
+    "functions": [{"type": "builtin", "name": "exp"}],
+    "points": ["1", {"poly": [1, 0, 1], "box": {"re": ["-1", "1"], "im": ["1", "2"]}}],
+}
+
+
+class TestPrecisionBitsCap:
+    def test_above_the_cap_is_an_input_error_at_once(self, tmp_path, capsys):
+        path = write_spec(tmp_path, EDGE_ROOT)
+        start = time.perf_counter()
+        assert main(["certify", "--spec", path, "--max-precision-bits", str(1 << 20)]) == 1
+        assert time.perf_counter() - start < 1
+        assert "input error: max precision bits must be at most 262144" in capsys.readouterr().err
+
+    def test_the_cap_itself_is_accepted(self, tmp_path, capsys):
+        path = write_spec(tmp_path, CERTIFY_EXP)
+        assert main(["certify", "--spec", path, "--max-precision-bits", str(1 << 18)]) == 0
+        assert "CertifiedIndependent" in capsys.readouterr().out
+
+    def test_help_states_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["certify", "--help"])
+        assert "at most 262144" in " ".join(capsys.readouterr().out.split())
+
+
+HYP_DOC = {
+    "version": 1,
+    "functions": [{"type": "hypergeometric", "upper": [], "lower": ["-7/2", "1"]},
+                  {"type": "hypergeometric", "upper": ["1/3"], "lower": ["1/2", "2/5"]}],
+    "points": ["1/3", "2/5"],
+}
+BIG_B = "-1000000000000000000000000000001/2"
+
+
+class TestHypergeometricParameters:
+    """A hypergeometric function is its parameters: the CLI tasks that sum
+    or certify it never build its operator."""
+
+    @pytest.mark.parametrize("command", ["eval", "falsify", "certify"])
+    def test_no_operator_is_built(self, tmp_path, capsys, monkeypatch, command):
+        argv = [command, "--spec", write_spec(tmp_path, dict(HYP_DOC, task=command)),
+                "--digits", "30", "--coeff-bound", "1000"]
+        code = main(argv)
+        want = capsys.readouterr()
+
+        def refuse(params):
+            raise AssertionError("the annihilator was built")
+
+        monkeypatch.setattr(efunction, "hypergeometric_annihilator", refuse)
+        assert main(argv) == code == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("command", ["eval", "falsify", "certify"])
+    def test_a_31_digit_parameter_ends_at_once(self, tmp_path, capsys, command):
+        doc = {
+            "version": 1,
+            "task": command,
+            "functions": [{"type": "hypergeometric", "upper": [], "lower": [BIG_B, "1"]}],
+            "points": ["1/3", "1/2"],
+        }
+        start = time.perf_counter()
+        code = main([command, "--spec", write_spec(tmp_path, doc), "--digits", "30"])
+        assert time.perf_counter() - start < 1
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 RATIONAL = st.builds(

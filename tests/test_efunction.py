@@ -30,7 +30,8 @@ from elindep.efunction import (
     growth_check,
     hypergeometric_annihilator,
 )
-from elindep.errors import InputError, UnsupportedOperationError
+from elindep import efunction
+from elindep.errors import InputError, PrecisionExceededError, UnsupportedOperationError
 from elindep.polynomials import Polynomial
 
 from support import random_efunction, reference_series
@@ -160,6 +161,56 @@ class TestHypergeometric:
         assert C is not None
         for n in range(1, 60):
             assert abs(f.coefficient(n)) <= C**n
+
+
+class TestHypergeometricParameters:
+    """A function built by ef_hypergeometric holds its parameters; its
+    annihilator, recurrence and seeds are built when first read."""
+
+    BIG_B = Fraction(-(10**30 + 1), 2)
+
+    @pytest.mark.parametrize("upper, lower, scale", [
+        ([], ["-7/2", 1], 1),
+        (["1/3"], ["1/2", "2/5"], 1),
+        ([], [1, 1, 1], -2),
+        (["5/2"], ["1/3", 1], 3),
+    ])
+    def test_lazy_fields_match_a_function_given_by_values(self, upper, lower, scale):
+        f = ef_hypergeometric(upper, lower, scale)
+        assert f.order == f.annihilator.order
+        assert f.seeds == [f.series_coefficient(n) for n in range(f.seed_count)]
+        g = EFunction(f.annihilator, f.coefficients(f.seed_count))
+        assert g.rows == f.rows and g.seeds == f.seeds
+        assert [g.series_coefficient(n) for n in range(60)] == [
+            f.series_coefficient(n) for n in range(60)]
+
+    def test_seed_check_guards_the_operator_against_the_term_ratio(self, monkeypatch):
+        wrong = hypergeometric_annihilator(
+            HypergeometricParams((), (Fraction(-5, 2), Fraction(1)), Fraction(1)))
+        monkeypatch.setattr(efunction, "hypergeometric_annihilator", lambda params: wrong)
+        f = ef_hypergeometric([], ["-7/2", 1])
+        assert f.series_coefficient(2) == Fraction(-2, 7)
+        with pytest.raises(InputError, match="violate the recurrence"):
+            f.seeds
+
+    def test_closure_bounds_are_unchanged(self):
+        for upper, lower, bound in (([], ["-7/2", 1], Fraction(637272064, 7)),
+                                    (["1/3"], ["1/2", "2/5"], 16)):
+            f = ef_hypergeometric(upper, lower)
+            assert ef_scale(f, 2).coeff_bound == 2 * bound
+
+    def test_a_31_digit_parameter_builds_and_fails_closures_at_once(self):
+        start = time.perf_counter()
+        f = ef_hypergeometric([], [self.BIG_B, 1])
+        assert f.seed_count == 10**30 + 4 and f.order == 3
+        for closure in (lambda: ef_scale(f, 2),
+                        lambda: ef_sum(f, ef_exp()),
+                        lambda: ef_mul_poly(f, Polynomial((0, 1)))):
+            with pytest.raises(PrecisionExceededError, match="seed coefficients"):
+                closure()
+        with pytest.raises(PrecisionExceededError, match="seed coefficients"):
+            f.seeds
+        assert time.perf_counter() - start < 1
 
 
 class TestClosure:
