@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, isqrt
 
 from .errors import InputError
-from .rationals import decimal_string, sci_upper
+from .rationals import decimal_rounded, sci_upper
 
 _ZERO = Fraction(0)
 
@@ -160,14 +160,17 @@ class Ball:
         return self.re * self.re + self.im * self.im <= self.rad * self.rad
 
     def to_json(self, digits: int = 30) -> dict:
-        re = decimal_string(self.re, digits)
-        im = decimal_string(self.im, digits)
+        re, re_err = decimal_rounded(self.re, digits)
+        im, im_err = decimal_rounded(self.im, digits)
         # widen by the rounding of the printed midpoint, so the printed ball
-        # still contains every point of this one
-        rad = self.rad + abs(Fraction(re) - self.re) + abs(Fraction(im) - self.im)
+        # still contains every point of this one: rad + re_err / (d_re 10^digits)
+        # + im_err / (d_im 10^digits), over one denominator left unreduced
+        d_re, d_im = self.re.denominator, self.im.denominator
+        rad_n, rad_d = self.rad.numerator, self.rad.denominator
+        num = (rad_n * 10**digits * d_re + re_err * rad_d) * d_im + im_err * rad_d * d_re
         return {
             "re": re,
             "im": im,
-            "radius": sci_upper(rad),
+            "radius": sci_upper(num, rad_d * d_re * d_im * 10**digits),
             "heuristic_tail": self.heuristic_tail,
         }

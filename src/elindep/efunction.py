@@ -46,8 +46,12 @@ product of the steps over [lo, hi) is formed by recursive halving, so
 integers grow in balanced products, not one term at a time, and the only
 gcd is taken when the partial sum becomes a Fraction; a term-by-term sum
 takes one on numbers of the same size at every term.  The halving stops
-at blocks of _BLOCK steps, which are multiplied one after another: a step
-is a companion matrix, so it shifts the rows of the block's matrix up and
+at blocks of _BLOCK steps, run one after another on each row's values
+over the whole block, which one Horner pass over the block's t values
+gives.  At order 1 (every residue class of exp, J0, Si, I0 and cosh, and
+every hypergeometric series) a step is three products of plain integers,
+a <- p a, b <- a + q b, den <- q den.  At higher order a step is a
+companion matrix, so it shifts the rows of the block's matrix up and
 appends one new row, and no step builds a matrix of its own.
 
 Many E-functions (J0, Si, cosh, I0, the hypergeometric series in z^k)
@@ -107,6 +111,17 @@ def _horner(coeffs: list[int], t: int) -> int:
     return acc
 
 
+def _horner_all(coeffs: list[int], ts: range) -> list[int]:
+    """The polynomial's values at every t in ts, one Horner step over all
+    of them per coefficient."""
+    if not coeffs:
+        return [0] * len(ts)
+    acc = [coeffs[-1]] * len(ts)
+    for c in reversed(coeffs[:-1]):
+        acc = [v * t + c for v, t in zip(acc, ts)]
+    return acc
+
+
 def _dot(xs, ys) -> int:
     return sum(map(operator.mul, xs, ys))
 
@@ -147,11 +162,15 @@ def _check_seed_count(count: int):
         )
 
 
-# steps a leaf of the splitting tree multiplies one after another: on the
-# bench's series at 38/7, 200 and 700 terms each, blocks of 8 to 64 steps
-# time alike, while one-step leaves take twice as long and 4-step ones a
-# third longer
-_BLOCK = 16
+# steps a leaf of the splitting tree runs one after another.  Bench rounds
+# in process (Python 3.11, shared 2-core Xeon, median of 21), blocks of 8,
+# 16, 32 and 64 steps: eval at seed 1 59.8, 57.5, 54.5 and 52.7 ms, at
+# seed 9 58.1, 51.6, 49.5 and 48.0 ms; falsify at seed 1 72.7, 70.2, 68.9
+# and 69.9 ms, at seed 9 80.2, 76.1, 74.1 and 71.0 ms.  exp at 136/7 to
+# 4000 digits took 13.4, 13.8, 13.2 and 12.6 ms, and 128 steps timed as 64.
+# A leaf step costs less than a merge since each row is evaluated over the
+# whole block at once, so longer leaves pay.
+_BLOCK = 64
 
 # p = u/v with |u|, v below this is 1/v or more from every integer and its
 # float is off by less than 2^-20/v, so float lgamma(p + n) - lgamma(p) is
@@ -251,6 +270,20 @@ class _RecurrenceSum:
             raise _undetermined(m, self.name)
         return [_horner(row, t) for row in reversed(self._rows[1:])], q
 
+    def _steps(self, lo: int, hi: int) -> tuple[list[list[int]], list[int]]:
+        """The steps of [lo, hi), as _step gives them one at a time, as
+        lists over the block ([row_1, ..., row_r], den): each polynomial's
+        values at t = m - offset for m in [lo, hi).  Raises at the least m
+        whose den value is 0 (or t < 0)."""
+        t = lo - self._offset
+        if t < 0:
+            raise _undetermined(lo, self.name)
+        ts = range(t, t + hi - lo)
+        dens = _horner_all(self._rows[0], ts)
+        if 0 in dens:
+            raise _undetermined(lo + dens.index(0), self.name)
+        return [_horner_all(row, ts) for row in self._rows[1:]], dens
+
     def _product(self, lo: int, hi: int):
         """The steps of [lo, hi) as (A, b, q): the state (u, S) maps to
         (A u, b.u + q S) / q.  Recursive halving down to blocks of _BLOCK
@@ -266,15 +299,26 @@ class _RecurrenceSum:
         return a, b, q2 * q1
 
     def _block(self, lo: int, hi: int):
-        """The steps of [lo, hi) one after another.  A step is a companion
+        """The steps of [lo, hi) one after another, on the rows' values
+        over the whole block.  At order 1 a step is a <- p a, b <- a + q b,
+        den <- q den, on plain integers.  Otherwise it is a companion
         matrix: it shifts the rows of A up, scaled by its q, and appends
         the new row last.A, which is also what it adds to q b."""
-        r = len(self._rows) - 1
+        rows, dens = self._steps(lo, hi)
+        if len(rows) == 1:
+            a, b, den = 1, 0, 1
+            for p, q in zip(rows[0], dens):
+                a *= p
+                b = a + q * b
+                den *= q
+            return [[a]], [b], den
+        r = len(rows)
         a = [[int(i == j) for j in range(r)] for i in range(r)]
         b = [0] * r
         den = 1
-        for m in range(lo, hi):
-            last, q = self._step(m)
+        # last = (row_r, ..., row_1) at each step, for (u_{m-r}, ..., u_{m-1})
+        lasts = list(zip(*reversed(rows))) or [()] * len(dens)
+        for last, q in zip(lasts, dens):
             new = [_dot(last, col) for col in zip(*a)]
             if r:
                 a = [[q * x for x in row] for row in a[1:]] + [new]

@@ -10,7 +10,7 @@ from .errors import InputError
 # limit, which also bounds what the reports can print), so parse_decimal
 # keeps exponent forms inside it: the exponent is checked before the power
 # is built, and the result's numerator and denominator after.  The CLI
-# bounds --digits by it, and decimal_string refuses to print more digits.
+# bounds --digits by it, and decimal_rounded refuses to print more digits.
 MAX_DECIMAL_DIGITS = 4300
 _DIGITS_LIMIT = 10**MAX_DECIMAL_DIGITS
 
@@ -23,25 +23,24 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_string(q: Fraction, digits: int) -> str:
+def decimal_rounded(q: Fraction, digits: int) -> tuple[str, int]:
     """Fixed-point decimal rendering of a rational with `digits` fractional
-    digits, rounded to nearest."""
+    digits, rounded to nearest (a half away from 0), and its rounding error
+    |text - q| times q's denominator times 10^digits, in integers."""
     if digits < 0:
         raise ValueError("digits must be nonnegative")
-    q = Fraction(q)
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    scaled = q * 10**digits
-    units = scaled.numerator // scaled.denominator
-    if 2 * (scaled - units) >= 1:
-        units += 1
+    num, den = q.numerator, q.denominator
+    units, err = divmod(abs(num) * 10**digits, den)
+    if 2 * err >= den:
+        units, err = units + 1, den - err
     if units >= _DIGITS_LIMIT:
         raise InputError(f"a printed number has more than {MAX_DECIMAL_DIGITS} digits")
+    sign = "-" if num < 0 else ""
     text = str(units).rjust(digits + 1, "0")
     whole, frac = text[: len(text) - digits], text[len(text) - digits:]
     if digits == 0:
-        return sign + whole
-    return f"{sign}{whole}.{frac}"
+        return sign + whole, err
+    return f"{sign}{whole}.{frac}", err
 
 
 def parse_decimal(text: str) -> Fraction:
@@ -75,40 +74,46 @@ def parse_decimal(text: str) -> Fraction:
         raise InputError(f"not a number: {text!r}") from exc
 
 
-def sci_upper(q: Fraction) -> str:
-    """Scientific-notation upper bound like '3.142e-52' (rounded away from 0)."""
-    return _sci_text(*_sci(q, away=True))
+def sci_upper(q, den: int = 1) -> str:
+    """Scientific-notation upper bound like '3.142e-52' (rounded away from
+    0) of the rational q / den, den > 0; an integer q and den need not be
+    in lowest terms."""
+    return _sci_text(*_sci(q.numerator, q.denominator * den, away=True))
 
 
 def sci_rounded(q: Fraction, away: bool) -> tuple[Fraction, str]:
     """q to four significant digits, rounded away from 0 or toward it: the
     rational, and its scientific notation like '3.142e-52'."""
-    m, e = _sci(q, away)
+    m, e = _sci(q.numerator, q.denominator, away)
     return m * Fraction(10) ** (e - 3), _sci_text(m, e)
 
 
-def _sci(q: Fraction, away: bool) -> tuple[int, int]:
-    """(m, e) with 1000 <= |m| <= 9999, or (0, 0), such that m 10^(e-3) is q
-    rounded to four significant digits away from 0 or toward it."""
-    q = Fraction(q)
-    if q == 0:
+def _sci(num: int, den: int, away: bool) -> tuple[int, int]:
+    """(m, e) with 1000 <= |m| <= 9999, or (0, 0), such that m 10^(e-3) is
+    num / den (den > 0) rounded to four significant digits away from 0 or
+    toward it, in integers."""
+    if num == 0:
         return 0, 0
-    mag = abs(q)
-    # log10(2) ~ 0.30103 puts e within one of floor(log10(mag)); the
+    mag = abs(num)
+
+    def at_least(e: int) -> bool:  # mag / den >= 10^e
+        return mag >= den * 10**e if e >= 0 else mag * 10**-e >= den
+
+    # log10(2) ~ 0.30103 puts e within one of floor(log10(mag / den)); the
     # exact comparisons settle it without floats or decimal strings
-    e = (mag.numerator.bit_length() - mag.denominator.bit_length()) * 30103 // 100000
-    while Fraction(10) ** e > mag:
+    e = (mag.bit_length() - den.bit_length()) * 30103 // 100000
+    while not at_least(e):
         e -= 1
-    while Fraction(10) ** (e + 1) <= mag:
+    while at_least(e + 1):
         e += 1
-    mant = mag * 1000 / Fraction(10) ** e
-    m = mant.numerator // mant.denominator
-    if away and m * mant.denominator < mant.numerator:
+    # m = mag 10^(3-e) / den, truncated
+    m, rest = divmod(mag * 10 ** (3 - e), den) if e <= 3 else divmod(mag, den * 10 ** (e - 3))
+    if away and rest:
         m += 1
     if m >= 10000:
         m //= 10
         e += 1
-    return (-m if q < 0 else m), e
+    return (-m if num < 0 else m), e
 
 
 def _sci_text(m: int, e: int) -> str:

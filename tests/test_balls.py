@@ -1,11 +1,14 @@
 """Ball arithmetic: containment and exact queries on random rational balls."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elindep.balls import Ball
+from elindep.errors import InputError
 from elindep.polynomials import Polynomial
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -121,3 +124,83 @@ class TestBall:
         b = Ball(Fraction(1, 3), Fraction(0), Fraction(1, 10**40))
         obj = b.to_json(digits=20)
         assert obj["radius"].endswith("e-40") or "e-" in obj["radius"]
+
+
+def reference_decimal(q: Fraction, digits: int) -> str:
+    """Fixed point with `digits` fractional digits, to nearest, a half away
+    from 0, by Fraction arithmetic."""
+    sign = "-" if q < 0 else ""
+    scaled = abs(q) * 10**digits
+    units = scaled.numerator // scaled.denominator
+    if 2 * (scaled - units) >= 1:
+        units += 1
+    if units >= 10**4300:
+        raise InputError("too many digits")
+    text = str(units).rjust(digits + 1, "0")
+    whole, frac = text[: len(text) - digits], text[len(text) - digits:]
+    return sign + whole if digits == 0 else f"{sign}{whole}.{frac}"
+
+
+def reference_sci_upper(q: Fraction) -> str:
+    """q to four significant digits, rounded away from 0, by Fraction
+    comparisons."""
+    if q == 0:
+        return "0"
+    mag, e = abs(q), 0
+    while Fraction(10) ** e > mag:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= mag:
+        e += 1
+    mant = mag * 1000 / Fraction(10) ** e
+    m = -(-mant.numerator // mant.denominator)
+    if m >= 10000:
+        m, e = m // 10, e + 1
+    return f"{'-' if q < 0 else ''}{m // 1000}.{m % 1000:03d}e{e:+d}"
+
+
+def reference_to_json(ball: Ball, digits: int) -> dict:
+    """The printed ball: the midpoint to `digits`, the radius widened by
+    the rounding of the printed midpoint, in Fractions."""
+    re = reference_decimal(ball.re, digits)
+    im = reference_decimal(ball.im, digits)
+    rad = ball.rad + abs(Fraction(re) - ball.re) + abs(Fraction(im) - ball.im)
+    return {"re": re, "im": im, "radius": reference_sci_upper(rad),
+            "heuristic_tail": ball.heuristic_tail}
+
+
+def _random_rational(rng: random.Random, den_bits: int) -> Fraction:
+    num = rng.getrandbits(max(1, den_bits + rng.randint(-40, 40)))
+    return Fraction(rng.choice((-1, 1)) * num, rng.getrandbits(den_bits) | 1)
+
+
+class TestPrinting:
+    """`Ball.to_json` rounds in integers over the unreduced denominators;
+    it prints what the Fraction formula prints."""
+
+    @pytest.mark.parametrize("digits", [0, 1, 300])
+    def test_matches_the_fraction_formula(self, digits):
+        rng = random.Random(digits)
+        for i in range(60):
+            # denominators of 3 to 3000 digits (10^3000 has 9966 bits)
+            bits = rng.choice([10, 200, 10000, 11000])
+            re = _random_rational(rng, bits)
+            im = Fraction(0) if i % 3 == 0 else _random_rational(rng, bits)
+            rad = Fraction(0) if i % 4 == 0 else _random_rational(rng, bits // 2 + 1) ** 2
+            ball = Ball(re, im, rad, heuristic_tail=i % 5 == 0)
+            assert ball.to_json(digits) == reference_to_json(ball, digits)
+
+    def test_halves_and_exact_midpoints(self):
+        for digits in (0, 1, 300):
+            for q in (Fraction(5, 10 ** (digits + 1)), Fraction(-5, 10 ** (digits + 1)),
+                      Fraction(3, 2), Fraction(-7, 2), Fraction(0), Fraction(1, 10**digits)):
+                for ball in (Ball(q), Ball(q, -q), Ball(q, q, Fraction(1, 7))):
+                    assert ball.to_json(digits) == reference_to_json(ball, digits)
+
+    def test_past_4300_digits_is_an_input_error(self):
+        widest = Ball(Fraction(10**4300 - 1), Fraction(-(10**4299)))
+        assert widest.to_json(0) == reference_to_json(widest, 0)
+        for ball, digits in ((Ball(Fraction(10**4300)), 0), (Ball(Fraction(10**4299)), 1),
+                             (Ball(Fraction(1), Fraction(-(10**4300) + Fraction(1, 3))), 0),
+                             (Ball(Fraction(2 * 10**4300 - 1, 20)), 1)):
+            with pytest.raises(InputError, match="more than 4300 digits"):
+                ball.to_json(digits)

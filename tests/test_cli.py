@@ -746,6 +746,54 @@ class TestDemoDocuments:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def _ode(name, text, initial, bound=None):
+    f = {"type": "ode", "operator": text, "initial": initial, "name": name}
+    if bound is not None:
+        f["coeff_bound"] = bound
+    return f
+
+
+EXP, J0, SI = ({"type": "builtin", "name": n} for n in ("exp", "J0", "Si"))
+ZEXP = _ode("zexp", "(1+z)*D^1 + (-2-z)", ["1", "2"], "2")
+EXPMIX = _ode("expmix", "(1)*D^2 + (1)*D^1 + (-2)", ["2", "-1"], "2")
+F_HALF = {"type": "hypergeometric", "upper": [], "lower": ["1/2"]}
+F_HALF_ONE = {"type": "hypergeometric", "upper": [], "lower": ["1/2", "1"]}
+
+
+class TestEvalDocuments:
+    """`eval --format json`, byte for byte, on documents that reach each
+    path of the series sums and of the printing: recurrences of order 1
+    (every residue class of exp, J0 and Si) and of order 2 (zexp, expmix),
+    hypergeometric series in z and in z^2, the doubling search without a
+    bound, a negative point, and 1, 300 and 4000 printed digits."""
+
+    @pytest.mark.parametrize("functions, point, digits, sha256", [
+        ([EXP, J0, SI], "38/7", 60,
+         "2cab2e40cfeb3924dc5ba66d06f886665ae76546f91ca94ebd33b2a7c8aee0ef"),
+        ([ZEXP, EXPMIX], "17/7", 60,
+         "1861dc53a4b715ed7debef1eaf5c6f56a54cea88df27beae6073f34cc6619bd2"),
+        ([F_HALF, F_HALF_ONE], "17/7", 60,
+         "f1cfe3cae79b6834744a2c11a0acb6516d80c07fcc13b9d9234ad6c438362594"),
+        ([_ode("I0", "(z)*D^2 + (1)*D^1 + (-z)", ["1", "0"])], "17/7", 60,
+         "ecafa4d54b91ea2f0896e7fab5fd231f959a6689da267c9fec9bf65f39fc8b86"),
+        ([EXP, J0, ZEXP, F_HALF], "-38/7", 60,
+         "20e892d911423bcb3db93d9e4de7ca4a3b32468e9abf4cb0edf0d3acf80ca522"),
+        ([EXP], "136/7", 1,
+         "aa1b838d6f64898ccdf81843ae76cbd27036ca5cadb1b55b21bd93e1121acba6"),
+        ([EXP], "136/7", 300,
+         "5a1603549533c89c482b9038da977f1f36b2533dabd973c004ce58ec5e7304b2"),
+        ([EXP], "136/7", 4000,
+         "003cad6d5ecdabbe34c6f38bd3a03c9609209ffe1160328fc33e26a267046e73"),
+    ], ids=["order-1-classes", "order-2", "hypergeometric", "heuristic-tail",
+            "negative-point", "digits-1", "digits-300", "digits-4000"])
+    def test_eval_json_is_pinned(self, tmp_path, capsys, functions, point, digits, sha256):
+        doc = {"version": 1, "task": "eval", "functions": functions, "points": [point]}
+        spec = write_spec(tmp_path, doc)
+        assert main(["eval", "--spec", spec, "--format", "json", "--digits", str(digits)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class TestParserReuse:
     """`main` builds its parser once per process; every later call must
     behave as a first call does."""

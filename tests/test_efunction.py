@@ -451,3 +451,98 @@ class TestCoefficientStream:
         f = EFunction(op, [1, 1, 1, 1, 7], name="g")
         assert [f.coefficient(n) for n in range(4, 8)] == [7, 7, 7, 7]
         assert [f.series_coefficient(n) for n in range(40)] == reference_series(f, 40)
+
+
+def _horner(coeffs, t):
+    return sum(c * t**i for i, c in enumerate(coeffs))
+
+
+def reference_sums(terms, rows, offset, x, n):
+    """S_0, ..., S_n of sum u_m x^m, u_m from the recurrence one Fraction
+    at a time: den(t) u_m = sum_d row_d(t) u_{m-d}, t = m - offset."""
+    u = list(terms[:n])
+    while len(u) < n:
+        m = len(u)
+        t = m - offset
+        total = sum(_horner(rows[d], t) * u[m - d] for d in range(1, len(rows)) if m >= d)
+        u.append(Fraction(total, _horner(rows[0], t)))
+    sums = [Fraction(0)]
+    for m, v in enumerate(u):
+        sums.append(sums[-1] + v * x**m)
+    return sums
+
+
+class TestRecurrenceSum:
+    """The binary-splitting engine against a term-by-term Fraction loop, on
+    random integer recurrences of order 1, 2 and 3 at a negative point.
+    The lengths reach the leaves' edges (_BLOCK steps) and the merges."""
+
+    X = Fraction(-5, 3)
+    LENGTHS = [1, 15, 16, 17, 33, 63, 64, 65, 129, 300]
+
+    @staticmethod
+    def _recurrence(rng, order):
+        # den has positive coefficients, so no root at t >= 0
+        rows = [[rng.randint(1, 4) for _ in range(rng.randint(1, 3))]]
+        rows += [[rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] for _ in range(order)]
+        terms = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(order, order + 2))]
+        return terms, rows, rng.randint(0, len(terms))
+
+    @classmethod
+    def _engine(cls, terms, rows, offset):
+        return efunction._RecurrenceSum(
+            [c * cls.X**m for m, c in enumerate(terms)],
+            efunction._scaled_rows(rows, cls.X), offset, "u")
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_the_term_loop(self, order):
+        rng = random.Random(order)
+        for _ in range(4):
+            terms, rows, offset = self._recurrence(rng, order)
+            ref = reference_sums(terms, rows, offset, self.X, max(self.LENGTHS) + 1)
+            for n in self.LENGTHS:
+                sums = self._engine(terms, rows, offset)
+                sums.advance(n)
+                assert sums.value() == ref[n], (rows, offset, n)
+            sums = self._engine(terms, rows, offset)
+            for n in (17, 300):
+                sums.advance(n)
+                assert sums.value() == ref[n], (rows, offset, n)
+            num, den = sums.next_term()
+            assert Fraction(num, den) == ref[301] - ref[300]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_a_root_of_den_stops_at_its_index(self, order):
+        rng = random.Random(10 + order)
+        terms, rows, offset = self._recurrence(rng, order)
+        # den = (t - 40)(t - 45)(t + 1): the least root stops the sum
+        rows[0] = [1800, 1715, -84, 1]
+        m = 40 + offset
+        message = (f"series coefficient {m} of u is not determined by the "
+                   "recurrence; supply it as an initial coefficient")
+        ref = reference_sums(terms, rows, offset, self.X, m)
+        for pieces in ([300], [17, 300], [m + 1], [m, m + 1]):
+            sums = self._engine(terms, rows, offset)
+            for n in pieces[:-1]:
+                sums.advance(n)
+                assert sums.value() == ref[n]
+            with pytest.raises(UnsupportedOperationError) as err:
+                sums.advance(pieces[-1])
+            assert str(err.value) == message
+        sums = self._engine(terms, rows, offset)
+        sums.advance(m)
+        assert sums.value() == ref[m]
+        with pytest.raises(UnsupportedOperationError) as err:
+            sums.next_term()
+        assert str(err.value) == message
+        with pytest.raises(UnsupportedOperationError) as err:
+            self._engine(terms, rows, offset).term(m)
+        assert str(err.value) == message
+
+    def test_an_index_before_the_offset_stops_at_once(self):
+        terms = [Fraction(1), Fraction(2)]
+        for read in (lambda sums: sums.advance(300), lambda sums: sums.next_term()):
+            sums = efunction._RecurrenceSum(terms, [[1], [1]], 5, "u")
+            sums.advance(2)
+            with pytest.raises(UnsupportedOperationError, match="series coefficient 2 of u "):
+                read(sums)
