@@ -50,7 +50,6 @@ from .diffop import (
 )
 from .efunction import (
     EFunction,
-    GrowthReport,
     HypergeometricParams,
     ef_bessel_j0,
     ef_exp,
@@ -99,7 +98,6 @@ __all__ = [
     "DiffOperator",
     "EFunction",
     "ElindepError",
-    "GrowthReport",
     "Hypothesis",
     "HypergeometricParams",
     "INCONCLUSIVE",

@@ -46,8 +46,8 @@ Constructors prove only the root they keep:
 
 Full isolation of every root serves `canonical_root` (for z^k + 1 once
 per k), the fallbacks of `root_in_box` and `refine_root_box`, and
-`efunction._singular_seed_length`, which needs every nonnegative integer
-root of a closure operator's leading recurrence band.  There a numeric
+`efunction._band_roots`, which needs every nonnegative integer root of a
+leading recurrence band whose coefficients change sign.  There a numeric
 proposer (mpmath.polyroots) suggests discs; it never enters the
 soundness argument: the Krawczyk test certifies each disc, and pairwise
 disjointness plus disc count == degree proves every root was captured.

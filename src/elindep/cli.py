@@ -288,6 +288,7 @@ def _build_function(fs: FunctionSpec, ctx: Precision) -> EFunction:
             [parse_decimal(v) for v in fs.data["initial"]],
             name=fs.data.get("name", "f"),
             coeff_bound=parse_decimal(bound) if bound is not None else None,
+            ctx=ctx,
         )
     if "scale" in fs.data:
         f = ef_scale(f, parse_decimal(fs.data["scale"]), ctx)

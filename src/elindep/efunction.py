@@ -9,10 +9,12 @@ growth metadata:
   * values_transcendental: f(x) is transcendental for every nonzero
     algebraic x (set only for functions where this is classical).
 
-Coefficients are generated from the recurrence induced by the annihilator;
-indices where the recurrence degenerates must be covered by the supplied
-initial coefficients, and supplied coefficients are checked against every
-recurrence row they determine, in integers, row by row.
+Coefficients are generated from the recurrence induced by the annihilator.
+It leaves c_m free exactly at m = max_shift + t, t a nonnegative integer
+root of its leading band (the indicial polynomial at 0); `_band_roots`
+finds those roots for sums, closures and `falsify` alike.  Supplied
+coefficients are checked against every recurrence row they determine, in
+integers, row by row, the row of the first free index past them included.
 
 A function built by `ef_hypergeometric` is its parameters
 (`EFunction.hypergeometric`).  Its Taylor coefficients are the terms t_n
@@ -98,7 +100,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebraic import AlgebraicNumber, Precision, DEFAULT_PRECISION, isolate_roots
+from .algebraic import AlgebraicNumber, Precision, DEFAULT_PRECISION, _iroot, isolate_roots
 from .diffop import DiffOperator, Recurrence, op_compose, op_lclm, recurrence_from_ode
 from .errors import InputError, PrecisionExceededError, UnsupportedOperationError
 from .polynomials import Polynomial, squarefree_part
@@ -162,6 +164,26 @@ def _check_seed_count(count: int):
         )
 
 
+def _band_roots(band: Sequence[int], ctx: Precision = DEFAULT_PRECISION) -> list[int]:
+    """The nonnegative integer roots t of a recurrence's leading band, an
+    integer polynomial (coefficients ascending), in ascending order: the
+    recurrence leaves its coefficient max_shift + t free.
+
+    0 is one when the constant term vanishes.  Coefficients that never
+    change sign leave no positive root (Descartes' rule of signs), as in
+    every built-in function.  Otherwise each root lies in one certified
+    disc of radius at most 1/4, so it is the integer nearest the disc's
+    centre, and an exact evaluation settles it.
+    """
+    roots = {0} if band[0] == 0 else set()
+    if len({c > 0 for c in band if c}) == 2:
+        for disc in isolate_roots(squarefree_part(Polynomial(band)), 2, ctx):
+            t = round(disc.re)
+            if t > 0 and _horner(band, t) == 0:
+                roots.add(t)
+    return sorted(roots)
+
+
 # steps a leaf of the splitting tree runs one after another.  Bench rounds
 # in process (Python 3.11, shared 2-core Xeon, median of 21), blocks of 8,
 # 16, 32 and 64 steps: eval at seed 1 59.8, 57.5, 54.5 and 52.7 ms, at
@@ -176,20 +198,6 @@ _BLOCK = 64
 # float is off by less than 2^-20/v, so float lgamma(p + n) - lgamma(p) is
 # within 1e-4 of log |(p)_n| for n up to 10^6, near poles too
 _FLOAT_SAFE = 2**32
-
-
-def _ceil_root(t: int, k: int) -> int:
-    """The least n >= 0 with n^k >= t, for k >= 1."""
-    if t <= 1:
-        return max(t, 0)
-    # integer Newton steps fall to floor(t^(1/k)) from any start above it
-    r = 1 << -(-t.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + t // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r**k >= t else r + 1
 
 
 class _RecurrenceSum:
@@ -364,10 +372,12 @@ class EFunction:
     """Solution of an ODE with polynomial coefficients, given by series data.
 
     initial_coeffs are a_0, a_1, ... (at least as many as the operator
-    order; more when the recurrence has degenerate indices), checked here
-    against every recurrence row they determine.  `rows` is the integer
-    recurrence [den, row_1, ..., row_r] of the Taylor coefficients
-    c_n = a_n / n!, with offset `recurrence.max_shift` (module docstring).
+    order; more when the recurrence has free indices), checked here
+    against every recurrence row they determine, the row of the first free
+    index past them included.  `rows` is the integer recurrence
+    [den, row_1, ..., row_r] of the Taylor coefficients c_n = a_n / n!,
+    with offset `recurrence.max_shift` (module docstring).  `ctx` bounds
+    the root isolation that finds the free indices (`_band_roots`).
 
     A function built by `ef_hypergeometric`, f(z) = sum t_n z^(kn), is its
     parameters, `hypergeometric`; it is given no annihilator and no initial
@@ -386,8 +396,10 @@ class EFunction:
         values_transcendental: bool = False,
         psi_singularity_poly: Polynomial | None = None,
         hypergeometric: HypergeometricParams | None = None,
+        ctx: Precision = DEFAULT_PRECISION,
     ):
         self.name = name
+        self._ctx = ctx
         self._coeff_bound = coeff_bound
         self.values_transcendental = values_transcendental
         self.psi_singularity_poly = psi_singularity_poly
@@ -409,6 +421,7 @@ class EFunction:
         self._check_seed_consistency(seeds)
         self.seeds = seeds
         self.seed_count = len(seeds)
+        self._check_first_free_row()
 
     @functools.cached_property
     def annihilator(self) -> DiffOperator:
@@ -491,6 +504,22 @@ class EFunction:
                     f"initial coefficients violate the recurrence at row {t}"
                 )
 
+    def _check_first_free_row(self):
+        """The first free index m past the seeds has a row as well,
+        0 = row_1(t) c_{m-1} + ... + row_r(t) c_{m-r} at t = m - max_shift,
+        on coefficients the seeds determine: one sum at x = 1, advanced to
+        m by binary splitting, holds them.  The row reads only m's residue
+        class mod the stride, which stays zero when its seeds are."""
+        m = self.first_free_index
+        if m is None or not any(self.seeds[m % self.stride :: self.stride]):
+            return
+        offset = self.recurrence.max_shift
+        sums = _RecurrenceSum(list(self.seeds), self.rows, offset, self.name)
+        sums.advance(m)
+        t = m - offset
+        if _dot([_horner(row, t) for row in reversed(self.rows[1:])], sums._v):
+            raise InputError(f"initial coefficients violate the recurrence at row {t}")
+
     @functools.cached_property
     def _stream(self) -> _RecurrenceSum:
         """The terms of the sum at x = 1, extended past the seeds on
@@ -549,20 +578,24 @@ class EFunction:
         return classes
 
     @functools.cached_property
-    def _root_bound(self) -> int:
-        """No integer t >= this is a root of den (Cauchy's bound)."""
-        den = self.rows[0]
-        if len(den) == 1:
-            return 0
-        return 2 + max(abs(c) for c in den[:-1]) // abs(den[-1])
+    def free_indices(self) -> list[int]:
+        """The indices m = max_shift + t the recurrence leaves free, t a
+        nonnegative integer root of its leading band, in ascending order."""
+        offset = self.recurrence.max_shift
+        return [offset + t for t in _band_roots(self.rows[0], self._ctx)]
+
+    @property
+    def first_free_index(self) -> int | None:
+        """The least free index past the seeds that a sum can reach (at
+        most MAX_TERMS + 1), or None."""
+        return next((m for m in self.free_indices if self.seed_count <= m <= MAX_TERMS + 1), None)
 
     def check_determined(self, lo: int, hi: int):
         """Raise at the least index m in [lo, hi) past the seeds that the
-        recurrence leaves free: t = m - max_shift < 0, or den(t) = 0."""
-        offset = self.recurrence.max_shift
-        for m in range(max(lo, self.seed_count), min(hi, offset + self._root_bound)):
-            t = m - offset
-            if t < 0 or _horner(self.rows[0], t) == 0:
+        recurrence leaves free.  Seeds reach at least max_shift, so every
+        such m has t = m - max_shift >= 0."""
+        for m in self.free_indices:
+            if max(lo, self.seed_count) <= m < hi:
                 raise _undetermined(m, self.name)
 
     # -- sums at a point ------------------------------------------------------
@@ -698,8 +731,11 @@ class HypergeometricParams:
         k = self.k
         nstar, const = self.ratio_bound()
         kconst = const * abs(x)
-        # n^k >= 2 K0 |x| holds for integer n^k exactly when it reaches the ceiling
-        n1 = max(nstar, _ceil_root(-(-2 * kconst.numerator // kconst.denominator), k))
+        # n^k >= 2 K0 |x| holds for integer n^k exactly when it reaches the
+        # ceiling c, and the least such n is c's k-th root rounded up
+        ceil = -(-2 * kconst.numerator // kconst.denominator)
+        root = _iroot(ceil, k)
+        n1 = max(nstar, root if root**k >= ceil else root + 1)
 
         def term(n: int) -> tuple[int, int]:
             sums.advance(n)
@@ -819,22 +855,12 @@ def _poly_coeff_list(op: DiffOperator) -> list[Polynomial]:
     return [op.coefficient(b) for b in range(op.order + 1)]
 
 
-def _singular_seed_length(op: DiffOperator, ctx: Precision = DEFAULT_PRECISION) -> int:
-    """Seeds must reach past every index the recurrence cannot produce.
-
-    Those are the nonnegative integer roots t of the leading band.  Each
-    root lies in one certified disc of radius below 1/2, so it is the
-    integer nearest the disc's centre, and an exact test settles it.
-    """
+def _seed_length(op: DiffOperator, ctx: Precision = DEFAULT_PRECISION) -> int:
+    """How many seeds pin a solution of op: max(order, last free index + 1),
+    the free indices being those of `EFunction.free_indices`."""
     rec = recurrence_from_ode(op)
-    lead = rec.bands()[rec.max_shift]
-    worst = -1
-    if lead.degree > 0:
-        for disc in isolate_roots(squarefree_part(lead), 2, ctx):
-            t = round(disc.re)
-            if t >= 0 and lead(Fraction(t)) == 0:
-                worst = max(worst, t)
-    return max(op.order, worst + rec.max_shift + 1)
+    roots = _band_roots(rec.bands()[rec.max_shift].prim, ctx)
+    return max(op.order, rec.max_shift + roots[-1] + 1 if roots else 0)
 
 
 def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunction:
@@ -854,7 +880,7 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
     order = len(coeffs) - 1
     new = [coeffs[i].compose_scale(lam) * lam ** (order - i) for i in range(order + 1)]
     op = DiffOperator.from_poly_coeffs(new).primitive_normalized()
-    seed_len = _singular_seed_length(op, ctx)
+    seed_len = _seed_length(op, ctx)
     _check_seed_count(seed_len)
     seeds = [f.coefficient(m) * lam**m for m in range(seed_len)]
     bound = None
@@ -867,6 +893,7 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
         coeff_bound=bound,
         values_transcendental=f.values_transcendental,
         psi_singularity_poly=None,
+        ctx=ctx,
     )
 
 
@@ -897,7 +924,7 @@ def ef_mul_poly(f: EFunction, p: Polynomial) -> EFunction:
                 total += c * Fraction(math.factorial(n), math.factorial(n - j)) * f.coefficient(n - j)
         return total
 
-    seed_len = _singular_seed_length(op)
+    seed_len = _seed_length(op)
     _check_seed_count(seed_len)
     seeds = [new_coeff(m) for m in range(seed_len)]
     bound = None
@@ -916,7 +943,7 @@ def ef_sum(f: EFunction, g: EFunction) -> EFunction:
     """f + g, annihilated by the least common left multiple of their
     operators, which right-divides by each and so kills both."""
     op = op_lclm(f.annihilator, g.annihilator)
-    seed_len = _singular_seed_length(op)
+    seed_len = _seed_length(op)
     _check_seed_count(seed_len)
     seeds = [f.coefficient(m) + g.coefficient(m) for m in range(seed_len)]
     bound = None
@@ -959,18 +986,6 @@ def ef_lagrange_combo(f: EFunction, points: Sequence) -> EFunction:
 # -- growth diagnostics --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Numeric growth summary of the coefficient sequence."""
-
-    coeff_growth_estimate: float
-    looks_exponential: bool
-
-    @property
-    def plausible_e_function(self) -> bool:
-        return self.looks_exponential
-
-
 def _abs_root(a: Fraction, n: int) -> float:
     """|a|^(1/n) as a float, through logarithms once |a| passes the float
     range (math.inf when the root does too)."""
@@ -984,31 +999,12 @@ def _abs_root(a: Fraction, n: int) -> float:
             return math.inf
 
 
-def growth_check(f: EFunction, terms: int = 80) -> GrowthReport:
-    """Estimate |a_n|^(1/n) from a prefix.
+def growth_check(f: EFunction, terms: int = 80) -> float:
+    """max |a_n|^(1/n) over the nonzero a_n with 1 <= n < terms (at least
+    8 terms), 0.0 when there is none.
 
-    Heuristic only: a convergent estimate suggests (never proves) that the
-    series satisfies the E-function growth requirements.
+    Heuristic only: it suggests, and never proves, a bound on the
+    coefficients' growth.
     """
-    terms = max(8, terms)
-    coeffs = f.coefficients(terms)
-    best = 0.0
-    half = terms // 2
-    head_max = 0.0
-    tail_max = 0.0
-    for n in range(1, terms):
-        a = coeffs[n]
-        if a != 0:
-            root = _abs_root(a, n)
-            best = max(best, root)
-            if n >= half:
-                tail_max = max(tail_max, root)
-            else:
-                head_max = max(head_max, root)
-    # super-exponential growth shows up as the tail estimate still climbing
-    # past anything seen in the first half
-    looks_exponential = tail_max <= max(4.0, 1.25 * head_max) and best < float("inf")
-    return GrowthReport(
-        coeff_growth_estimate=best,
-        looks_exponential=looks_exponential,
-    )
+    coeffs = f.coefficients(max(8, terms))
+    return max((_abs_root(a, n) for n, a in enumerate(coeffs) if n and a), default=0.0)

@@ -242,7 +242,7 @@ def _eval_heuristic(f: EFunction, q: Fraction, digits: int) -> Ball:
     Each doubling continues the same sum over [terms, 2 terms).  A doubling
     that moves the sum no less than the one before ends the search: the
     partial sums do not settle, as for a divergent series."""
-    c_emp = max(2.0, growth_check(f).coeff_growth_estimate * 1.5)
+    c_emp = max(2.0, growth_check(f) * 1.5)
     if not math.isfinite(c_emp):
         raise PrecisionExceededError("unbounded coefficient growth estimate")
     terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
@@ -462,13 +462,11 @@ def _falsify_value(f: EFunction, q: Fraction, digits: int):
     coefficient that f's recurrence leaves free below the truncation for
     `digits` is reported here, as summing that far would report it, so
     that `falsify` skips the item; the truncation is only worked out when
-    f has a free coefficient at all."""
+    a free index lies past f's seeds (`EFunction.first_free_index`)."""
     value = _efunction_value(f, q, digits)
-    if isinstance(value, _SeriesValue) and f.hypergeometric is None:
-        try:
-            f.check_determined(0, MAX_TERMS + 2)
-        except UnsupportedOperationError:
-            f.check_determined(0, _truncation(*f.majorant(q), digits)[0])
+    if (isinstance(value, _SeriesValue) and f.hypergeometric is None
+            and f.first_free_index is not None):
+        f.check_determined(0, _truncation(*f.majorant(q), digits)[0])
     return value
 
 

@@ -5,14 +5,15 @@ from math import gcd, lcm
 
 import mpmath
 
-from elindep.diffop import DiffOperator
+from elindep.algebraic import DEFAULT_PRECISION, isolate_roots
+from elindep.diffop import DiffOperator, recurrence_from_ode
 from elindep.efunction import EFunction
 from elindep.errors import (
     InputError,
     InsufficientTruncationError,
     UnsupportedOperationError,
 )
-from elindep.polynomials import Polynomial
+from elindep.polynomials import Polynomial, squarefree_part
 
 
 def random_fraction(rng, num_max=9, den_max=5, allow_zero=True):
@@ -84,6 +85,66 @@ def reference_series(f, count):
             if j != jmax and t + j >= 0:
                 total += p(Fraction(t)) * c[t + j]
         c.append(-total / lead)
+    return c
+
+
+# -- the two rules for free indices that `efunction._band_roots` replaced ------
+
+
+def _undetermined_message(m, name):
+    return (f"series coefficient {m} of {name} is not determined "
+            "by the recurrence; supply it as an initial coefficient")
+
+
+def cauchy_check_determined(f, lo, hi):
+    """The old `EFunction.check_determined`: a scan of [lo, hi) past the
+    seeds, up to Cauchy's root bound of den, raising at the least m with
+    t = m - max_shift < 0 or den(t) = 0."""
+    den = f.rows[0]
+    bound = 0 if len(den) == 1 else 2 + max(abs(c) for c in den[:-1]) // abs(den[-1])
+    offset = f.recurrence.max_shift
+    for m in range(max(lo, f.seed_count), min(hi, offset + bound)):
+        t = m - offset
+        if t < 0 or sum(c * t**i for i, c in enumerate(den)) == 0:
+            raise UnsupportedOperationError(_undetermined_message(m, f.name))
+
+
+def isolated_seed_length(op, ctx=DEFAULT_PRECISION):
+    """The old `efunction._singular_seed_length`: max(order, last free
+    index + 1), the free indices read off certified isolating discs of
+    every complex root of the leading band."""
+    rec = recurrence_from_ode(op)
+    lead = rec.bands()[rec.max_shift]
+    worst = -1
+    if lead.degree > 0:
+        for disc in isolate_roots(squarefree_part(lead), 2, ctx):
+            t = round(disc.re)
+            if t >= 0 and lead(Fraction(t)) == 0:
+                worst = max(worst, t)
+    return max(op.order, worst + rec.max_shift + 1)
+
+
+def consistent_seeds(op, count, rng):
+    """count Taylor coefficients c_0, c_1, ... that some solution of op has:
+    random where the recurrence leaves them free, the rest from the
+    recurrence in Fractions.  Where a free index's row does not vanish on
+    the coefficients before it, those are reset to 0, which it does."""
+    rec = recurrence_from_ode(op)
+    bands, jmax = rec.bands(), rec.max_shift
+    c = []
+    for m in range(count):
+        t = m - jmax
+        if t < 0:
+            c.append(random_fraction(rng))
+            continue
+        rest = sum(p(Fraction(t)) * c[t + j] for j, p in bands.items() if j != jmax and t + j >= 0)
+        lead = bands[jmax](Fraction(t))
+        if lead:
+            c.append(-rest / lead)
+            continue
+        if rest:
+            c = [Fraction(0)] * m
+        c.append(random_fraction(rng))
     return c
 
 

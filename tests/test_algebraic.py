@@ -612,6 +612,27 @@ class TestRoots:
         assert alg_nth_root(27, 3).as_rational() == 3
         assert alg_nth_root(Fraction(-27, 8), 3).as_rational() is None
 
+    def test_integer_root_against_brute_force(self):
+        # floor(n^(1/k)): every n below 3000 by a linear scan, and b^k - 1,
+        # b^k, b^k + 1 for b^k up to past 10^40 (the floor is b - 1, b, b
+        # for k >= 2)
+        for k in range(1, 7):
+            r = 0
+            for n in range(3000):
+                while (r + 1) ** k <= n:
+                    r += 1
+                assert algebraic._iroot(n, k) == r, (n, k)
+            b = 2
+            while b ** k <= 10**41:
+                for n, want in ((b**k - 1, b - 1), (b**k, b), (b**k + 1, b + (k == 1))):
+                    assert algebraic._iroot(n, k) == want, (n, k)
+                b = b * 3 // 2 + 1
+        rng = random.Random(3)
+        for _ in range(300):
+            k, n = rng.randrange(1, 7), rng.randrange(10**rng.randrange(1, 41))
+            r = algebraic._iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+
     def test_canonical_root_principal(self):
         # for z^3 - 1 the canonical root is 1 itself
         r = canonical_root(P(-1, 0, 0, 1))

@@ -380,19 +380,28 @@ class TestExitCodes:
             seen.append(ctx)
             return real(p, bits, ctx)
 
-        # a scaled ode finds the integer roots of its leading band by isolation
+        # an ode, scaled or not, finds the integer roots of a leading band
+        # whose coefficients change sign by isolation: (t + 1)(2t - 5) here
         monkeypatch.setattr(efunction, "isolate_roots", recording)
-        doc = {
-            "version": 1,
-            "task": "eval",
-            "functions": [{"type": "ode", "operator": "(z)*D^2 + (3)*D^1 + (-1)",
-                           "initial": ["1", "1/3"], "scale": "2"}],
-            "points": ["1"],
-        }
-        code = main(["eval", "--spec", write_spec(tmp_path, doc),
-                     "--max-precision-bits", "256"])
-        assert code == 0
+
+        def run(operator, initial):
+            doc = {
+                "version": 1,
+                "task": "eval",
+                "functions": [{"type": "ode", "operator": operator,
+                               "initial": initial, "scale": "2"}],
+                "points": ["1"],
+            }
+            return main(["eval", "--spec", write_spec(tmp_path, doc),
+                         "--max-precision-bits", "256"])
+
+        assert run("(2*z)*D^2 + (-5)*D^1 + (-1)", ["1", "-1/5"]) == 0
         assert seen and {ctx.max_bits for ctx in seen} == {256}
+        # (t + 1)(t + 3) keeps one sign, so Descartes' rule leaves no
+        # positive root to isolate
+        seen.clear()
+        assert run("(z)*D^2 + (3)*D^1 + (-1)", ["1", "1/3"]) == 0
+        assert seen == []
 
     def test_huge_power_of_z_rejected_fast(self, tmp_path, capsys):
         doc = {

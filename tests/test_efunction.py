@@ -6,6 +6,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from unittest import mock
 
 from elindep.algebraic import alg_nth_root
 from elindep.diffop import (
@@ -16,9 +19,11 @@ from elindep.diffop import (
     recurrence_from_ode,
 )
 from elindep.efunction import (
+    MAX_TERMS,
     EFunction,
-    _singular_seed_length,
     HypergeometricParams,
+    _band_roots,
+    _seed_length,
     ef_bessel_j0,
     ef_exp,
     ef_hypergeometric,
@@ -34,7 +39,15 @@ from elindep import efunction
 from elindep.errors import InputError, PrecisionExceededError, UnsupportedOperationError
 from elindep.polynomials import Polynomial
 
-from support import random_efunction, reference_series
+from support import (
+    cauchy_check_determined,
+    consistent_seeds,
+    isolated_seed_length,
+    random_efunction,
+    random_fraction,
+    random_operator,
+    reference_series,
+)
 
 
 class TestBuiltins:
@@ -134,7 +147,8 @@ class TestHypergeometric:
         assert f.coefficient(9) == 0
 
     def test_seed_count_is_the_singular_seed_length(self):
-        # the closed form must agree with isolating the leading band's roots
+        # the closed form must agree with the free indices of the leading
+        # band, and with isolating all of its roots as closures once did
         rng = random.Random(5)
         for _ in range(30):
             k = rng.randrange(1, 4)
@@ -153,7 +167,9 @@ class TestHypergeometric:
                     lower.append(b)
             scale = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randrange(1, 4))
             f = ef_hypergeometric(upper, lower, scale)
-            assert f.seed_count == _singular_seed_length(f.annihilator)
+            assert f.seed_count == _seed_length(f.annihilator)
+            assert f.seed_count == isolated_seed_length(f.annihilator)
+            assert f.seed_count == max(f.order, f.free_indices[-1] + 1)
 
     def test_coeff_bound_holds(self):
         f = ef_hypergeometric([Fraction(5, 2)], [Fraction(1, 3), 1], 3)
@@ -237,12 +253,12 @@ class TestClosure:
         # leaves c_(t+1) undetermined, so the seeds must reach index -c + 1
         for c, want in ((1, 2), (0, 2), (-3, 5), (-10**7, 10**7 + 2), (10**7, 2)):
             op = DiffOperator.from_poly_coeffs([-1, c, [0, 1]])
-            assert _singular_seed_length(op) == want, c
+            assert _seed_length(op) == want, c
         # z^2 D^3 - 6 z D^2 + 10 D - 1: band (t + 1)(t - 2)(t - 5), two roots
         op = DiffOperator.from_poly_coeffs([-1, 10, [0, -6], [0, 0, 1]])
         band = recurrence_from_ode(op).bands()[1]
         assert band == Polynomial((1, 1)) * Polynomial((-2, 1)) * Polynomial((-5, 1))
-        assert _singular_seed_length(op) == 7
+        assert _seed_length(op) == 7
 
     def test_mul_poly(self):
         # h = z * exp: ordinary coefficients shift, so a_m = m * a'_(m-1)
@@ -384,33 +400,249 @@ class TestLagrangeCombo:
             ef_lagrange_combo(ef_exp(), [0, 1])
 
 
+def growth_by_hand(f, terms):
+    """max |a_n|^(1/n) over 1 <= n < terms, the estimate `growth_check`
+    returns, from floats of the coefficients."""
+    return max((float(abs(a)) ** (1.0 / n) for n, a in enumerate(f.coefficients(terms)) if n and a),
+               default=0.0)
+
+
 class TestGrowth:
     def test_builtin_growth_plausible(self):
+        # |a_n| <= 1 for exp, J0 and Si, and a_1 = 1 for exp and Si
+        assert growth_check(ef_exp(), terms=60) == 1.0
+        assert growth_check(ef_sin_integral(), terms=60) == 1.0
+        # J0: |a_2m| = binom(2m, m) / 4^m, whose 2m-th root climbs towards 1
+        assert 0.96 < growth_check(ef_bessel_j0(), terms=60) < 1
         for f in (ef_exp(), ef_bessel_j0(), ef_sin_integral()):
-            rep = growth_check(f, terms=60)
-            assert rep.plausible_e_function
+            assert growth_check(f, terms=60) == growth_by_hand(f, 60)
+        # at least 8 terms are read
+        assert growth_check(ef_bessel_j0(), terms=1) == growth_by_hand(ef_bessel_j0(), 8)
 
     def test_growth_flags_factorial_blowup(self):
-        # f'' = f has solution cosh with a_n = 1 for even n; rescaling the
-        # recurrence z f' - c f = 0 with c... instead take g = sum n! z^n/n!,
-        # i.e. ordinary geometric series viewed as an E-function candidate:
-        # annihilator (1-z)^... simplest: c_n = 1, a_n = n! grows too fast.
+        # (1 - z) f' = f: c_n = 1, so a_n = n! and the estimate is 59!^(1/59)
         op = DiffOperator.from_poly_coeffs([Polynomial((-1,)), Polynomial((1, -1))])
         g = EFunction(op, [1], name="geom", coeff_bound=None)
-        rep = growth_check(g, terms=60)
-        assert not rep.plausible_e_function
-
+        assert growth_check(g, terms=60) == float(math.factorial(59)) ** (1.0 / 59)
+        assert growth_check(g, terms=60) == pytest.approx(22.82, abs=0.01)
 
     def test_growth_past_the_float_range(self):
         # exp(10^6 z): |a_n| = 10^(6n) passes 1e308 from n = 52 on
         op = DiffOperator.from_poly_coeffs([Polynomial((-10**6,)), Polynomial.one()])
-        rep = growth_check(EFunction(op, [1], name="e6"))
-        assert rep.coeff_growth_estimate == pytest.approx(1e6, rel=1e-9)
+        assert growth_check(EFunction(op, [1], name="e6")) == pytest.approx(1e6, rel=1e-9)
         # a root beyond the float range reads as unbounded
         op = DiffOperator.from_poly_coeffs([Polynomial((-1,)), Polynomial.one()])
-        rep = growth_check(EFunction(op, [10**400], name="big"))
-        assert rep.coeff_growth_estimate == math.inf
-        assert not rep.plausible_e_function
+        assert growth_check(EFunction(op, [10**400], name="big")) == math.inf
+        # a zero function has no estimate to give
+        assert growth_check(EFunction(op, [0], name="zero")) == 0.0
+
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def planted_band(lc, roots, extra):
+    """lc * prod (t - r) * extra(t), coefficients ascending."""
+    band = [lc]
+    for r in roots:
+        band = _poly_mul(band, [-r, 1])
+    return _poly_mul(band, list(extra))
+
+
+def planted_operator(band, lower):
+    """An operator whose leading band (shift 1) is (t + 1) band(t), plus
+    a term c z^(a+b) D^b, of shift -a <= 0, for each (a, b, c) in `lower`.
+
+    z^(b-1) D^b gives the band (t + 1) t ... (t + 2 - b), so the leading
+    band's coefficients in that basis are the forward differences at
+    s = t + 1 = 0 of P(s) = s band(s - 1), divided by b!."""
+    full = _poly_mul([1, 1], band)
+    deg = len(full) - 1
+    values = [sum(c * (s - 1) ** i for i, c in enumerate(full)) for s in range(deg + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [y - x for x, y in zip(values, values[1:])]
+    assert diffs[0] == 0
+    order = max([deg] + [b for _, b, _ in lower])
+    coeffs = [[0] * (order + 4) for _ in range(order + 1)]
+    for b in range(1, deg + 1):
+        coeffs[b][b - 1] += Fraction(diffs[b], math.factorial(b))
+    for a, b, c in lower:
+        coeffs[b][a + b] += c
+    return DiffOperator.from_poly_coeffs(coeffs)
+
+
+def first_failing_row(op, seeds):
+    """The row t the seed check must reject, by Fractions: the first row
+    within the seeds that does not vanish, else the row of the first free
+    index past them (checked up to index 60) when it does not; None when
+    the seeds are consistent."""
+    rec = recurrence_from_ode(op)
+    bands, jmax = rec.bands(), rec.max_shift
+    c = list(seeds)
+    for m in range(jmax, 61):
+        t = m - jmax
+        rest = sum(p(Fraction(t)) * c[t + j] for j, p in bands.items() if j != jmax and t + j >= 0)
+        lead = bands[jmax](Fraction(t))
+        if m < len(seeds):
+            if lead * c[m] + rest != 0:
+                return t
+        elif lead:
+            c.append(-rest / lead)
+        else:
+            return t if rest else None
+    return None
+
+
+def as_initial(seeds):
+    """Initial coefficients a_n = c_n n! of Taylor coefficients c_n."""
+    return [c * math.factorial(n) for n, c in enumerate(seeds)]
+
+
+def assert_free_indices_agree(f):
+    """Free indices, the raised index and its message, against the Cauchy
+    scan, for every 0 <= lo < hi <= 60."""
+    offset = f.recurrence.max_shift
+    scan = [m for m in range(offset, 61) if not sum(
+        c * (m - offset) ** i for i, c in enumerate(f.rows[0]))]
+    assert [m for m in f.free_indices if m <= 60] == scan
+    for lo in range(60):
+        for hi in range(lo + 1, 61):
+            try:
+                cauchy_check_determined(f, lo, hi)
+                want = None
+            except UnsupportedOperationError as err:
+                want = str(err)
+            try:
+                f.check_determined(lo, hi)
+                got = None
+            except UnsupportedOperationError as err:
+                got = str(err)
+            assert got == want, (lo, hi)
+
+
+FREE_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+ROOTS = st.lists(st.integers(-5, 20), max_size=4)
+# integer, non-integer and complex roots that plant nothing
+EXTRAS = st.sampled_from([(1,), (-5, 2), (3, 0, 1), (7, 1), (-7, 3), (2, -3, 1)])
+LOWER = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)), max_size=3)
+
+
+class TestFreeIndices:
+    """One rule, `_band_roots`, decides the coefficients a recurrence
+    leaves free; it agrees with the two rules it replaced: a scan up to
+    Cauchy's root bound, and isolating every root of the leading band."""
+
+    @FREE_PROPERTY
+    @given(lc=st.sampled_from([1, -1, 2, -3]), roots=ROOTS, extra=EXTRAS)
+    def test_planted_roots(self, lc, roots, extra):
+        band = planted_band(lc, roots, extra)
+        if extra == (2, -3, 1):
+            # (t - 1)(t - 2)
+            roots = roots + [1, 2]
+        with mock.patch.object(efunction, "isolate_roots",
+                               wraps=efunction.isolate_roots) as spy:
+            got = _band_roots(band)
+        assert got == sorted({r for r in roots if r >= 0})
+        # Descartes: one sign throughout leaves no positive root to isolate
+        assert spy.called == (len({c > 0 for c in band if c}) == 2)
+
+    @FREE_PROPERTY
+    @given(band=st.tuples(st.sampled_from([1, -1, 2, -3]),
+                          st.lists(st.integers(-5, 20), min_size=1, max_size=3), EXTRAS),
+           lower=LOWER, extra_seeds=st.integers(-3, 2),
+           consistent=st.sampled_from([True, True, False]),
+           seed=st.integers(0, 2**32))
+    def test_planted_operators(self, band, lower, extra_seeds, consistent, seed):
+        rng = random.Random(seed)
+        op = planted_operator(planted_band(*band), lower)
+        assert _seed_length(op) == isolated_seed_length(op)
+        count = max(op.order, _seed_length(op) + extra_seeds)
+        if consistent:
+            seeds = consistent_seeds(op, count, rng)
+        else:
+            seeds = [random_fraction(rng) for _ in range(count)]
+        row = first_failing_row(op, seeds)
+        if row is not None:
+            with pytest.raises(InputError, match=f"violate the recurrence at row {row}$"):
+                EFunction(op, as_initial(seeds), name="g")
+            return
+        assert_free_indices_agree(EFunction(op, as_initial(seeds), name="g"))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32), closure=st.sampled_from(
+        ["scale", "mul_poly", "sum", "lagrange"]))
+    def test_random_operators_and_closures(self, seed, closure):
+        rng = random.Random(seed)
+        op = random_operator(rng, max_order=2, max_degree=2)
+        f = EFunction(op, as_initial(consistent_seeds(op, op.order, rng)), name="f")
+        assert_free_indices_agree(f)
+        # (t + 1)(t - r) leads, and -z f trails
+        planted = planted_operator(planted_band(1, [rng.randrange(-5, 8)], (1,)), [(1, 0, -1)])
+        g = EFunction(planted, as_initial(consistent_seeds(planted, _seed_length(planted), rng)),
+                      name="g")
+        assert_free_indices_agree(g)
+        base = rng.choice([ef_exp(), ef_bessel_j0(), f, g])
+        if closure == "scale":
+            h = ef_scale(base, Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4)))
+        elif closure == "mul_poly":
+            h = ef_mul_poly(base, Polynomial([0] * rng.randrange(0, 4) + [rng.choice([1, -2])]))
+        elif closure == "sum":
+            h = ef_sum(base, rng.choice([ef_exp(), ef_bessel_j0(), g]))
+        else:
+            h = ef_lagrange_combo(rng.choice([ef_exp(), ef_bessel_j0()]), [1, Fraction(-1, 2)])
+        assert h.seed_count == isolated_seed_length(h.annihilator)
+        assert_free_indices_agree(h)
+
+    def test_first_free_row_of_inconsistent_seeds(self):
+        # z f'' - (3 + z) f' - f: band (t + 1)(t - 3); rows 0-2 give
+        # c_3 = -1/2 from these seeds, row 3 asks for c_3 = 0
+        with pytest.raises(InputError, match="violate the recurrence at row 3$"):
+            EFunction(op_from_text("(z)*D^2 + (-3-z)*D^1 + (-1)"), ["3", "-1"])
+        f = EFunction(op_from_text("(z)*D^2 + (-3-z)*D^1 + (-1)"), ["0", "0"])
+        assert f.free_indices == [4] and f.first_free_index == 4
+        # given a_4 too, no index past the seeds is free
+        g = EFunction(op_from_text("(z)*D^2 + (-3-z)*D^1 + (-1)"), ["0", "0", "0", "0", "1"])
+        assert g.first_free_index is None
+
+    def test_free_index_beyond_every_sum_is_not_checked(self):
+        # band (t + 1)(t - 10^9): index 10^9 + 1 is free, past MAX_TERMS + 1,
+        # so its row is never advanced to
+        f = EFunction(op_from_text("(z)*D^2 + (-1000000000)*D^1 + (-1)"), ["1", "-1/1000000000"])
+        assert f.free_indices == [10**9 + 1] > [MAX_TERMS + 1]
+        assert f.first_free_index is None
+        with pytest.raises(PrecisionExceededError, match="1000000002 seed coefficients"):
+            ef_scale(f, 2)
+
+    def test_a_zero_class_meets_its_free_row(self, monkeypatch):
+        # the row of free index 400001 reads c_400000, in a class whose
+        # seeds are zero, and coefficient 5 of z f'' - 4 f' - z f is odd
+        monkeypatch.setattr(efunction._RecurrenceSum, "advance", None)
+        f = EFunction(op_from_text("(z)*D^2 + (-400000)*D^1 + (-1)"), ["0", "0"])
+        assert f.first_free_index == 400001
+        f = EFunction(op_from_text("(z)*D^2 + (-4)*D^1 + (-z)"), ["1", "0"])
+        assert f.first_free_index == 5 and f.stride == 2
+
+    def test_seed_check_advances_by_binary_splitting(self, monkeypatch):
+        # band (t + 1)(t - 3000): coefficient 3001 is free, and row 3000
+        # reads 0 = c_3000, which these seeds make nonzero; the check
+        # reaches it by one product past the two seeds, not term by term
+        op = op_from_text("(z)*D^2 + (-3000)*D^1 + (-1)")
+        pushed = []
+        push = efunction._RecurrenceSum._push
+        monkeypatch.setattr(efunction._RecurrenceSum, "_push",
+                            lambda self, u: pushed.append(u) or push(self, u))
+        with pytest.raises(InputError, match="row 3000$"):
+            EFunction(op, ["1", "-1/3000"])
+        assert len(pushed) == 2
 
 
 class TestRandom:

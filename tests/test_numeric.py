@@ -158,7 +158,7 @@ def reference_truncation(y, digits):
 def reference_heuristic(f, x, digits):
     """The heuristic path term by term: double the truncation from its
     start until two partial sums agree to half of 10^-digits."""
-    c_emp = max(2.0, growth_check(f).coeff_growth_estimate * 1.5)
+    c_emp = max(2.0, growth_check(f) * 1.5)
     terms = max(32, int(Fraction(2 * c_emp) * abs(x)) + digits)
     prev = reference_sum(f, x, terms)
     while True:
@@ -286,14 +286,38 @@ class TestBinarySplitting:
             b = eval_hypergeometric_value(params, x, digits)
             assert (b.re, b.rad) == reference_hypergeometric(params, x, digits)
 
+    def test_term_majorant_starts_at_the_least_n(self):
+        # the least n >= N* with n^k >= 2 K0 |x|: the integer k-th root of
+        # the ceiling of 2 K0 |x|, rounded up (2 K0 |x| is 144 = 12^2 at
+        # y = 18, and 1151/8 just below it at y = 1151/64)
+        for upper, lower, y in (((), (1, 1), Fraction(20)), ((), (1, 1, 1), Fraction(-7, 2)),
+                                ((), (1, 1), Fraction(18)), ((), (1, 1), Fraction(1151, 64)),
+                                ((Fraction(1, 3),), (1, 1, 1), Fraction(10**12)),
+                                ((), (1, Fraction(1, 2)), Fraction(1, 10**6)),
+                                ((), (1, 1, 1, 1, 1, 1), Fraction(10**30, 7))):
+            p = HypergeometricParams(tuple(map(Fraction, upper)), tuple(map(Fraction, lower)))
+            nstar, const = p.ratio_bound()
+            target, k = 2 * const * abs(y), p.k
+            n = p.majorant(y, p.sums(y))[0]
+            assert n >= nstar and n**k >= target, (upper, lower, y)
+            assert n == nstar or (n - 1) ** k < target, (upper, lower, y)
+
     def test_degenerate_index_past_the_seeds(self):
         # z f'' - (3 + z) f' - f: the leading band (t + 1)(t - 3) vanishes
-        # at t = 3, so coefficient 4 is free and must be supplied
+        # at t = 3, so coefficient 4 is free and must be supplied.  Row 3
+        # reads 0 = c_3, which forces c_0 = ... = c_3 = 0: other seeds
+        # belong to no series
+        with pytest.raises(InputError, match="violate the recurrence at row 3$"):
+            ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["3", "-1"], 2)
+        # strided: row 3 of z f'' - 3 f' - z f reads 0 = c_2, and c_0 = 1
+        # gives c_2 = -1/4
+        with pytest.raises(InputError, match="violate the recurrence at row 3$"):
+            ode("(z)*D^2 + (-3)*D^1 + (-z)", ["1", "0"], 2)
         message = "series coefficient 4 of g is not determined"
-        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["3", "-1"], 2)
+        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["0", "0"], 2)
         with pytest.raises(UnsupportedOperationError, match=message):
             f.coefficient(4)
-        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["3", "-1"], 2)
+        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["0", "0"], 2)
         with pytest.raises(UnsupportedOperationError, match=message):
             eval_efunction(f, Fraction(-1, 2), 20)
         sums = f.sums(Fraction(1, 3))
@@ -351,8 +375,9 @@ class TestResidueClasses:
 
     @pytest.mark.parametrize("text, free", [
         # leading band (t + 1)(t - 3), t = m - 1: index 4 is free, in the
-        # class that is run
-        ("(z)*D^2 + (-3)*D^1 + (-z)", 4),
+        # class that is run; row 3 reads 0 = 2 c_2 + c_0, which the seeds
+        # 1, 0 meet (c_2 = -1/2)
+        ("(z)*D^2 + (-3)*D^1 + (-2*z-z^3)", 4),
         # leading band (t + 1)(t - 4): index 5 is free, in the odd class,
         # whose seeds are zero and which is not run
         ("(z)*D^2 + (-4)*D^1 + (-z)", 5),
@@ -1017,8 +1042,10 @@ class TestRefinedValues:
         assert refined == eager_values(cert, 60)[1:]
 
     def test_undetermined_coefficient_is_still_skipped(self):
-        # coefficient 4 is free, below the truncation at either point
-        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["3", "-1"], 2)
+        # coefficient 4 is free, below the truncation at either point (the
+        # seeds must be 0: row 3 forces c_3 = 0, and so every coefficient
+        # before it)
+        f = ode("(z)*D^2 + (-3-z)*D^1 + (-1)", ["0", "0"], 2)
         cert = certify_single(f, [1, 2])
         rep = falsify(cert, 30, 10**6)
         assert rep.skipped
