@@ -36,7 +36,6 @@ from .criterion import (
 )
 from .diffop import (
     DiffOperator,
-    InhomogeneousResult,
     Recurrence,
     op_apply,
     op_compose,
@@ -45,7 +44,6 @@ from .diffop import (
     op_to_json,
     op_to_text,
     psi_transform,
-    psi_transform_with_remainder,
     recurrence_from_ode,
 )
 from .efunction import (
@@ -101,7 +99,6 @@ __all__ = [
     "Hypothesis",
     "HypergeometricParams",
     "INCONCLUSIVE",
-    "InhomogeneousResult",
     "InputError",
     "InsufficientTruncationError",
     "InternalCheckError",
@@ -147,7 +144,6 @@ __all__ = [
     "op_to_text",
     "poly_gcd",
     "psi_transform",
-    "psi_transform_with_remainder",
     "ratio_condition",
     "ratio_set_poly",
     "recurrence_from_ode",

@@ -339,7 +339,7 @@ def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
         results = []
         for fs in spec.functions:
             f = _build_function(fs, ctx)
-            rs = singularity_superset(f, ctx)
+            rs = singularity_superset(f)
             results.append({"function": f.name, "root_set": rs.to_json()})
         report["results"] = results
     elif spec.task == "transform":

@@ -239,7 +239,7 @@ def _certify(
         cert.notes.append("values at 0 are algebraic")
         return _finish(cert)
 
-    sets = [singularity_superset(f, ctx) for f in functions]
+    sets = [singularity_superset(f) for f in functions]
     superset_failure = False
     for i in range(len(functions)):
         for j in range(i + 1, len(functions)):

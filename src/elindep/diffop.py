@@ -18,7 +18,10 @@ term becomes p(T) applied to z^(B-b) (g - r_b), and B - b >= 0 keeps every
 step polynomial. Summing over the terms of the annihilator yields M g = r
 with polynomial M and r; dividing out the power of z they share (at most
 z^B) and, when r is nonzero, left-composing with D^(deg r + 1) gives a
-homogeneous annihilator of g.
+homogeneous annihilator of g. Only the `transform` task needs the whole
+operator: the nonzero roots of its leading coefficient do not depend on the
+initial values and are read off the original operator's top-degree
+coefficients (`singularities.singularity_superset`).
 """
 
 from __future__ import annotations
@@ -264,70 +267,6 @@ def op_apply(op: DiffOperator, series: Sequence, keep: int) -> dict[int, Fractio
     return out
 
 
-@dataclass(frozen=True)
-class InhomogeneousResult:
-    """Operator and polynomial remainder with operator(g) = remainder."""
-
-    operator: DiffOperator
-    remainder: Polynomial
-
-
-def _validate_transform_input(op: DiffOperator, initial_values: Sequence) -> list[Fraction]:
-    if op.is_zero:
-        raise InputError("cannot transform the zero operator")
-    order = op.order
-    vals = [Fraction(v) for v in initial_values]
-    if len(vals) < order:
-        raise InputError(
-            f"operator of order {order} needs {order} initial coefficients, got {len(vals)}"
-        )
-    return vals[:order]
-
-
-def psi_transform_with_remainder(
-    op: DiffOperator, initial_values: Sequence
-) -> InhomogeneousResult:
-    """Inhomogeneous annihilator of g = sum a_n z^n given one of f = sum a_n z^n/n!.
-
-    initial_values are a_0 .. a_(order-1), i.e. f(0), f'(0), ...
-    Returns (M, r) with M g = r, powers of z already cleared, content
-    normalized by a single positive rational.
-    """
-    a = _validate_transform_input(op, initial_values)
-    order = op.order
-
-    acc = DiffOperator.zero()
-    rem = Polynomial.zero()
-    for b, p_b in op.terms.items():
-        # ladder of T^k ∘ z^(B-b) as an operator, and T^k (z^(B-b) r_b) as a value
-        ladder_op = DiffOperator({0: Polynomial.x_power(order - b)})
-        ladder_val = Polynomial(a[:b]).shifted(order - b)
-        for power, c in enumerate(p_b.coeffs):
-            if c != 0:
-                acc = acc + ladder_op.scale(c)
-                rem = rem + ladder_val * c
-            if power < p_b.degree:
-                ladder_op = _compose_t(ladder_op, order)
-                ladder_val = _apply_t(ladder_val, order)
-
-    if acc.is_zero:
-        raise InternalCheckError("transform produced the zero operator")
-
-    # z^order was multiplied in; divide out whatever power of z M and r share
-    shared = min(
-        [order] + [p.deflate_z()[0] for p in [*acc.terms.values(), rem] if not p.is_zero]
-    )
-    acc = DiffOperator({b: Polynomial(p.coeffs[shared:]) for b, p in acc.terms.items()})
-    remainder = Polynomial(rem.coeffs[shared:])
-
-    # one positive scalar for the pair, so the identity M g = r is preserved
-    content = _content([*acc.terms.values(), remainder])
-    if content not in (0, 1):
-        acc = acc.scale(1 / content)
-        remainder = remainder * (1 / content)
-    return InhomogeneousResult(acc, remainder)
-
-
 def _apply_t(h: Polynomial, order: int) -> Polynomial:
     """T h for T = z^2 D + (1 - order) z."""
     return h.derivative().shifted(2) + h.shifted(1) * (1 - order)
@@ -346,16 +285,47 @@ def _compose_t(x: DiffOperator, order: int) -> DiffOperator:
 
 
 def psi_transform(op: DiffOperator, initial_values: Sequence) -> DiffOperator:
-    """Homogeneous annihilator of g = sum a_n z^n from one of sum a_n z^n/n!."""
-    pair = psi_transform_with_remainder(op, initial_values)
-    result = pair.operator
-    if not pair.remainder.is_zero:
-        d = pair.remainder.degree
-        killer = DiffOperator({d + 1: Polynomial.one()})
-        result = op_compose(killer, result)
-    if result.is_zero:
-        raise InternalCheckError("homogenized transform collapsed to zero")
-    return result.primitive_normalized()
+    """Homogeneous annihilator of g = sum a_n z^n from one of sum a_n z^n/n!.
+
+    initial_values are a_0 .. a_(order-1), i.e. f(0), f'(0), ... The
+    result is M, or D^(deg r + 1) M when the remainder r of M g = r is
+    nonzero, divided by its positive rational content. M is never zero: with
+    d the largest degree of op's coefficients, its order-d coefficient is
+    sum over deg p_b = d of lc(p_b) z^(2d+B-b), distinct powers of z.
+    """
+    if op.is_zero:
+        raise InputError("cannot transform the zero operator")
+    order = op.order
+    if len(initial_values) < order:
+        raise InputError(
+            f"operator of order {order} needs {order} initial coefficients, "
+            f"got {len(initial_values)}"
+        )
+    a = [Fraction(v) for v in initial_values[:order]]
+
+    acc = DiffOperator.zero()
+    rem = Polynomial.zero()
+    for b, p_b in op.terms.items():
+        # ladder of T^k ∘ z^(B-b) as an operator, and T^k (z^(B-b) r_b) as a value
+        ladder_op = DiffOperator({0: Polynomial.x_power(order - b)})
+        ladder_val = Polynomial(a[:b]).shifted(order - b)
+        for power, c in enumerate(p_b.coeffs):
+            if c != 0:
+                acc = acc + ladder_op.scale(c)
+                rem = rem + ladder_val * c
+            if power < p_b.degree:
+                ladder_op = _compose_t(ladder_op, order)
+                ladder_val = _apply_t(ladder_val, order)
+
+    # z^order was multiplied in; divide out whatever power of z M and r share
+    shared = min(
+        [order] + [p.deflate_z()[0] for p in [*acc.terms.values(), rem] if not p.is_zero]
+    )
+    acc = DiffOperator({b: Polynomial(p.coeffs[shared:]) for b, p in acc.terms.items()})
+    remainder = Polynomial(rem.coeffs[shared:])
+    if not remainder.is_zero:
+        acc = op_compose(DiffOperator({remainder.degree + 1: Polynomial.one()}), acc)
+    return acc.primitive_normalized()
 
 
 @dataclass(frozen=True)

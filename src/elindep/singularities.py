@@ -2,9 +2,13 @@
 
 The series g = sum a_n z^n attached to an E-function has positive radius of
 convergence and continues along paths avoiding finitely many points. Those
-points are always roots of the leading coefficient of an annihilator of g,
-which gives a computable superset; for the curated function families the
-exact set is known in closed form.
+points are always roots of the leading coefficient of an annihilator of g.
+For an E-function given by its operator L, that coefficient's nonzero roots
+are read off L's top-degree coefficients, whatever its initial values
+(André: the finite singularities of the transformed operator lie at the
+roots of L's characteristic polynomial at infinity), which gives a
+computable superset without transforming L; for the curated function
+families the exact set is known in closed form.
 
 A RootSet stores a primitive squarefree integer polynomial not divisible
 by z (the origin is always a regular point of g) and remembers whether it
@@ -24,7 +28,7 @@ from .algebraic import (
     alg_is_zero,
     is_root_of,
 )
-from .diffop import DiffOperator, psi_transform
+from .diffop import DiffOperator
 from .efunction import EFunction
 from .errors import InputError
 from .polynomials import Polynomial, poly_gcd, ratio_poly, squarefree_part
@@ -74,25 +78,41 @@ def rootsets_disjoint(a: RootSet, b: RootSet) -> bool:
     return poly_gcd(a.poly, b.poly).degree <= 0
 
 
-def singularity_superset(
-    f: EFunction, ctx: Precision = DEFAULT_PRECISION
-) -> RootSet:
+def _singular_poly(op: DiffOperator) -> Polynomial:
+    """sum of lc(p_b) z^(B-b) over the b with deg p_b = d, for
+    op = sum_b p_b(z) D^b of order B and d = max deg p_b.
+
+    Its nonzero roots are those of the leading coefficient of
+    psi_transform(op, seeds), for any seeds. The transform sends p_b D^b to
+    sum_i [z^i]p_b T^i z^(B-b) applied to g, with T = z^2 D + (1-B) z, and
+    T^i has order i and leading coefficient z^(2i). So the transformed
+    operator M has order d and leading coefficient
+    sum_(deg p_b = d) lc(p_b) z^(2d+B-b), whose powers of z are distinct,
+    so no term cancels. The seeds enter only the remainder r of M g = r;
+    what follows moves no nonzero root: dividing out the power of z that M
+    and r share, left-composing with D^(deg r + 1), which keeps the leading
+    coefficient, and dividing by the content.
+    """
+    order = op.order
+    top = max(p.degree for p in op.terms.values())
+    coeffs = [0] * (order + 1)
+    for b, p in op.terms.items():
+        if p.degree == top:
+            coeffs[order - b] = p.lc
+    return Polynomial(coeffs)
+
+
+def singularity_superset(f: EFunction) -> RootSet:
     """Singular support of the factorial-removed series of f.
 
     Closed-form when the function carries it; otherwise the roots of the
-    leading coefficient of the transformed annihilator, which contain every
-    true singularity but may also contain apparent ones.
+    leading coefficient of the transformed annihilator, read off the
+    annihilator's top-degree coefficients (`_singular_poly`). They contain
+    every true singularity but may also contain apparent ones.
     """
     if f.psi_singularity_poly is not None:
         return RootSet.from_poly(f.psi_singularity_poly, provenance=CLOSED_FORM)
-    cached = getattr(f, "_singularity_cache", None)
-    if cached is not None:
-        return cached
-    op = psi_transform(f.annihilator, f.coefficients(f.order))
-    lead = op.leading_coefficient()
-    result = RootSet.from_poly(lead, provenance=SUPERSET)
-    f._singularity_cache = result
-    return result
+    return RootSet.from_poly(_singular_poly(f.annihilator), provenance=SUPERSET)
 
 
 def hypergeometric_singularities(params) -> RootSet:

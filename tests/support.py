@@ -6,7 +6,7 @@ from math import gcd, lcm
 import mpmath
 
 from elindep.algebraic import DEFAULT_PRECISION, isolate_roots
-from elindep.diffop import DiffOperator, recurrence_from_ode
+from elindep.diffop import DiffOperator, psi_transform, recurrence_from_ode
 from elindep.efunction import EFunction
 from elindep.errors import (
     InputError,
@@ -14,6 +14,7 @@ from elindep.errors import (
     UnsupportedOperationError,
 )
 from elindep.polynomials import Polynomial, squarefree_part
+from elindep.singularities import SUPERSET, RootSet
 
 
 def random_fraction(rng, num_max=9, den_max=5, allow_zero=True):
@@ -122,6 +123,12 @@ def isolated_seed_length(op, ctx=DEFAULT_PRECISION):
             if t >= 0 and lead(Fraction(t)) == 0:
                 worst = max(worst, t)
     return max(op.order, worst + rec.max_shift + 1)
+
+
+def transform_superset(op, seeds):
+    """The old `singularity_superset` of an operator-given function: the
+    roots of the leading coefficient of the whole transformed operator."""
+    return RootSet.from_poly(psi_transform(op, seeds).leading_coefficient(), SUPERSET)
 
 
 def consistent_seeds(op, count, rng):

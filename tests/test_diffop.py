@@ -23,7 +23,6 @@ from elindep.diffop import (
     op_to_json,
     op_to_text,
     psi_transform,
-    psi_transform_with_remainder,
     recurrence_from_ode,
 )
 from elindep.errors import InputError, InsufficientTruncationError
@@ -160,13 +159,21 @@ class TestTransform:
         got = psi_transform(exp_op(), [1])
         assert op_to_text(got) == "(1 - z)*∂^1 + (-1)"
 
+    def test_content_divided_out(self):
+        # 6 D - 6, and 3 D^2 - 3 D with exp's seeds, give (1 - z) D - 1,
+        # not a multiple of it
+        assert psi_transform(exp_op().scale(6), [1]) == psi_transform(exp_op(), [1])
+        got = psi_transform(DiffOperator.from_poly_coeffs([0, -3, 3]), [1, 1])
+        assert op_to_text(got) == "(1 - z)*∂^1 + (-1)"
+
     def test_exp_remainder_form(self):
-        pair = psi_transform_with_remainder(exp_op(), [1])
-        g = geometric(40)
-        img = op_apply(pair.operator, g, 20)
-        rem = {e: c for e, c in enumerate(pair.remainder.coeffs)}
-        for e in range(20):
-            assert img.get(e, 0) == rem.get(e, 0)
+        # D - 1 maps to M g = r with M = 1 - z and r = 1 on g = 1/(1 - z);
+        # D kills r, so the homogeneous result is D∘M
+        m = DiffOperator.from_poly_coeffs([[1, -1]])
+        img = op_apply(m, geometric(40), 20)
+        assert img == {e: int(e == 0) for e in range(20)}
+        d = DiffOperator.from_poly_coeffs([0, 1])
+        assert psi_transform(exp_op(), [1]) == op_compose(d, m)
 
     def test_transform_annihilates_builtins(self):
         from elindep.efunction import ef_bessel_j0, ef_exp, ef_sin_integral

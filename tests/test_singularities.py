@@ -1,10 +1,14 @@
 """Root-set computation for the factorial-removed series and ratio tests."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elindep import cli, diffop
 from elindep.algebraic import (
     AlgebraicNumber,
     alg_div,
@@ -13,25 +17,33 @@ from elindep.algebraic import (
     is_root_of,
     isolate_roots,
 )
+from elindep.diffop import DiffOperator, op_from_text
 from elindep.efunction import (
     EFunction,
     HypergeometricParams,
     ef_bessel_j0,
     ef_exp,
     ef_hypergeometric,
+    ef_lagrange_combo,
+    ef_mul_poly,
     ef_scale,
     ef_sin_integral,
+    ef_sum,
+    hypergeometric_annihilator,
 )
 from elindep.errors import InputError
 from elindep.polynomials import Polynomial, ratio_poly, ratio_set_poly, squarefree_part
 from elindep.singularities import (
     SUPERSET,
     RootSet,
+    _singular_poly,
     hypergeometric_singularities,
     ratio_condition,
     rootsets_disjoint,
     singularity_superset,
 )
+
+from support import transform_superset
 
 
 def P(*coeffs):
@@ -111,9 +123,111 @@ class TestSuperset:
 
         assert poly_gcd(rs.poly, P(-1, 1)).degree == 1
 
-    def test_superset_cached(self):
-        f = EFunction(ef_exp().annihilator, [1], name="e3", coeff_bound=1)
-        assert singularity_superset(f) is singularity_superset(f)
+    def test_certify_and_singularities_skip_the_transform(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("psi_transform called")
+
+        monkeypatch.setattr(diffop, "psi_transform", refuse)
+        monkeypatch.setattr(cli, "psi_transform", refuse)
+        function = {"type": "ode", "operator": "(z)*D^2 + (1)*D^1 + (-z)", "initial": ["1", "0"]}
+        for task, points in (("certify", ["1/3", "1/2"]), ("singularities", None)):
+            doc = {"version": 1, "task": task, "functions": [function]}
+            if points:
+                doc["points"] = points
+            path = tmp_path / f"{task}.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main([task, "--spec", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: CertifiedIndependent" in out
+        # the patch is live: the transform task reaches it
+        doc = {"version": 1, "task": "transform", "functions": [function]}
+        path = tmp_path / "transform.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AssertionError, match="psi_transform called"):
+            cli.main(["transform", "--spec", str(path)])
+
+
+RULE_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+parameters = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)).filter(
+    lambda q: q.denominator > 1 or q > 0
+)
+
+
+@st.composite
+def operators_and_seeds(draw):
+    """An operator of order 1..4 with coefficients of degree 0..4, and as
+    many random rational seeds as its order."""
+    order = draw(st.integers(1, 4))
+    coeffs = [Polynomial(draw(st.lists(rationals, min_size=1, max_size=5)))
+              for _ in range(order + 1)]
+    if coeffs[order].is_zero:
+        coeffs[order] = Polynomial.x_power(draw(st.integers(0, 4)))
+    seeds = draw(st.lists(rationals, min_size=order, max_size=order))
+    return DiffOperator.from_poly_coeffs(coeffs), seeds
+
+
+BENCH_ODES = (
+    ("(z)*D^2 + (1)*D^1 + (-z)", [1, 0]),
+    ("(1)*D^2 + (-4)", [1, 0]),
+    ("(1+z)*D^1 + (-2-z)", [1, 2]),
+    ("(1)*D^2 + (1)*D^1 + (-2)", [2, -1]),
+    ("(1)*D^2 + (9)", [0, 3]),
+)
+
+
+def closures():
+    """Operator-given functions of every kind the library builds."""
+    builtins = (ef_exp(), ef_bessel_j0(), ef_sin_integral())
+    hyp = ef_hypergeometric([Fraction(1, 2)], [Fraction(1, 3), 1, 1], 2)
+    out = [EFunction(op_from_text(text), seeds) for text, seeds in BENCH_ODES]
+    out += [EFunction(f.annihilator, f.coefficients(f.order)) for f in builtins]
+    out += [ef_scale(f, c) for f in builtins for c in (2, Fraction(1, 3), -5)]
+    out += [ef_scale(hyp, Fraction(-3, 2)), ef_scale(ef_hypergeometric([], [1, 1], -1), 2)]
+    out += [ef_mul_poly(ef_exp(), P(1, 2, -1)), ef_mul_poly(ef_bessel_j0(), P(0, 3))]
+    out += [ef_sum(ef_exp(), ef_scale(ef_exp(), -2)), ef_sum(ef_bessel_j0(), ef_sin_integral())]
+    out += [ef_lagrange_combo(ef_exp(), [1, 2]), ef_lagrange_combo(ef_bessel_j0(), [Fraction(1, 2), -3])]
+    return out
+
+
+class TestSingularPoly:
+    """The singular set read off an operator's top-degree coefficients is
+    the one read off the leading coefficient of its transform."""
+
+    @RULE_PROPERTY
+    @given(operators_and_seeds())
+    def test_random_operators_match_the_transform(self, case):
+        op, seeds = case
+        rule = RootSet.from_poly(_singular_poly(op), SUPERSET)
+        assert rule == transform_superset(op, seeds)
+
+    def test_closures_match_the_transform(self):
+        for f in closures():
+            assert f.psi_singularity_poly is None, f.name
+            got = singularity_superset(f)
+            assert got == transform_superset(f.annihilator, f.coefficients(f.order)), f.name
+
+    def test_builtin_closed_forms(self):
+        for f in (ef_exp(), ef_bessel_j0(), ef_sin_integral()):
+            rule = RootSet.from_poly(_singular_poly(f.annihilator))
+            assert singularity_superset(f) == rule, f.name
+
+    @RULE_PROPERTY
+    @given(
+        st.integers(1, 4),
+        st.lists(parameters, max_size=2),
+        st.data(),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5)),
+    )
+    def test_hypergeometric_closed_forms(self, k, upper, data, scale):
+        lower = data.draw(st.lists(parameters, min_size=k + len(upper), max_size=k + len(upper)))
+        params = HypergeometricParams(tuple(upper), tuple(lower), scale)
+        closed = hypergeometric_singularities(params)
+        assert closed == RootSet.from_poly(_singular_poly(hypergeometric_annihilator(params)))
+        f = ef_hypergeometric(upper, lower, scale)
+        assert singularity_superset(f) == closed
+        assert closed == RootSet.from_poly(_singular_poly(f.annihilator))
 
 
 class TestHypergeometricLocus:
