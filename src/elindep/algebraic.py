@@ -428,12 +428,13 @@ class AlgebraicNumber:
     """A root of a squarefree integer polynomial, pinned by a certified
     isolating disc `box`."""
 
-    __slots__ = ("poly", "box", "_rational")
+    __slots__ = ("poly", "box", "_rational", "_irrational")
 
     def __init__(self, poly: Polynomial, box: Ball, _rational: Fraction | None = None):
         self.poly = poly
         self.box = box
         self._rational = _rational
+        self._irrational = False  # set once as_rational has proven it
 
     # -- constructors -------------------------------------------------------
 
@@ -576,13 +577,16 @@ class AlgebraicNumber:
         the only candidate is the fraction nearest the midpoint with
         denominator at most L, and the number is rational exactly when that
         candidate is a root of the polynomial inside the isolating disc.
+        Either answer is kept.
         """
-        if self._rational is None:
+        if self._rational is None and not self._irrational:
             lead = self.poly.prim[-1]
             box = refine_root_box(self.poly, self.box, 2 * lead.bit_length() + 2, ctx)
             cand = box.re.limit_denominator(lead)
             if self.poly(cand) == 0 and box.overlaps(Ball.point(cand)):
                 self._rational = cand
+            else:
+                self._irrational = True
         return self._rational
 
     def __repr__(self) -> str:

@@ -13,19 +13,21 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .algebraic import AlgebraicNumber, Precision
 from .criterion import (
     Certificate,
+    certificate_text,
     certify_hypergeometric,
     certify_main,
     certify_multi,
     certify_si_integrals,
     certify_single,
 )
-from .diffop import DiffOperator, op_from_json, op_from_text, op_to_json, op_to_text, psi_transform
+from .diffop import op_from_json, op_from_text, op_to_json, op_to_text, psi_transform
 from .efunction import (
     EFunction,
     HypergeometricParams,
@@ -66,38 +68,25 @@ MAX_PRECISION_BITS = 1 << 18
 
 
 @dataclass
-class FunctionSpec:
-    kind: str  # builtin | hypergeometric | ode
-    data: dict
-    # an ode's operator, parsed once from data["operator"] where it is checked
-    operator: DiffOperator | None = field(default=None, compare=False, repr=False)
+class Point:
+    """A point of a document and the builder of its AlgebraicNumber."""
 
-    def to_json(self) -> dict:
-        out = {"type": self.kind}
-        out.update(self.data)
-        return out
+    text: str  # the rational as written, or the {poly, box} object as sorted JSON
+    build: Callable[[Precision], AlgebraicNumber]
 
 
 @dataclass
 class ProblemSpec:
+    """A checked problem document, its numbers parsed into exact values.
+    Each function and point is a builder that `run` calls with the run's
+    precision context, only for the fields its task reads."""
+
     task: str
-    functions: list[FunctionSpec] = field(default_factory=list)
-    points: list = field(default_factory=list)  # raw json values
-    pairs: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        out = {"version": SPEC_VERSION, "task": self.task}
-        if self.functions:
-            out["functions"] = [f.to_json() for f in self.functions]
-        if self.points:
-            out["points"] = list(self.points)
-        if self.pairs:
-            out["pairs"] = [list(p) for p in self.pairs]
-        return out
-
-
-def render(spec: ProblemSpec) -> str:
-    return json.dumps(spec.to_json(), indent=2)
+    functions: list[Callable[[Precision], EFunction]]
+    # per function: its parameters if it is hypergeometric, else None
+    params: list[HypergeometricParams | None]
+    points: list[Point]
+    pairs: list[tuple[Point, Point]]
 
 
 def _fail(path: str, message: str):
@@ -115,49 +104,54 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
             _fail(f"{path}.{key}", "unknown field")
 
 
-def _rational_list(values, path: str) -> list[str]:
+def _rational(value, path: str) -> Fraction:
+    try:
+        return parse_decimal(str(value))
+    except (InputError, ValueError):
+        _fail(path, f"not a rational number: {value!r}")
+
+
+def _rational_list(values, path: str) -> list[Fraction]:
     if not isinstance(values, list):
         _fail(path, "expected a list")
-    out = []
-    for i, v in enumerate(values):
-        try:
-            parse_decimal(str(v))
-        except (InputError, ValueError):
-            _fail(f"{path}[{i}]", f"not a rational number: {v!r}")
-        out.append(str(v))
-    return out
+    return [_rational(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def _parse_function(obj, path: str) -> FunctionSpec:
+def _optional_rational(obj: dict, key: str, path: str) -> Fraction | None:
+    # a scalar field's messages name it as the list of its one value
+    return _rational(obj[key], f"{path}.{key}[0]") if key in obj else None
+
+
+def _parse_function(obj, path: str):
+    """(builder of the EFunction, its parameters if it is hypergeometric)."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     kind = obj.get("type")
     if kind == "builtin":
         _require_keys(obj, path, ("type", "name"), ("scale",))
-        if obj["name"] not in BUILTINS:
+        builtin = obj["name"]
+        if builtin not in BUILTINS:
             _fail(
                 f"{path}.name",
-                f"unknown builtin {obj['name']!r}; choose from "
-                + ", ".join(sorted(BUILTINS)),
+                f"unknown builtin {builtin!r}; choose from " + ", ".join(sorted(BUILTINS)),
             )
-        data = {"name": obj["name"]}
-        if "scale" in obj:
-            data["scale"] = _rational_list([obj["scale"]], f"{path}.scale")[0]
-        return FunctionSpec("builtin", data)
-    if kind == "hypergeometric":
+        scale = _optional_rational(obj, "scale", path)
+
+        def build(ctx):
+            return BUILTINS[builtin]()
+    elif kind == "hypergeometric":
         _require_keys(obj, path, ("type", "upper", "lower"), ("scale",))
         upper = _rational_list(obj["upper"], f"{path}.upper")
         lower = _rational_list(obj["lower"], f"{path}.lower")
-        data = {"upper": upper, "lower": lower}
-        if "scale" in obj:
-            data["scale"] = _rational_list([obj["scale"]], f"{path}.scale")[0]
+        scale = _rational(obj.get("scale", 1), f"{path}.scale[0]")
         try:
-            _hyp_params(data).validate()
+            params = HypergeometricParams(tuple(upper), tuple(lower), scale)
         except InputError as exc:
             _fail(path, f"invalid parameters (need integers s > r >= 0 and "
                         f"lower parameters outside the nonpositive integers): {exc}")
-        return FunctionSpec("hypergeometric", data)
-    if kind == "ode":
+        # the scale is already the series parameter, not a further z -> scale*z
+        return (lambda ctx: ef_hypergeometric(params.upper, params.lower, params.scale)), params
+    elif kind == "ode":
         _require_keys(
             obj, path, ("type", "operator", "initial"), ("coeff_bound", "name", "scale")
         )
@@ -169,47 +163,72 @@ def _parse_function(obj, path: str) -> FunctionSpec:
                 raise InputError(f"{exc} ({path}.operator)") from None
         else:
             op = op_from_json(obj["operator"], f"{path}.operator")
-        data = {"operator": obj["operator"], "initial": _rational_list(obj["initial"], f"{path}.initial")}
-        for key in ("coeff_bound", "scale"):
-            if key in obj:
-                data[key] = _rational_list([obj[key]], f"{path}.{key}")[0]
-        if "name" in obj:
-            if not isinstance(obj["name"], str):
-                _fail(f"{path}.name", "expected a string")
-            data["name"] = obj["name"]
-        return FunctionSpec("ode", data, op)
-    _fail(f"{path}.type", f"unknown function type {kind!r}")
+        initial = _rational_list(obj["initial"], f"{path}.initial")
+        bound = _optional_rational(obj, "coeff_bound", path)
+        scale = _optional_rational(obj, "scale", path)
+        name = obj.get("name", "f")
+        if not isinstance(name, str):
+            _fail(f"{path}.name", "expected a string")
+
+        def build(ctx):
+            return EFunction(op, initial, name=name, coeff_bound=bound, ctx=ctx)
+    else:
+        _fail(f"{path}.type", f"unknown function type {kind!r}")
+    if scale is None:
+        return build, None
+    return (lambda ctx: ef_scale(build(ctx), scale, ctx)), None
 
 
-def _parse_point(obj, path: str):
+def _parse_point(obj, path: str) -> Point:
     if isinstance(obj, (str, int)):
-        try:
-            parse_decimal(str(obj))
-        except (InputError, ValueError):
-            _fail(path, f"not a rational number: {obj!r}")
-        return str(obj)
+        q = _rational(obj, path)
+        return Point(str(obj), lambda ctx: AlgebraicNumber.from_rational(q))
     if isinstance(obj, dict):
         _require_keys(obj, path, ("poly", "box"))
-        if not isinstance(obj["poly"], list) or not all(
-            type(c) is int for c in obj["poly"]  # JSON true/false are not integers
+        coeffs = obj["poly"]
+        if not isinstance(coeffs, list) or not all(
+            type(c) is int for c in coeffs  # JSON true/false are not integers
         ):
             _fail(f"{path}.poly", "expected a list of integers")
         box = obj["box"]
         _require_keys(box, f"{path}.box", ("re", "im"))
+        bounds = []
         for part in ("re", "im"):
             lohi = box[part]
             if not isinstance(lohi, list) or len(lohi) != 2:
                 _fail(f"{path}.box.{part}", "expected [lo, hi]")
-            _rational_list(lohi, f"{path}.box.{part}")
-        return {
-            "poly": list(obj["poly"]),
-            "box": {"re": [str(x) for x in box["re"]], "im": [str(x) for x in box["im"]]},
-        }
+            bounds += _rational_list(lohi, f"{path}.box.{part}")
+        text = json.dumps(
+            {"poly": coeffs, "box": {part: [str(x) for x in box[part]] for part in ("re", "im")}},
+            sort_keys=True,
+        )
+
+        def build(ctx):
+            try:
+                return AlgebraicNumber.root_in_box(Polynomial(coeffs), *bounds, ctx)
+            except ValueError as exc:  # no root in the box, bounds out of order, ...
+                raise InputError(f"point {text}: {exc}") from None
+        return Point(text, build)
     _fail(path, "expected a rational string or a {poly, box} object")
 
 
+def _list(doc: dict, key: str, parse) -> list:
+    if key not in doc:
+        return []
+    if not isinstance(doc[key], list):
+        _fail(f"$.{key}", "expected a list")
+    return [parse(item, f"$.{key}[{i}]") for i, item in enumerate(doc[key])]
+
+
+def _parse_pair(pair, path: str) -> tuple[Point, Point]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        _fail(path, "expected a two-element list")
+    return _parse_point(pair[0], f"{path}[0]"), _parse_point(pair[1], f"{path}[1]")
+
+
 def parse_spec(text: str) -> ProblemSpec:
-    """Parse and validate a problem document (strict: unknown fields fail)."""
+    """Parse and check a problem document (strict: unknown fields fail),
+    each number once, into exact values; build nothing."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # also integers past Python's digit limit
@@ -219,103 +238,35 @@ def parse_spec(text: str) -> ProblemSpec:
     )
     if type(doc["version"]) is not int or doc["version"] != SPEC_VERSION:
         _fail("$.version", f"unsupported version {doc['version']!r} (expected {SPEC_VERSION})")
-    if doc["task"] not in TASKS:
-        _fail("$.task", f"unknown task {doc['task']!r}; choose from " + ", ".join(TASKS))
-    spec = ProblemSpec(task=doc["task"])
-    if "functions" in doc:
-        if not isinstance(doc["functions"], list):
-            _fail("$.functions", "expected a list")
-        spec.functions = [
-            _parse_function(f, f"$.functions[{i}]")
-            for i, f in enumerate(doc["functions"])
-        ]
-    if "points" in doc:
-        if not isinstance(doc["points"], list):
-            _fail("$.points", "expected a list")
-        spec.points = [
-            _parse_point(p, f"$.points[{i}]") for i, p in enumerate(doc["points"])
-        ]
-    if "pairs" in doc:
-        if not isinstance(doc["pairs"], list):
-            _fail("$.pairs", "expected a list")
-        pairs = []
-        for i, pair in enumerate(doc["pairs"]):
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(f"$.pairs[{i}]", "expected a two-element list")
-            pairs.append(
-                [
-                    _parse_point(pair[0], f"$.pairs[{i}][0]"),
-                    _parse_point(pair[1], f"$.pairs[{i}][1]"),
-                ]
-            )
-        spec.pairs = pairs
+    task = doc["task"]
+    if task not in TASKS:
+        _fail("$.task", f"unknown task {task!r}; choose from " + ", ".join(TASKS))
+    functions = _list(doc, "functions", _parse_function)
+    points = _list(doc, "points", _parse_point)
+    pairs = _list(doc, "pairs", _parse_pair)
 
-    needs_functions = spec.task in (
+    needs_functions = task in (
         "singularities", "transform", "certify", "certify_hyp", "eval", "falsify",
     )
-    if needs_functions and not spec.functions:
-        _fail("$.functions", f"task {spec.task} needs at least one function")
-    if spec.task in ("certify", "certify_hyp", "eval", "falsify") and not spec.points:
-        _fail("$.points", f"task {spec.task} needs points")
-    if spec.task == "certify_si" and not spec.pairs:
+    if needs_functions and not functions:
+        _fail("$.functions", f"task {task} needs at least one function")
+    if task in ("certify", "certify_hyp", "eval", "falsify") and not points:
+        _fail("$.points", f"task {task} needs points")
+    if task == "certify_si" and not pairs:
         _fail("$.pairs", "task certify_si needs endpoint pairs")
-    if spec.task == "certify_hyp":
-        for i, f in enumerate(spec.functions):
-            if f.kind != "hypergeometric":
+    params = [p for _, p in functions]
+    if task == "certify_hyp":
+        for i, p in enumerate(params):
+            if p is None:
                 _fail(f"$.functions[{i}]", "certify_hyp needs hypergeometric functions")
-    return spec
-
-
-def _hyp_params(data: dict) -> HypergeometricParams:
-    return HypergeometricParams(
-        tuple(Fraction(parse_decimal(a)) for a in data["upper"]),
-        tuple(Fraction(parse_decimal(b)) for b in data["lower"]),
-        Fraction(parse_decimal(data.get("scale", "1"))),
-    )
-
-
-def _build_function(fs: FunctionSpec, ctx: Precision) -> EFunction:
-    if fs.kind == "builtin":
-        f = BUILTINS[fs.data["name"]]()
-    elif fs.kind == "hypergeometric":
-        # the scale is already the series parameter, not a further z -> scale*z
-        params = _hyp_params(fs.data)
-        return ef_hypergeometric(params.upper, params.lower, params.scale)
-    else:
-        bound = fs.data.get("coeff_bound")
-        f = EFunction(
-            fs.operator,
-            [parse_decimal(v) for v in fs.data["initial"]],
-            name=fs.data.get("name", "f"),
-            coeff_bound=parse_decimal(bound) if bound is not None else None,
-            ctx=ctx,
-        )
-    if "scale" in fs.data:
-        f = ef_scale(f, parse_decimal(fs.data["scale"]), ctx)
-    return f
-
-
-def _build_point(p, ctx: Precision) -> AlgebraicNumber:
-    if isinstance(p, str):
-        return AlgebraicNumber.from_rational(parse_decimal(p))
-    poly = Polynomial(p["poly"])
-    re_lo, re_hi = (parse_decimal(x) for x in p["box"]["re"])
-    im_lo, im_hi = (parse_decimal(x) for x in p["box"]["im"])
-    try:
-        return AlgebraicNumber.root_in_box(poly, re_lo, re_hi, im_lo, im_hi, ctx)
-    except ValueError as exc:  # no root in the box, bounds out of order, ...
-        raise InputError(f"point {_point_json(p)}: {exc}") from None
-
-
-def _point_json(p) -> str:
-    return p if isinstance(p, str) else json.dumps(p, sort_keys=True)
+    return ProblemSpec(task, [build for build, _ in functions], params, points, pairs)
 
 
 def _certify_spec(spec: ProblemSpec, ctx: Precision) -> Certificate:
     """Pair one point with many functions, or one function with many
     points, or the two lists in order, and certify the pairs."""
-    functions = [_build_function(fs, ctx) for fs in spec.functions]
-    points = [_build_point(p, ctx) for p in spec.points]
+    functions = [build(ctx) for build in spec.functions]
+    points = [p.build(ctx) for p in spec.points]
     if len(points) == 1:
         points = points * len(functions)
     elif len(functions) == 1:
@@ -337,15 +288,15 @@ def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
 
     if spec.task == "singularities":
         results = []
-        for fs in spec.functions:
-            f = _build_function(fs, ctx)
+        for build in spec.functions:
+            f = build(ctx)
             rs = singularity_superset(f)
             results.append({"function": f.name, "root_set": rs.to_json()})
         report["results"] = results
     elif spec.task == "transform":
         results = []
-        for fs in spec.functions:
-            f = _build_function(fs, ctx)
+        for build in spec.functions:
+            f = build(ctx)
             op = psi_transform(f.annihilator, f.coefficients(f.order))
             results.append(
                 {
@@ -359,26 +310,25 @@ def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
         cert = _certify_spec(spec, ctx)
         report["certificate"] = cert.to_json()
     elif spec.task == "certify_hyp":
-        params_list = [_hyp_params(fs.data) for fs in spec.functions]
-        points = [_build_point(p, ctx) for p in spec.points]
-        cert = certify_hypergeometric(params_list, points, ctx)
+        points = [p.build(ctx) for p in spec.points]
+        cert = certify_hypergeometric(spec.params, points, ctx)
         report["certificate"] = cert.to_json()
     elif spec.task == "certify_si":
-        pairs = [(_build_point(a, ctx), _build_point(b, ctx)) for a, b in spec.pairs]
+        pairs = [(a.build(ctx), b.build(ctx)) for a, b in spec.pairs]
         cert = certify_si_integrals(pairs, ctx)
         report["certificate"] = cert.to_json()
     elif spec.task == "eval":
         results = []
-        for fs in spec.functions:
-            f = _build_function(fs, ctx)
+        for build in spec.functions:
+            f = build(ctx)
             for p in spec.points:
-                point = _build_point(p, ctx)
+                point = p.build(ctx)
                 # one guard digit keeps the widened printed radius <= 10^-digits
                 ball = eval_efunction(f, point, digits + 1)
                 results.append(
                     {
                         "function": f.name,
-                        "point": _point_json(p),
+                        "point": p.text,
                         "value": ball.to_json(digits),
                     }
                 )
@@ -400,15 +350,7 @@ def _render_text(report: dict) -> str:
             parts = [f"{k}={json.dumps(v)}" for k, v in r.items() if k != "function"]
             lines.append(f"  {r.get('function', '')}: " + "; ".join(parts))
     if "certificate" in report:
-        cert = report["certificate"]
-        lines.append(f"verdict: {cert['verdict']}")
-        lines.append(f"statement: {cert['statement']}")
-        if cert["conditional_on"]:
-            lines.append("conditional on: " + "; ".join(cert["conditional_on"]))
-        for h in cert["hypotheses"]:
-            lines.append(f"  [{h['outcome']}] {h['anchor']}: {h['description']}")
-        for note in cert["notes"]:
-            lines.append(f"note: {note}")
+        lines.append(certificate_text(report["certificate"]))
     if "relation_report" in report:
         rel = report["relation_report"]
         if rel["found"]:

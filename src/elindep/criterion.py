@@ -109,15 +109,19 @@ class Certificate:
         }
 
     def to_text(self) -> str:
-        lines = [f"verdict: {self.verdict}", f"statement: {self.statement}"]
-        if self.conditional_on:
-            lines.append("conditional on: " + "; ".join(self.conditional_on))
-        lines.append("hypotheses:")
-        for h in self.hypotheses:
-            lines.append(f"  [{h.outcome}] {h.anchor}: {h.description}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
+        return certificate_text(self.to_json())
+
+
+def certificate_text(cert: dict) -> str:
+    """The text report of a certificate, from its JSON form."""
+    lines = [f"verdict: {cert['verdict']}", f"statement: {cert['statement']}"]
+    if cert["conditional_on"]:
+        lines.append("conditional on: " + "; ".join(cert["conditional_on"]))
+    for h in cert["hypotheses"]:
+        lines.append(f"  [{h['outcome']}] {h['anchor']}: {h['description']}")
+    for note in cert["notes"]:
+        lines.append(f"note: {note}")
+    return "\n".join(lines)
 
 
 def _point_text(a: AlgebraicNumber) -> str:
@@ -387,8 +391,6 @@ def certify_hypergeometric(
         )
     if not params_list:
         raise InputError("need at least one parameter set")
-    for params in params_list:
-        params.validate()
     pts = [_coerce_point(p) for p in points]
     ks = [params.k for params in params_list]
     scales = [params.scale for params in params_list]

@@ -684,6 +684,22 @@ class HypergeometricParams:
     lower: tuple[Fraction, ...]
     scale: Fraction = Fraction(1)
 
+    def __post_init__(self):
+        """Every instance is checked once, here: InputError unless s > r,
+        no parameter is a nonpositive integer and the scale is nonzero."""
+        if len(self.lower) <= len(self.upper):
+            raise InputError("need more lower than upper parameters")
+        for b in self.lower:
+            if b.denominator == 1 and b <= 0:
+                raise InputError(f"lower parameter {b} is a nonpositive integer")
+        for a in self.upper:
+            if a.denominator == 1 and a <= 0:
+                raise InputError(
+                    f"upper parameter {a} is a nonpositive integer (series terminates)"
+                )
+        if self.scale == 0:
+            raise InputError("scale must be nonzero")
+
     @property
     def k(self) -> int:
         return len(self.lower) - len(self.upper)
@@ -762,20 +778,6 @@ class HypergeometricParams:
         k = self.k
         return Polynomial((-1,) + (0,) * (k - 1) + (self.scale * Fraction(k) ** k,))
 
-    def validate(self):
-        if len(self.lower) <= len(self.upper):
-            raise InputError("need more lower than upper parameters")
-        for b in self.lower:
-            if b.denominator == 1 and b <= 0:
-                raise InputError(f"lower parameter {b} is a nonpositive integer")
-        for a in self.upper:
-            if a.denominator == 1 and a <= 0:
-                raise InputError(
-                    f"upper parameter {a} is a nonpositive integer (series terminates)"
-                )
-        if self.scale == 0:
-            raise InputError("scale must be nonzero")
-
 
 def _theta_poly_operator(roots: Sequence[Fraction], extra_theta: bool) -> DiffOperator:
     """prod (theta + root) as an operator, optionally times theta, theta = z D."""
@@ -795,7 +797,6 @@ def hypergeometric_annihilator(params: HypergeometricParams) -> DiffOperator:
         theta prod_j (theta + k(b_j - 1))
             - scale k^k z^k (theta + k) prod_i (theta + k a_i)
     """
-    params.validate()
     k = params.k
     left = _theta_poly_operator([k * (b - 1) for b in params.lower], extra_theta=True)
     right = _theta_poly_operator(
@@ -833,7 +834,6 @@ def ef_hypergeometric(
         tuple(Fraction(b) for b in lower),
         Fraction(scale),
     )
-    params.validate()
     if name is None:
         up = ",".join(str(a) for a in params.upper)
         lo = ",".join(str(b) for b in params.lower)

@@ -275,7 +275,6 @@ def eval_hypergeometric_value(
     each exact term off the binary-splitting sum over the integer form of
     the term ratio, which then holds t_0 + ... + t_{n-1}.
     """
-    params.validate()
     return _ball(_hypergeometric_value(params, _coerce_rational_point(x)), digits)
 
 
@@ -520,7 +519,6 @@ def falsify(
                 if q == 0:
                     notices.append("skipped a series value at 0 (equals 1)")
                     continue
-                params.validate()
                 values.append(_hypergeometric_value(params, q))
             elif kind == "si_integral":
                 _, lo, hi = item

@@ -378,6 +378,21 @@ class TestAlgebraicNumber:
         s = alg_nth_root(2, 2)
         assert s.as_rational() is None
 
+    def test_irrational_answer_is_kept(self, monkeypatch):
+        calls = []
+        real = algebraic.refine_root_box
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(algebraic, "refine_root_box", counting)
+        s = AlgebraicNumber.root_in_box(P(-2, 0, 1), 1, 2, 0, 0)
+        calls.clear()
+        assert s.as_rational() is None
+        assert s.as_rational() is None
+        assert len(calls) == 1
+
     def test_rational_root_recognized(self):
         # 3/4 as the root of 4z - 3 embedded in a degree-2 squarefree poly
         a = AlgebraicNumber.root_in_box(P(-3, 4) * P(-5, 1), 0, 1, 0, 0)

@@ -120,11 +120,11 @@ class TestHypergeometric:
 
     def test_validation(self):
         with pytest.raises(InputError):
-            HypergeometricParams((Fraction(1),), (), Fraction(1)).validate()  # s = r
+            HypergeometricParams((Fraction(1),), (), Fraction(1))  # s = r
         with pytest.raises(InputError):
-            HypergeometricParams((), (Fraction(-1),), Fraction(1)).validate()
+            HypergeometricParams((), (Fraction(-1),), Fraction(1))
         with pytest.raises(InputError):
-            HypergeometricParams((), (Fraction(1),), Fraction(0)).validate()
+            HypergeometricParams((), (Fraction(1),), Fraction(0))
 
     def test_annihilator_annihilates(self):
         for up, low, sc in (
