@@ -31,9 +31,9 @@ from .diffop import op_from_json, op_from_text, op_to_json, op_to_text, psi_tran
 from .efunction import (
     EFunction,
     HypergeometricParams,
+    _hypergeometric_function,
     ef_bessel_j0,
     ef_exp,
-    ef_hypergeometric,
     ef_lagrange_combo,
     ef_scale,
     ef_sin_integral,
@@ -118,8 +118,7 @@ def _rational_list(values, path: str) -> list[Fraction]:
 
 
 def _optional_rational(obj: dict, key: str, path: str) -> Fraction | None:
-    # a scalar field's messages name it as the list of its one value
-    return _rational(obj[key], f"{path}.{key}[0]") if key in obj else None
+    return _rational(obj[key], f"{path}.{key}") if key in obj else None
 
 
 def _parse_function(obj, path: str):
@@ -143,14 +142,14 @@ def _parse_function(obj, path: str):
         _require_keys(obj, path, ("type", "upper", "lower"), ("scale",))
         upper = _rational_list(obj["upper"], f"{path}.upper")
         lower = _rational_list(obj["lower"], f"{path}.lower")
-        scale = _rational(obj.get("scale", 1), f"{path}.scale[0]")
+        scale = _rational(obj.get("scale", 1), f"{path}.scale")
         try:
             params = HypergeometricParams(tuple(upper), tuple(lower), scale)
         except InputError as exc:
             _fail(path, f"invalid parameters (need integers s > r >= 0 and "
                         f"lower parameters outside the nonpositive integers): {exc}")
         # the scale is already the series parameter, not a further z -> scale*z
-        return (lambda ctx: ef_hypergeometric(params.upper, params.lower, params.scale)), params
+        return (lambda ctx: _hypergeometric_function(params)), params
     elif kind == "ode":
         _require_keys(
             obj, path, ("type", "operator", "initial"), ("coeff_bound", "name", "scale")

@@ -14,14 +14,21 @@ The transform rests on two identities, with W = z^2 D + z:
 
 so p(z) D^b f maps to p(W) applied to z^-b (g - r_b). With B the order,
 z^B W = T z^B for T = z^2 D + (1 - B) z, so after multiplying by z^B the
-term becomes p(T) applied to z^(B-b) (g - r_b), and B - b >= 0 keeps every
-step polynomial. Summing over the terms of the annihilator yields M g = r
-with polynomial M and r; dividing out the power of z they share (at most
-z^B) and, when r is nonzero, left-composing with D^(deg r + 1) gives a
-homogeneous annihilator of g. Only the `transform` task needs the whole
-operator: the nonzero roots of its leading coefficient do not depend on the
-initial values and are read off the original operator's top-degree
-coefficients (`singularities.singularity_superset`).
+term becomes p(T) applied to z^(B-b) (g - r_b). As W = z D z and
+(z D z)^k = z^k D^k z^k, a monomial z^k of p gives, in closed form,
+
+    T^k z^(B-b) = z^(k+B) D^k z^(k-b)
+                = sum_i C(k,i) ff(k-b,i) z^(2k+B-b-i) D^(k-i)
+
+(Leibniz, ff the falling factorial; no power of z is below k+B-b >= 0),
+and T^k z^(B-b) r_b = sum_(n+k<b) a_n ff(n+k-b, k) z^(n+k+B-b). Summing
+over the terms of the annihilator yields M g = r with polynomial M and r;
+dividing out the power of z they share (at most z^B) and, when r is
+nonzero, left-composing with D^(deg r + 1) gives a homogeneous annihilator
+of g. Only the `transform` task needs the whole operator: the nonzero roots
+of its leading coefficient do not depend on the initial values and are
+read off the original operator's top-degree coefficients
+(`singularities.singularity_superset`).
 """
 
 from __future__ import annotations
@@ -146,31 +153,35 @@ class DiffOperator:
         return f"DiffOperator({op_to_text(self)})"
 
 
+def _leibniz(i: int, c: int):
+    """(k, C(i,k) ff(c,k)) for the nonzero terms of
+    D^i z^c = sum_k C(i,k) ff(c,k) z^(c-k) D^(i-k), ff the falling factorial;
+    c may be negative."""
+    ff = 1
+    for k in range(i + 1):
+        yield k, math.comb(i, k) * ff
+        ff *= c - k
+        if ff == 0:
+            return
+
+
+def _row_poly(row: dict[int, Fraction]) -> Polynomial:
+    """sum of row[m] z^m."""
+    return Polynomial(row.get(m, 0) for m in range(max(row, default=-1) + 1))
+
+
 def op_compose(left: DiffOperator, right: DiffOperator) -> DiffOperator:
-    """Operator product left∘right, using D^b z^c = sum_k C(b,k) ff(c,k) z^(c-k) D^(b-k)."""
+    """Operator product left∘right, by the rule of `_leibniz`."""
     acc: dict[int, dict[int, Fraction]] = {}
     for i, la in left.terms.items():
         for a, ca in _monomials(la):
             for j, lb in right.terms.items():
                 for c, cb in _monomials(lb):
                     base = ca * cb
-                    ff = Fraction(1)
-                    for k in range(0, i + 1):
-                        if k > 0:
-                            ff *= Fraction(c - (k - 1))
-                            if ff == 0:
-                                break
-                        coeff = base * math.comb(i, k) * ff
-                        order = i - k + j
-                        zpow = a + c - k
-                        row = acc.setdefault(order, {})
-                        row[zpow] = row.get(zpow, Fraction(0)) + coeff
-    return DiffOperator(
-        {
-            order: Polynomial(row.get(m, 0) for m in range(max(row) + 1))
-            for order, row in acc.items()
-        }
-    )
+                    for k, w in _leibniz(i, c):
+                        row = acc.setdefault(i - k + j, {})
+                        row[a + c - k] = row.get(a + c - k, 0) + base * w
+    return DiffOperator({order: _row_poly(row) for order, row in acc.items()})
 
 
 def _right_remainders(op: DiffOperator, count: int) -> list[tuple[list[Polynomial], Polynomial]]:
@@ -260,28 +271,8 @@ def op_apply(op: DiffOperator, series: Sequence, keep: int) -> dict[int, Fractio
                     raise InsufficientTruncationError(
                         f"need series coefficient at index {t}"
                     )
-                ff = 1
-                for q in range(b):
-                    ff *= t - q
-                out[e] += c * ff * series[t]
+                out[e] += c * math.perm(t, b) * series[t]
     return out
-
-
-def _apply_t(h: Polynomial, order: int) -> Polynomial:
-    """T h for T = z^2 D + (1 - order) z."""
-    return h.derivative().shifted(2) + h.shifted(1) * (1 - order)
-
-
-def _compose_t(x: DiffOperator, order: int) -> DiffOperator:
-    """T∘X for T = z^2 D + (1 - order) z, computed termwise.
-
-    z^2 D (L D^o) = z^2 L' D^o + z^2 L D^(o+1), plus (1 - order) z L D^o.
-    """
-    out: dict[int, Polynomial] = {}
-    for o, p in x.terms.items():
-        out[o] = out.get(o, Polynomial.zero()) + _apply_t(p, order)
-        out[o + 1] = out.get(o + 1, Polynomial.zero()) + p.shifted(2)
-    return DiffOperator(out)
 
 
 def psi_transform(op: DiffOperator, initial_values: Sequence) -> DiffOperator:
@@ -303,19 +294,23 @@ def psi_transform(op: DiffOperator, initial_values: Sequence) -> DiffOperator:
         )
     a = [Fraction(v) for v in initial_values[:order]]
 
-    acc = DiffOperator.zero()
-    rem = Polynomial.zero()
+    rows: dict[int, dict[int, Fraction]] = {}
+    rem_row: dict[int, Fraction] = {}
     for b, p_b in op.terms.items():
-        # ladder of T^k ∘ z^(B-b) as an operator, and T^k (z^(B-b) r_b) as a value
-        ladder_op = DiffOperator({0: Polynomial.x_power(order - b)})
-        ladder_val = Polynomial(a[:b]).shifted(order - b)
-        for power, c in enumerate(p_b.coeffs):
-            if c != 0:
-                acc = acc + ladder_op.scale(c)
-                rem = rem + ladder_val * c
-            if power < p_b.degree:
-                ladder_op = _compose_t(ladder_op, order)
-                ladder_val = _apply_t(ladder_val, order)
+        for k, c in _monomials(p_b):
+            # c z^k D^b goes to c T^k z^(B-b) = c z^(k+B) D^k z^(k-b), on g
+            # and on the seed polynomial r_b
+            for i, w in _leibniz(k, k - b):
+                row = rows.setdefault(k - i, {})
+                e = 2 * k + order - b - i
+                row[e] = row.get(e, 0) + c * w
+            # D^k z^(n+k-b) = 0 for 0 <= n + k - b < k, so only n < b - k is left
+            for n in range(b - k):
+                e = n + k + order - b
+                ff = math.prod(range(n + k - b, n - b, -1))  # ff(n+k-b, k)
+                rem_row[e] = rem_row.get(e, 0) + c * a[n] * ff
+    acc = DiffOperator({o: _row_poly(row) for o, row in rows.items()})
+    rem = _row_poly(rem_row)
 
     # z^order was multiplied in; divide out whatever power of z M and r share
     shared = min(

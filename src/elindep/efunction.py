@@ -834,6 +834,11 @@ def ef_hypergeometric(
         tuple(Fraction(b) for b in lower),
         Fraction(scale),
     )
+    return _hypergeometric_function(params, name)
+
+
+def _hypergeometric_function(params: HypergeometricParams, name: str | None = None) -> EFunction:
+    """The function of `ef_hypergeometric`, from parameters already checked."""
     if name is None:
         up = ",".join(str(a) for a in params.upper)
         lo = ",".join(str(b) for b in params.lower)

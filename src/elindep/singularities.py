@@ -83,9 +83,10 @@ def _singular_poly(op: DiffOperator) -> Polynomial:
     op = sum_b p_b(z) D^b of order B and d = max deg p_b.
 
     Its nonzero roots are those of the leading coefficient of
-    psi_transform(op, seeds), for any seeds. The transform sends p_b D^b to
-    sum_i [z^i]p_b T^i z^(B-b) applied to g, with T = z^2 D + (1-B) z, and
-    T^i has order i and leading coefficient z^(2i). So the transformed
+    psi_transform(op, seeds), for any seeds. The transform sends each
+    monomial c z^k D^b of op to c z^(k+B) D^k z^(k-b) =
+    c sum_i C(k,i) ff(k-b,i) z^(2k+B-b-i) D^(k-i) applied to g, whose
+    top-order term, i = 0, is c z^(2k+B-b) D^k. So the transformed
     operator M has order d and leading coefficient
     sum_(deg p_b = d) lc(p_b) z^(2d+B-b), whose powers of z are distinct,
     so no term cancels. The seeds enter only the remainder r of M g = r;

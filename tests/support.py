@@ -6,7 +6,7 @@ from math import gcd, lcm
 import mpmath
 
 from elindep.algebraic import DEFAULT_PRECISION, isolate_roots
-from elindep.diffop import DiffOperator, psi_transform, recurrence_from_ode
+from elindep.diffop import DiffOperator, op_compose, psi_transform, recurrence_from_ode
 from elindep.efunction import EFunction
 from elindep.errors import (
     InputError,
@@ -129,6 +129,54 @@ def transform_superset(op, seeds):
     """The old `singularity_superset` of an operator-given function: the
     roots of the leading coefficient of the whole transformed operator."""
     return RootSet.from_poly(psi_transform(op, seeds).leading_coefficient(), SUPERSET)
+
+
+# -- the transform as it was built before its closed form ---------------------
+
+
+def apply_t(h, order):
+    """T h for T = z^2 D + (1 - order) z."""
+    return h.derivative().shifted(2) + h.shifted(1) * (1 - order)
+
+
+def compose_t(x, order):
+    """T∘X for T = z^2 D + (1 - order) z, computed termwise.
+
+    z^2 D (L D^o) = z^2 L' D^o + z^2 L D^(o+1), plus (1 - order) z L D^o.
+    """
+    out = {}
+    for o, p in x.terms.items():
+        out[o] = out.get(o, Polynomial.zero()) + apply_t(p, order)
+        out[o + 1] = out.get(o + 1, Polynomial.zero()) + p.shifted(2)
+    return DiffOperator(out)
+
+
+def ladder_psi_transform(op, initial_values):
+    """The old `psi_transform`: p_b(T) applied to z^(B-b) (g - r_b), with
+    T^k z^(B-b) built one composition with T at a time, as an operator and
+    as its value on z^(B-b) r_b."""
+    order = op.order
+    a = [Fraction(v) for v in initial_values[:order]]
+    acc = DiffOperator.zero()
+    rem = Polynomial.zero()
+    for b, p_b in op.terms.items():
+        ladder_op = DiffOperator({0: Polynomial.x_power(order - b)})
+        ladder_val = Polynomial(a[:b]).shifted(order - b)
+        for power, c in enumerate(p_b.coeffs):
+            if c != 0:
+                acc = acc + ladder_op.scale(c)
+                rem = rem + ladder_val * c
+            if power < p_b.degree:
+                ladder_op = compose_t(ladder_op, order)
+                ladder_val = apply_t(ladder_val, order)
+    shared = min(
+        [order] + [p.deflate_z()[0] for p in [*acc.terms.values(), rem] if not p.is_zero]
+    )
+    acc = DiffOperator({b: Polynomial(p.coeffs[shared:]) for b, p in acc.terms.items()})
+    remainder = Polynomial(rem.coeffs[shared:])
+    if not remainder.is_zero:
+        acc = op_compose(DiffOperator({remainder.degree + 1: Polynomial.one()}), acc)
+    return acc.primitive_normalized()
 
 
 def consistent_seeds(op, count, rng):

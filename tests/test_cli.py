@@ -267,6 +267,18 @@ class TestMain:
         assert root_set == hypergeometric_singularities(params).to_json()
         assert root_set["poly"] == [-1, 2]  # the set {1/2}
 
+    def test_hypergeometric_parameters_checked_once(self, tmp_path, capsys, monkeypatch):
+        # the function is built from the parameters the document parse checked
+        calls = []
+        check = HypergeometricParams.__post_init__
+        monkeypatch.setattr(HypergeometricParams, "__post_init__",
+                            lambda self: calls.append(self) or check(self))
+        fn = {"type": "hypergeometric", "upper": [], "lower": ["1", "1"]}
+        doc = {"version": 1, "task": "eval", "functions": [fn], "points": ["1/3"]}
+        assert main(["eval", "--spec", write_spec(tmp_path, doc), "--digits", "20"]) == 0
+        assert "F[;1,1]" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_spec(tmp_path, CERTIFY_EXP)
         main(["certify", "--spec", path, "--format", "json"])
@@ -556,6 +568,20 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith(f"input error: {path}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fn, field", [
+        ({"type": "builtin", "name": "exp"}, "scale"),
+        ({"type": "ode", "operator": "(1)*D^1 + (-1)", "initial": ["1"]}, "scale"),
+        ({"type": "ode", "operator": "(1)*D^1 + (-1)", "initial": ["1"]}, "coeff_bound"),
+        ({"type": "hypergeometric", "upper": [], "lower": ["1"]}, "scale"),
+    ], ids=["builtin-scale", "ode-scale", "ode-coeff_bound", "hypergeometric-scale"])
+    def test_scalar_field_error_names_the_field(self, tmp_path, capsys, fn, field):
+        doc = {"version": 1, "task": "eval", "functions": [dict(fn, **{field: "1/x"})],
+               "points": ["1"]}
+        code = main(["eval", "--spec", write_spec(tmp_path, doc)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"input error: $.functions[0].{field}: not a rational number: '1/x'\n")
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--spec", "spec.json", "--digits", "abc"],

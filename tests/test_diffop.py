@@ -14,7 +14,6 @@ from elindep.diffop import (
     DiffOperator,
     MAX_Z_POWER,
     Recurrence,
-    _apply_t,
     op_apply,
     op_compose,
     op_from_json,
@@ -28,7 +27,14 @@ from elindep.diffop import (
 from elindep.errors import InputError, InsufficientTruncationError
 from elindep.polynomials import Polynomial, poly_gcd
 
-from support import random_efunction, random_operator, random_polynomial
+from support import (
+    apply_t,
+    ladder_psi_transform,
+    random_efunction,
+    random_fraction,
+    random_operator,
+    random_polynomial,
+)
 
 
 def exp_op():
@@ -63,7 +69,7 @@ class TestPolynomialCoefficients:
             h = random_polynomial(rng, 5)
             big_b = rng.randint(0, 4)
             w_h = z * z * h.derivative() + z * h
-            assert _apply_t(h.shifted(big_b), big_b) == w_h.shifted(big_b)
+            assert apply_t(h.shifted(big_b), big_b) == w_h.shifted(big_b)
 
     def test_rejects_poles(self):
         with pytest.raises(ValueError):
@@ -199,6 +205,39 @@ class TestTransform:
                 except InsufficientTruncationError:
                     continue
             assert all(v == 0 for v in img.values())
+
+    def test_closed_form_matches_ladder(self):
+        """The closed form equals the operator built by composing with T one
+        power at a time, on random operators and seeds (zeros included) and
+        on the operators of closures and hypergeometric series."""
+        from elindep.efunction import (
+            HypergeometricParams,
+            ef_mul_poly,
+            ef_scale,
+            ef_sum,
+            hypergeometric_annihilator,
+        )
+
+        rng = random.Random(26)
+        cases = []
+        for _ in range(520):
+            order = rng.randint(1, 4)
+            coeffs = [random_polynomial(rng, 4) if rng.random() < 0.8 else Polynomial.zero()
+                      for _ in range(order)]
+            coeffs.append(random_polynomial(rng, 4))
+            seeds = [random_fraction(rng) if rng.random() < 0.7 else 0 for _ in range(order)]
+            cases.append((DiffOperator.from_poly_coeffs(coeffs), seeds))
+        for _ in range(4):
+            f, g = random_efunction(rng, 2, 2), random_efunction(rng, 2, 2)
+            for h in (ef_scale(f, random_fraction(rng, allow_zero=False)),
+                      ef_mul_poly(f, random_polynomial(rng, 2)), ef_sum(f, g)):
+                cases.append((h.annihilator, h.coefficients(h.annihilator.order)))
+        for upper, lower in (((), (1,)), ((), (1, 1)), ((Fraction(1, 3),), (Fraction(1, 2), 2)),
+                             ((), (Fraction(-7, 2), 1, Fraction(2, 5)))):
+            op = hypergeometric_annihilator(HypergeometricParams(upper, lower))
+            cases.append((op, [random_fraction(rng) for _ in range(op.order)]))
+        for op, seeds in cases:
+            assert psi_transform(op, seeds) == ladder_psi_transform(op, seeds), op_to_text(op)
 
     def test_rejects_bad_input(self):
         with pytest.raises(InputError):
