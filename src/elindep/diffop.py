@@ -325,44 +325,54 @@ def psi_transform(op: DiffOperator, initial_values: Sequence) -> DiffOperator:
 
 @dataclass(frozen=True)
 class Recurrence:
-    """sum_j P_j(t) c_{t+j} = 0 for all t >= 0, coefficients of z^t series."""
+    """den(t) c_m = row_1(t) c_{m-1} + ... + row_r(t) c_{m-r}, t = m - offset >= 0,
+    on the coefficients of a z^t series (c at a negative index 0): rows are
+    integer coefficient lists, ascending ([] for zero), with gcd 1."""
 
-    shifts: tuple[tuple[int, Polynomial], ...]
-
-    def bands(self) -> dict[int, Polynomial]:
-        return dict(self.shifts)
-
-    @property
-    def max_shift(self) -> int:
-        return max(j for j, _ in self.shifts)
-
-    @property
-    def min_shift(self) -> int:
-        return min(j for j, _ in self.shifts)
+    rows: list[list[int]]
+    offset: int
 
 
 def recurrence_from_ode(op: DiffOperator) -> Recurrence:
     """Coefficient recurrence of the solution series of an ordinary operator.
 
     For f = sum c_t z^t:  z^a D^b maps the z^s coefficient to
-    ff(s+b-a, b) c_{s+b-a}, so grouping by j = b - a gives polynomials
-    P_j(t) with sum_j P_j(t) c_{t+j} = 0 (t >= 0, c at negative index 0).
+    ff(s+b-a, b) c_{s+b-a}, so grouping by j = b - a gives the bands
+    P_j(t) = sum_b p_{b,b-j} ff(t+j, b), with sum_j P_j(t) c_{t+j} = 0.
+    Each band is built in one pass over the orders b, by
+    ff(t+j, b) = ff(t+j, b-1) (t+j-b+1), in integers over the lcm of the
+    coefficients' denominators.  Then den = P_jmax, row_d = -P_{jmax-d},
+    r = jmax - jmin and offset jmax, every entry divided by the gcd of all.
     """
     if op.is_zero:
         raise InputError("zero operator has no recurrence")
-    bands: dict[int, Polynomial] = {}
-    t = Polynomial.x()
+    lcm = math.lcm(*(p.scale.denominator for p in op.terms.values()))
+    # (b, integer coefficient of z^(b-j) D^b) for each band j, b ascending
+    terms: dict[int, list[tuple[int, int]]] = {}
     for b, p in op.terms.items():
-        for a, c in _monomials(p):
-            j = b - a
-            ff = Polynomial.one()
-            for i in range(b):
-                ff = ff * (t + Polynomial.constant(j - i))
-            bands[j] = bands.get(j, Polynomial.zero()) + ff * c
-    live = sorted((j, p) for j, p in bands.items() if not p.is_zero)
-    if not live:
+        k = p.scale.numerator * (lcm // p.scale.denominator)
+        for a, c in enumerate(p.prim):
+            if c:
+                terms.setdefault(b - a, []).append((b, k * c))
+    bands: dict[int, list[int]] = {}
+    for j, pairs in terms.items():
+        band, ff = [0] * (pairs[-1][0] + 1), [1]
+        for b, c in pairs:
+            for i in range(len(ff) - 1, b):  # ff(t+j, i+1) = ff(t+j, i) (t+j-i)
+                ff = [(j - i) * x + y for x, y in zip(ff + [0], [0] + ff)]
+            for i, x in enumerate(ff):
+                band[i] += c * x
+        while band and not band[-1]:
+            band.pop()
+        if band:
+            bands[j] = band
+    if not bands:
         raise InternalCheckError("operator induced an identically zero recurrence")
-    return Recurrence(tuple(live))
+    jmax, jmin = max(bands), min(bands)
+    g = math.gcd(*(x for band in bands.values() for x in band))
+    rows = [[x // g for x in bands[jmax]]]
+    rows += [[-x // g for x in bands.get(j, [])] for j in range(jmax - 1, jmin - 1, -1)]
+    return Recurrence(rows, jmax)
 
 
 # -- serialization ------------------------------------------------------------

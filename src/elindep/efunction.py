@@ -10,7 +10,7 @@ growth metadata:
     algebraic x (set only for functions where this is classical).
 
 Coefficients are generated from the recurrence induced by the annihilator.
-It leaves c_m free exactly at m = max_shift + t, t a nonnegative integer
+It leaves c_m free exactly at m = offset + t, t a nonnegative integer
 root of its leading band (the indicial polynomial at 0); `_band_roots`
 finds those roots for sums, closures and `falsify` alike.  Supplied
 coefficients are checked against every recurrence row they determine, in
@@ -34,9 +34,10 @@ functions", TCS 210, 1999).  Past its first terms a sequence u_n obeys
     den(t) u_m = row_1(t) u_{m-1} + ... + row_r(t) u_{m-r},   t = m - offset,
 
 with integer polynomials den and row_d.  An EFunction's annihilator gives
-sum_j P_j(t) c_{t+j} = 0 on its Taylor coefficients c_n; with the band
-denominators cleared once, den = P_jmax and row_d = -P_{jmax-d},
-r = jmax - jmin, offset jmax.  A hypergeometric series has r = 1 and its
+sum_j P_j(t) c_{t+j} = 0 on its Taylor coefficients c_n, and
+`diffop.recurrence_from_ode` builds den = P_jmax and row_d = -P_{jmax-d},
+r = jmax - jmin, offset jmax, in integers one band at a time, divided by
+the gcd of all their entries.  A hypergeometric series has r = 1 and its
 term ratio t_{n+1}/t_n as row_1 / den (`HypergeometricParams.ratio_rows`).
 The sum of u_n x^n at x = p/q runs the same recurrence with row_d times
 p^d q^(r-d), and the coefficients are the terms of the sum at x = 1, one
@@ -167,7 +168,7 @@ def _check_seed_count(count: int):
 def _band_roots(band: Sequence[int], ctx: Precision = DEFAULT_PRECISION) -> list[int]:
     """The nonnegative integer roots t of a recurrence's leading band, an
     integer polynomial (coefficients ascending), in ascending order: the
-    recurrence leaves its coefficient max_shift + t free.
+    recurrence leaves its coefficient offset + t free.
 
     0 is one when the constant term vanishes.  Coefficients that never
     change sign leave no positive root (Descartes' rule of signs), as in
@@ -376,7 +377,7 @@ class EFunction:
     against every recurrence row they determine, the row of the first free
     index past them included.  `rows` is the integer recurrence
     [den, row_1, ..., row_r] of the Taylor coefficients c_n = a_n / n!,
-    with offset `recurrence.max_shift` (module docstring).  `ctx` bounds
+    with offset `recurrence.offset` (module docstring).  `ctx` bounds
     the root isolation that finds the free indices (`_band_roots`).
 
     A function built by `ef_hypergeometric`, f(z) = sum t_n z^(kn), is its
@@ -398,6 +399,8 @@ class EFunction:
         hypergeometric: HypergeometricParams | None = None,
         ctx: Precision = DEFAULT_PRECISION,
     ):
+        if coeff_bound is not None and Fraction(coeff_bound) < 0:  # |a_1| <= C < 0 never holds
+            raise InputError(f"coefficient bound must be nonnegative, got {coeff_bound}")
         self.name = name
         self._ctx = ctx
         self._coeff_bound = coeff_bound
@@ -431,24 +434,10 @@ class EFunction:
     def recurrence(self) -> Recurrence:
         return recurrence_from_ode(self.annihilator)
 
-    @functools.cached_property
+    @property
     def rows(self) -> list[list[int]]:
-        """[den, row_1, ..., row_r]: the recurrence's bands P_j with their
-        denominators cleared once, den = P_jmax and row_d = -P_{jmax-d}."""
-        bands = self.recurrence.bands()
-        jmax = self.recurrence.max_shift
-        den = math.lcm(*(band.scale.denominator for band in bands.values()))
-
-        def row(j: int, sign: int) -> list[int]:
-            band = bands.get(j)
-            if band is None:
-                return []
-            k = sign * band.scale.numerator * (den // band.scale.denominator)
-            return [k * c for c in band.prim]
-
-        return [row(jmax, 1)] + [
-            row(jmax - d, -1) for d in range(1, jmax - self.recurrence.min_shift + 1)
-        ]
+        """[den, row_1, ..., row_r]: the recurrence's integer rows."""
+        return self.recurrence.rows
 
     @functools.cached_property
     def seed_count(self) -> int:
@@ -489,7 +478,7 @@ class EFunction:
         r + 1 seeds it reads; one denominator for all the seeds grows with
         their count (at 4002 seeds its check took 6 times as long)."""
         lead, *rows = self.rows
-        offset = self.recurrence.max_shift
+        offset = self.recurrence.offset
         for m in range(max(offset, 0), len(seeds)):
             t = m - offset
             # u[d] is the seed m - d over the row's denominator
@@ -506,14 +495,14 @@ class EFunction:
 
     def _check_first_free_row(self):
         """The first free index m past the seeds has a row as well,
-        0 = row_1(t) c_{m-1} + ... + row_r(t) c_{m-r} at t = m - max_shift,
+        0 = row_1(t) c_{m-1} + ... + row_r(t) c_{m-r} at t = m - offset,
         on coefficients the seeds determine: one sum at x = 1, advanced to
         m by binary splitting, holds them.  The row reads only m's residue
         class mod the stride, which stays zero when its seeds are."""
         m = self.first_free_index
         if m is None or not any(self.seeds[m % self.stride :: self.stride]):
             return
-        offset = self.recurrence.max_shift
+        offset = self.recurrence.offset
         sums = _RecurrenceSum(list(self.seeds), self.rows, offset, self.name)
         sums.advance(m)
         t = m - offset
@@ -526,7 +515,7 @@ class EFunction:
         demand; from parameters, the terms t_n of the term ratio's sum."""
         if self.hypergeometric is not None:
             return self.hypergeometric.sums(Fraction(1))
-        return _RecurrenceSum(list(self.seeds), self.rows, self.recurrence.max_shift, self.name)
+        return _RecurrenceSum(list(self.seeds), self.rows, self.recurrence.offset, self.name)
 
     def coefficient(self, n: int) -> Fraction:
         """a_n, the n-th coefficient of the z^n/n! expansion."""
@@ -562,12 +551,12 @@ class EFunction:
         with a nonzero seed; a class whose seeds are all zero stays zero.
 
         v_j = c_{c+gj} obeys den(t) v_j = sum_e row_{ge}(t) v_{j-e} at
-        t = c - max_shift + g j, an order r/g recurrence.  Its rows are
-        those polynomials in s = j - offset, offset the least j with
-        t >= 0, so s >= 0 exactly where t >= 0.
+        t = c - jmax + g j, jmax the recurrence's offset, an order r/g
+        recurrence.  Its rows are those polynomials in s = j - offset,
+        offset the least j with t >= 0, so s >= 0 exactly where t >= 0.
         """
         g = self.stride
-        jmax = self.recurrence.max_shift
+        jmax = self.recurrence.offset
         classes = []
         for c in range(g):
             if not any(self.seeds[c::g]):
@@ -579,9 +568,9 @@ class EFunction:
 
     @functools.cached_property
     def free_indices(self) -> list[int]:
-        """The indices m = max_shift + t the recurrence leaves free, t a
+        """The indices m = offset + t the recurrence leaves free, t a
         nonnegative integer root of its leading band, in ascending order."""
-        offset = self.recurrence.max_shift
+        offset = self.recurrence.offset
         return [offset + t for t in _band_roots(self.rows[0], self._ctx)]
 
     @property
@@ -592,8 +581,8 @@ class EFunction:
 
     def check_determined(self, lo: int, hi: int):
         """Raise at the least index m in [lo, hi) past the seeds that the
-        recurrence leaves free.  Seeds reach at least max_shift, so every
-        such m has t = m - max_shift >= 0."""
+        recurrence leaves free.  Seeds reach at least the offset, so every
+        such m has t = m - offset >= 0."""
         for m in self.free_indices:
             if max(lo, self.seed_count) <= m < hi:
                 raise _undetermined(m, self.name)
@@ -864,8 +853,8 @@ def _seed_length(op: DiffOperator, ctx: Precision = DEFAULT_PRECISION) -> int:
     """How many seeds pin a solution of op: max(order, last free index + 1),
     the free indices being those of `EFunction.free_indices`."""
     rec = recurrence_from_ode(op)
-    roots = _band_roots(rec.bands()[rec.max_shift].prim, ctx)
-    return max(op.order, rec.max_shift + roots[-1] + 1 if roots else 0)
+    roots = _band_roots(rec.rows[0], ctx)
+    return max(op.order, rec.offset + roots[-1] + 1 if roots else 0)
 
 
 def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunction:

@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: random instances and slow oracles."""
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 
 import mpmath
 
 from elindep.algebraic import DEFAULT_PRECISION, isolate_roots
-from elindep.diffop import DiffOperator, op_compose, psi_transform, recurrence_from_ode
+from elindep.diffop import DiffOperator, op_compose, psi_transform
 from elindep.efunction import EFunction
 from elindep.errors import (
     InputError,
@@ -65,12 +66,32 @@ def random_efunction(rng, max_order=3, max_degree=3, check_terms=90) -> EFunctio
         return f
 
 
+@functools.lru_cache(maxsize=64)
+def reference_bands(op):
+    """The recurrence bands of op by `Polynomial` products, one monomial
+    at a time: ({j: P_j}, jmax, jmin), sum_j P_j(t) c_{t+j} = 0 for t >= 0,
+    each c z^a D^b adding c ff(t+j, b) to P_j, j = b - a.  The oracle of
+    the integer rows of `recurrence_from_ode`; cached, as the scans of
+    `cauchy_check_determined` read it once per range."""
+    bands = {}
+    t = Polynomial.x()
+    for b, p in op.terms.items():
+        for a, c in enumerate(p.coeffs):
+            if c:
+                j = b - a
+                ff = Polynomial.one()
+                for i in range(b):
+                    ff = ff * (t + Polynomial.constant(j - i))
+                bands[j] = bands.get(j, Polynomial.zero()) + ff * c
+    bands = {j: p for j, p in bands.items() if not p.is_zero}
+    return bands, max(bands), min(bands)
+
+
 def reference_series(f, count):
     """Taylor coefficients c_0 .. c_{count-1} of f from its seeds by the
     term-by-term Fraction loop over its recurrence bands, an oracle that
     shares nothing with the binary-splitting engine."""
-    bands = f.recurrence.bands()
-    jmax = f.recurrence.max_shift
+    bands, jmax, _ = reference_bands(f.annihilator)
     c = [f.series_coefficient(n) for n in range(min(count, f.seed_count))]
     while len(c) < count:
         m = len(c)
@@ -100,10 +121,10 @@ def _undetermined_message(m, name):
 def cauchy_check_determined(f, lo, hi):
     """The old `EFunction.check_determined`: a scan of [lo, hi) past the
     seeds, up to Cauchy's root bound of den, raising at the least m with
-    t = m - max_shift < 0 or den(t) = 0."""
-    den = f.rows[0]
+    t = m - jmax < 0 or den(t) = 0."""
+    bands, offset, _ = reference_bands(f.annihilator)
+    den = bands[offset].prim
     bound = 0 if len(den) == 1 else 2 + max(abs(c) for c in den[:-1]) // abs(den[-1])
-    offset = f.recurrence.max_shift
     for m in range(max(lo, f.seed_count), min(hi, offset + bound)):
         t = m - offset
         if t < 0 or sum(c * t**i for i, c in enumerate(den)) == 0:
@@ -114,15 +135,15 @@ def isolated_seed_length(op, ctx=DEFAULT_PRECISION):
     """The old `efunction._singular_seed_length`: max(order, last free
     index + 1), the free indices read off certified isolating discs of
     every complex root of the leading band."""
-    rec = recurrence_from_ode(op)
-    lead = rec.bands()[rec.max_shift]
+    bands, jmax, _ = reference_bands(op)
+    lead = bands[jmax]
     worst = -1
     if lead.degree > 0:
         for disc in isolate_roots(squarefree_part(lead), 2, ctx):
             t = round(disc.re)
             if t >= 0 and lead(Fraction(t)) == 0:
                 worst = max(worst, t)
-    return max(op.order, worst + rec.max_shift + 1)
+    return max(op.order, worst + jmax + 1)
 
 
 def transform_superset(op, seeds):
@@ -184,8 +205,7 @@ def consistent_seeds(op, count, rng):
     random where the recurrence leaves them free, the rest from the
     recurrence in Fractions.  Where a free index's row does not vanish on
     the coefficients before it, those are reset to 0, which it does."""
-    rec = recurrence_from_ode(op)
-    bands, jmax = rec.bands(), rec.max_shift
+    bands, jmax, _ = reference_bands(op)
     c = []
     for m in range(count):
         t = m - jmax

@@ -583,6 +583,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"input error: $.functions[0].{field}: not a rational number: '1/x'\n")
 
+    def test_negative_coeff_bound_exits_1(self, tmp_path, capsys):
+        # e^(2z) under the bound -5 printed a wrong ball for e^6 and exited 0
+        doc = {"version": 1, "task": "eval", "points": ["3"], "functions": [
+            {"type": "ode", "operator": "(1)*D^1 + (-2)", "initial": ["1"], "coeff_bound": "-5"}]}
+        code = main(["eval", "--spec", write_spec(tmp_path, doc), "--digits", "20"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "input error: coefficient bound must be nonnegative, got -5\n"
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--spec", "spec.json", "--digits", "abc"],
         ["frobnicate"],

@@ -34,6 +34,7 @@ from support import (
     random_fraction,
     random_operator,
     random_polynomial,
+    reference_bands,
 )
 
 
@@ -306,27 +307,23 @@ class TestTransform:
 class TestRecurrence:
     def test_exp_recurrence(self):
         rec = recurrence_from_ode(exp_op())
-        # (t+1) c_{t+1} - c_t = 0
-        bands = rec.bands()
-        assert set(bands) == {0, 1}
-        assert bands[1] == Polynomial((1, 1))
-        assert bands[0] == Polynomial((-1,))
+        # (t+1) c_{t+1} = c_t
+        assert rec == Recurrence([[1, 1], [1]], 1)
 
     def test_j0_recurrence_reproduces_series(self):
         rec = recurrence_from_ode(j0_op())
-        bands = rec.bands()
-        lo, hi = rec.min_shift, rec.max_shift
+        den, *rows = rec.rows
         c = {0: Fraction(1)}
-        for t in range(0, 40):
-            # solve for c_{t+hi} from lower terms
-            lead = bands[hi](Fraction(t))
+        for m in range(rec.offset, 40):
+            # solve for c_m from the r coefficients before it
+            t = m - rec.offset
+            lead = sum(x * t**i for i, x in enumerate(den))
             if lead == 0:
                 continue
             acc = Fraction(0)
-            for j in range(lo, hi):
-                if j in bands:
-                    acc += bands[j](Fraction(t)) * c.get(t + j, Fraction(0))
-            c[t + hi] = -acc / lead
+            for d, row in enumerate(rows, 1):
+                acc += sum(x * t**i for i, x in enumerate(row)) * c.get(m - d, Fraction(0))
+            c[m] = acc / lead
         from elindep.efunction import ef_bessel_j0
 
         import math
@@ -335,6 +332,52 @@ class TestRecurrence:
         want = ef_bessel_j0().coefficients(30)
         got = [c.get(n, Fraction(0)) * math.factorial(n) for n in range(30)]
         assert got == list(want)
+
+    def test_rows_are_the_reference_bands(self):
+        """The integer rows are a positive multiple of the bands built by
+        Polynomial products, den = P_jmax and row_d = -P_(jmax-d), with
+        offset jmax, r = jmax - jmin and no common factor: on random
+        operators, the bench's ODEs, closures and hypergeometric series."""
+        import math
+
+        from elindep.efunction import (
+            HypergeometricParams,
+            ef_mul_poly,
+            ef_scale,
+            ef_sum,
+            hypergeometric_annihilator,
+        )
+
+        rng = random.Random(27)
+        ops = []
+        for _ in range(520):
+            order = rng.randint(1, 4)
+            coeffs = [random_polynomial(rng, 4) if rng.random() < 0.8 else Polynomial.zero()
+                      for _ in range(order)]
+            coeffs.append(random_polynomial(rng, 4))
+            ops.append(DiffOperator.from_poly_coeffs(coeffs))
+        for text in ("(z)*D^2 + (1)*D^1 + (-z)", "(1)*D^2 + (-4)", "(1+z)*D^1 + (-2-z)",
+                     "(1)*D^2 + (1)*D^1 + (-2)", "(1)*D^2 + (9)"):
+            ops.append(op_from_text(text))
+        for _ in range(4):
+            f, g = random_efunction(rng, 2, 2), random_efunction(rng, 2, 2)
+            for h in (ef_scale(f, random_fraction(rng, allow_zero=False)),
+                      ef_mul_poly(f, random_polynomial(rng, 2)), ef_sum(f, g)):
+                ops.append(h.annihilator)
+        for upper, lower in (((), (1,)), ((Fraction(1, 3),), (Fraction(1, 2), 2, 3)),
+                             ((), (Fraction(-7, 2), 1, Fraction(2, 5)))):
+            ops.append(hypergeometric_annihilator(HypergeometricParams(upper, lower)))
+        for op in ops:
+            rec = recurrence_from_ode(op)
+            bands, jmax, jmin = reference_bands(op)
+            assert rec.offset == jmax and len(rec.rows) == jmax - jmin + 1, op_to_text(op)
+            assert math.gcd(*(x for row in rec.rows for x in row)) == 1, op_to_text(op)
+            scale = rec.rows[0][-1] / bands[jmax].lc
+            assert scale > 0, op_to_text(op)
+            for d, row in enumerate(rec.rows):
+                assert all(type(x) is int for x in row) and (not row or row[-1]), op_to_text(op)
+                band = bands.get(jmax - d, Polynomial.zero())
+                assert Polynomial(row) == band * (scale if d == 0 else -scale), op_to_text(op)
 
 
 class TestSerialization:

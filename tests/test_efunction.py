@@ -46,6 +46,7 @@ from support import (
     random_efunction,
     random_fraction,
     random_operator,
+    reference_bands,
     reference_series,
 )
 
@@ -256,7 +257,9 @@ class TestClosure:
             assert _seed_length(op) == want, c
         # z^2 D^3 - 6 z D^2 + 10 D - 1: band (t + 1)(t - 2)(t - 5), two roots
         op = DiffOperator.from_poly_coeffs([-1, 10, [0, -6], [0, 0, 1]])
-        band = recurrence_from_ode(op).bands()[1]
+        rec = recurrence_from_ode(op)
+        assert rec.offset == 1
+        band = Polynomial(rec.rows[0])
         assert band == Polynomial((1, 1)) * Polynomial((-2, 1)) * Polynomial((-5, 1))
         assert _seed_length(op) == 7
 
@@ -408,6 +411,15 @@ def growth_by_hand(f, terms):
 
 
 class TestGrowth:
+    def test_negative_coeff_bound_rejected(self):
+        # |a_1| <= C holds for no C < 0; a bound in [0, 1) is rounded up to 1
+        op = DiffOperator.from_poly_coeffs([-2, 1])
+        for bound in (-5, Fraction(-1, 3)):
+            with pytest.raises(InputError, match="coefficient bound must be nonnegative"):
+                EFunction(op, [1], coeff_bound=bound)
+        for bound in (0, Fraction(1, 2)):
+            assert EFunction(op, [1], coeff_bound=bound).coeff_bound == 1
+
     def test_builtin_growth_plausible(self):
         # |a_n| <= 1 for exp, J0 and Si, and a_1 = 1 for exp and Si
         assert growth_check(ef_exp(), terms=60) == 1.0
@@ -483,8 +495,7 @@ def first_failing_row(op, seeds):
     within the seeds that does not vanish, else the row of the first free
     index past them (checked up to index 60) when it does not; None when
     the seeds are consistent."""
-    rec = recurrence_from_ode(op)
-    bands, jmax = rec.bands(), rec.max_shift
+    bands, jmax, _ = reference_bands(op)
     c = list(seeds)
     for m in range(jmax, 61):
         t = m - jmax
@@ -508,7 +519,7 @@ def as_initial(seeds):
 def assert_free_indices_agree(f):
     """Free indices, the raised index and its message, against the Cauchy
     scan, for every 0 <= lo < hi <= 60."""
-    offset = f.recurrence.max_shift
+    offset = f.recurrence.offset
     scan = [m for m in range(offset, 61) if not sum(
         c * (m - offset) ** i for i, c in enumerate(f.rows[0]))]
     assert [m for m in f.free_indices if m <= 60] == scan
