@@ -36,21 +36,22 @@ Decisions about one known value prove only that value's root:
 Constructors prove only the root they keep:
 
   * Principal k-th roots (`alg_nth_root`): |q|^(1/k) is enclosed exactly by
-    an integer k-th root, times the principal root of z^k + 1 when q < 0,
-    and goes through the enclosure step above.
+    an integer k-th root, times e^(i pi/k) (`_unit_root`) when q < 0, and
+    goes through the enclosure step above.
   * Points given by a rectangle (`AlgebraicNumber.root_in_box`): one
     Krawczyk step on the disc circumscribing the rectangle proves that disc
     holds one root only; its disc is refined until it lies inside the
     rectangle or misses it (a real-centred disc holds a real root, so only
     its real extent counts).
 
-Full isolation of every root serves `canonical_root` (for z^k + 1 once
-per k), the fallbacks of `root_in_box` and `refine_root_box`, and
-`efunction._band_roots`, which needs every nonnegative integer root of a
-leading recurrence band whose coefficients change sign.  There a numeric
-proposer (mpmath.polyroots) suggests discs; it never enters the
+Full isolation of every root serves only the fallbacks of `root_in_box`
+and `refine_root_box`, and `efunction._band_roots`, which needs every
+nonnegative integer root of a leading recurrence band whose coefficients
+change sign.  There a numeric proposer (mpmath.polyroots) suggests discs,
+as the float (cos pi/k, sin pi/k) does in `_unit_root`; neither enters the
 soundness argument: the Krawczyk test certifies each disc, and pairwise
 disjointness plus disc count == degree proves every root was captured.
+The module keeps no state.
 
 All decision loops escalate working precision from Precision.start_bits by
 doubling up to Precision.max_bits and then raise PrecisionExceededError, so
@@ -59,9 +60,8 @@ no equality or membership answer is ever a guess.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from math import isqrt
+from math import cos, isqrt, pi, sin
 from typing import Callable, Iterable
 
 from .balls import Ball, _sqrt_upper
@@ -275,12 +275,6 @@ def _radius_bits(radius: Fraction) -> int:
     return max(0, den.bit_length() - num.bit_length() + 1)
 
 
-# The tightest certified isolation so far, as (bits, discs), by primitive
-# integer polynomial.  Refinement always contracts inside the previously
-# returned discs, so repeated calls at increasing precision yield nested discs.
-_CACHE: dict[tuple[int, ...], tuple[int, tuple[Ball, ...]]] = {}
-
-
 def _propose_roots(p: tuple[int, ...], bits: int):
     """Untrusted root approximations at about `bits` bits of precision.
     mpmath is imported here, on first use, so that a process that isolates
@@ -307,8 +301,8 @@ def isolate_roots(
 
     Each returned disc contains exactly one root, discs are pairwise
     disjoint, there is one per root, and every radius is at most
-    2^-precision_bits. Repeated calls at higher precision give discs nested
-    inside earlier ones.
+    2^-precision_bits.  Each call isolates afresh; `refine_root_box`
+    shrinks a disc already held inside itself.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -316,28 +310,13 @@ def isolate_roots(
         raise ValueError("isolate_roots requires a squarefree polynomial")
     if p.degree <= 0:
         return []
+    if p.degree == 1:
+        return [Ball.point(-p[0] / p[1])]
     target = Fraction(1, 1 << precision_bits)
     pc, dpc = _krawczyk_coeffs(p)
-
-    cached = _CACHE.get(pc)
-    if cached is not None:
-        bits, balls = cached
-        if bits >= precision_bits:
-            return list(balls)
-        refined = _refine_balls(pc, dpc, balls, target, ctx)
-        if refined is not None:
-            _CACHE[pc] = (precision_bits, tuple(refined))
-            return refined
-
-    if p.degree == 1:
-        balls = (Ball.point(-p[0] / p[1]),)
-        _CACHE[pc] = (max(precision_bits, ctx.max_bits), balls)
-        return list(balls)
-
     for bits in ctx.ladder():
         balls = _isolate_at(pc, dpc, target, bits)
         if balls is not None:
-            _CACHE[pc] = (precision_bits, tuple(balls))
             return balls
     raise ctx.exhausted(f"root isolation for degree {p.degree}")
 
@@ -380,21 +359,10 @@ def _isolate_at(p, dp, target, bits):
     return balls
 
 
-def _refine_balls(p, dp, balls, target, ctx):
-    out = []
-    for ball in balls:
-        tight = _refine_certified(p, dp, ball, target)
-        if tight is None:
-            tight = _reisolate_inside(p, dp, ball, target, ctx)
-            if tight is None:
-                return None
-        out.append(tight)
-    return out
-
-
 def _reisolate_inside(p, dp, ball, target, ctx):
-    """Fresh isolation, then the one fresh disc inside `ball` (which is
-    certified to contain exactly one root), so nesting is preserved."""
+    """The fallback of `refine_root_box` when contraction fails: every root
+    isolated afresh, rung by rung, and the one fresh disc inside `ball`
+    (certified to hold exactly one root) kept, so the result still nests."""
     for bits in ctx.ladder():
         fresh = _isolate_at(p, dp, target, bits)
         if fresh is None:
@@ -466,7 +434,8 @@ class AlgebraicNumber:
 
         One Krawczyk step on the disc circumscribing the rectangle proves
         that disc holds one root only, so that root alone is decided.  Only
-        when the step or a refinement fails does every root get isolated.
+        when the step fails does every root get isolated, once; each rung
+        then refines the discs it holds (`refine_root_box`).
         Raises ValueError if the rectangle holds no root, or once it is
         proven to hold two; raises PrecisionExceededError if a root is still
         undecided at the cap (a non-real root on an edge, off the corners).
@@ -514,10 +483,12 @@ class AlgebraicNumber:
         disc = Ball(re_lo + half_re, im_lo + half_im,
                     _sqrt_upper(half_re * half_re + half_im * half_im))
         one = _krawczyk_step(pc, dpc, disc, _radius_bits(disc.rad) + 32)
+        discs = None if one is None else [one]
         for bits in ctx.ladder():
-            if one is not None:
-                one = _refine_certified(pc, dpc, one, Fraction(1, 1 << bits))
-            discs = [one] if one is not None else isolate_roots(poly, bits, ctx)
+            if discs is None:
+                discs = isolate_roots(poly, bits, ctx)
+            else:
+                discs = [refine_root_box(poly, b, bits, ctx) for b in discs]
             verdicts = [holds(b) for b in discs]
             held = [b for b, v in zip(discs, verdicts) if v]
             if len(held) >= 2:
@@ -745,57 +716,6 @@ def _alg_invert(a: AlgebraicNumber, ctx: Precision) -> AlgebraicNumber:
     return AlgebraicNumber._from_enclosure(rpoly, shrink, ctx)
 
 
-def canonical_root(
-    poly: Polynomial,
-    ctx: Precision = DEFAULT_PRECISION,
-) -> AlgebraicNumber:
-    """A deterministic distinguished root of poly: maximal real part, ties
-    broken towards the upper half plane. For z^k - q this is the principal
-    k-th root."""
-    poly = squarefree_part(poly).primitive_int()
-    if poly.degree <= 0:
-        raise ValueError("polynomial has no roots")
-    for bits in ctx.ladder():
-        balls = isolate_roots(poly, bits, ctx)
-        order = _try_order(balls)
-        if order is not None:
-            return AlgebraicNumber(poly, balls[order[-1]])
-    raise ctx.exhausted("canonical root selection")
-
-
-def _try_order(balls: list[Ball]) -> list[int] | None:
-    """Total order on disjoint discs by (re, im) when every pair separates
-    cleanly in one coordinate (re +- rad, then im +- rad); None if some pair
-    is still ambiguous."""
-    n = len(balls)
-    if n == 1:
-        return [0]
-
-    def cmp(i: int, j: int) -> int | None:
-        a, b = balls[i], balls[j]
-        for x, y in ((a.re, b.re), (a.im, b.im)):
-            if abs(x - y) > a.rad + b.rad:
-                return -1 if x < y else 1
-        return None
-
-    keys = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = cmp(i, j)
-            if c is None:
-                return None
-            keys[(i, j)] = c
-
-    def full(i, j):
-        if i == j:
-            return 0
-        if (i, j) in keys:
-            return keys[(i, j)]
-        return -keys[(j, i)]
-
-    return sorted(range(n), key=functools.cmp_to_key(full))
-
-
 def _iroot(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 0, by Newton's method on integers."""
     if n < 2:
@@ -808,28 +728,39 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-# e^(i pi/k) by k, kept for the process like the isolation cache `_CACHE`
-_UNIT_ROOTS: dict[int, AlgebraicNumber] = {}
-
-
 def _unit_root(k: int, ctx: Precision) -> AlgebraicNumber:
-    """e^(i pi/k), the canonical root of z^k + 1, isolated once per k."""
-    unit = _UNIT_ROOTS.get(k)
-    if unit is None:
-        unit = canonical_root(Polynomial((1,) + (0,) * (k - 1) + (1,)), ctx)
-        _UNIT_ROOTS[k] = unit
-    return unit
+    """e^(i pi/k), the principal root of z^k + 1, for k >= 2.
+
+    The float (cos pi/k, sin pi/k) only places a small disc, and one
+    Krawczyk step proves the disc holds exactly one root of z^k + 1.  Any
+    other root is e^(i pi s/k) with s odd in [3, 2k), and for
+    j = ceil(k/s) <= ceil(k/3) the value js/k lies in [1, 2), so its j-th
+    power has imaginary part <= 0.  So the disc's powers z, ...,
+    z^ceil(k/3), rounded outward, all lying above the real axis prove the
+    root is e^(i pi/k).
+    """
+    poly = Polynomial((1,) + (0,) * (k - 1) + (1,))
+    pc, dpc = _krawczyk_coeffs(poly)
+    bits = 16 + k.bit_length()
+    guess = Ball(Fraction(cos(pi / k)), Fraction(sin(pi / k)), Fraction(1, 1 << bits))
+    box = _krawczyk_step(pc, dpc, guess, bits + 32)
+    powers = [box]
+    while box is not None and len(powers) < -(-k // 3):
+        powers.append((powers[-1] * box).rounded(bits + 32))
+    if box is None or any(w.im <= w.rad for w in powers):
+        raise ctx.exhausted(f"the principal root of z^{k} + 1")
+    return AlgebraicNumber(poly, box)
 
 
 def alg_nth_root(q, k: int, ctx: Precision = DEFAULT_PRECISION) -> AlgebraicNumber:
     """Principal k-th root of a rational q, as a root of d z^k - n for
     q = n/d: |q|^(1/k) for q > 0 and |q|^(1/k) e^(i pi/k) for q < 0, the
-    root `canonical_root` picks.
+    root of largest real part (the upper one of a tie).
 
     |q|^(1/k) = (|n| d^(k-1))^(1/k) / d is enclosed exactly by an integer
     k-th root, and for q < 0 multiplied by the certified disc of
-    e^(i pi/k), the canonical root of z^k + 1; one Krawczyk step on that
-    enclosure proves the root, so no other root of d z^k - n is isolated.
+    e^(i pi/k) from `_unit_root`; one Krawczyk step on that enclosure
+    proves the root, so no polynomial has all its roots isolated.
     """
     q = Fraction(q)
     if k < 1:

@@ -243,7 +243,8 @@ def _certify(
         cert.notes.append("values at 0 are algebraic")
         return _finish(cert)
 
-    sets = [singularity_superset(f) for f in functions]
+    by_function = {f: singularity_superset(f) for f in dict.fromkeys(functions)}
+    sets = [by_function[f] for f in functions]
     superset_failure = False
     for i in range(len(functions)):
         for j in range(i + 1, len(functions)):

@@ -849,11 +849,11 @@ def _poly_coeff_list(op: DiffOperator) -> list[Polynomial]:
     return [op.coefficient(b) for b in range(op.order + 1)]
 
 
-def _seed_length(op: DiffOperator, ctx: Precision = DEFAULT_PRECISION) -> int:
+def _seed_length(op: DiffOperator) -> int:
     """How many seeds pin a solution of op: max(order, last free index + 1),
     the free indices being those of `EFunction.free_indices`."""
     rec = recurrence_from_ode(op)
-    roots = _band_roots(rec.rows[0], ctx)
+    roots = _band_roots(rec.rows[0])
     return max(op.order, rec.offset + roots[-1] + 1 if roots else 0)
 
 
@@ -862,6 +862,10 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
 
     The factor rescales the annihilator directly.  An irrational factor
     raises UnsupportedOperationError: the coefficients would leave Q.
+
+    g's free indices are f's: c_m lam^m obeys f's recurrence with row_d
+    times lam^d, so the rescaled operator has f's offset and, up to a
+    constant factor, f's leading band.
     """
     if isinstance(factor, AlgebraicNumber):
         factor = factor.as_rational(ctx)
@@ -874,7 +878,8 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
     order = len(coeffs) - 1
     new = [coeffs[i].compose_scale(lam) * lam ** (order - i) for i in range(order + 1)]
     op = DiffOperator.from_poly_coeffs(new).primitive_normalized()
-    seed_len = _seed_length(op, ctx)
+    free = f.free_indices
+    seed_len = max(order, free[-1] + 1 if free else 0)
     _check_seed_count(seed_len)
     seeds = [f.coefficient(m) * lam**m for m in range(seed_len)]
     bound = None

@@ -6,7 +6,8 @@ from math import gcd, lcm
 
 import mpmath
 
-from elindep.algebraic import DEFAULT_PRECISION, isolate_roots
+from elindep.algebraic import DEFAULT_PRECISION, AlgebraicNumber, Precision, isolate_roots
+from elindep.balls import Ball
 from elindep.diffop import DiffOperator, op_compose, psi_transform
 from elindep.efunction import EFunction
 from elindep.errors import (
@@ -108,6 +109,60 @@ def reference_series(f, count):
                 total += p(Fraction(t)) * c[t + j]
         c.append(-total / lead)
     return c
+
+
+# -- the principal root by ordering every isolated root ----------------------
+
+
+def canonical_root(
+    poly: Polynomial,
+    ctx: Precision = DEFAULT_PRECISION,
+) -> AlgebraicNumber:
+    """A deterministic distinguished root of poly: maximal real part, ties
+    broken towards the upper half plane. For z^k - q this is the principal
+    k-th root."""
+    poly = squarefree_part(poly).primitive_int()
+    if poly.degree <= 0:
+        raise ValueError("polynomial has no roots")
+    for bits in ctx.ladder():
+        balls = isolate_roots(poly, bits, ctx)
+        order = _try_order(balls)
+        if order is not None:
+            return AlgebraicNumber(poly, balls[order[-1]])
+    raise ctx.exhausted("canonical root selection")
+
+
+def _try_order(balls: list[Ball]) -> list[int] | None:
+    """Total order on disjoint discs by (re, im) when every pair separates
+    cleanly in one coordinate (re +- rad, then im +- rad); None if some pair
+    is still ambiguous."""
+    n = len(balls)
+    if n == 1:
+        return [0]
+
+    def cmp(i: int, j: int) -> int | None:
+        a, b = balls[i], balls[j]
+        for x, y in ((a.re, b.re), (a.im, b.im)):
+            if abs(x - y) > a.rad + b.rad:
+                return -1 if x < y else 1
+        return None
+
+    keys = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = cmp(i, j)
+            if c is None:
+                return None
+            keys[(i, j)] = c
+
+    def full(i, j):
+        if i == j:
+            return 0
+        if (i, j) in keys:
+            return keys[(i, j)]
+        return -keys[(j, i)]
+
+    return sorted(range(n), key=functools.cmp_to_key(full))
 
 
 # -- the two rules for free indices that `efunction._band_roots` replaced ------

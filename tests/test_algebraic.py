@@ -19,7 +19,6 @@ from elindep.algebraic import (
     alg_is_zero,
     alg_nth_root,
     alg_pow,
-    canonical_root,
     is_root_of,
     isolate_roots,
     refine_root_box,
@@ -27,6 +26,9 @@ from elindep.algebraic import (
 from elindep.balls import Ball
 from elindep.errors import PrecisionExceededError
 from elindep.polynomials import Polynomial, ratio_set_poly, squarefree_part
+
+from support import canonical_root
+
 
 def P(*coeffs):
     return Polynomial(coeffs)
@@ -109,10 +111,9 @@ class TestIsolation:
             assert b.contains_interior(finer)
             assert finer.rad <= Fraction(1, 2**80)
 
-    def test_close_roots_quartic(self, monkeypatch):
+    def test_close_roots_quartic(self):
         # proposal centres rounded to 2^-96, far coarser than the start
         # radius of about 2^-144, failed every rung up to 65536 bits
-        monkeypatch.setattr(algebraic, "_CACHE", {})
         ctx = Precision(max_bits=1024)  # so that a regression fails, not hangs
         start = time.perf_counter()
         boxes = isolate_roots(CLOSE_QUARTIC, 64, ctx)
@@ -562,10 +563,9 @@ class TestOneRoot:
         assert calls == []
         assert alg_equals(a, canonical_root(F4))
 
-    def test_unit_root_isolated_once_per_order(self, monkeypatch):
-        # every negative point of order 3 multiplies by e^(i pi/3), the
-        # canonical root of z^3 + 1, which is isolated once
-        cube_unit = P(1, 0, 0, 1)
+    def test_negative_nth_roots_isolate_nothing(self, monkeypatch):
+        # e^(i pi/k), by which a negative point's root is multiplied, is
+        # proved on the spot, with no root of z^k + 1 isolated
         calls = []
         real = algebraic.isolate_roots
 
@@ -573,14 +573,30 @@ class TestOneRoot:
             calls.append(p)
             return real(p, *args, **kwargs)
 
-        monkeypatch.setattr(algebraic, "_CACHE", {})
-        monkeypatch.setattr(algebraic, "_UNIT_ROOTS", {})
         monkeypatch.setattr(algebraic, "isolate_roots", recording)
-        a = alg_nth_root(-2, 3)
-        b = alg_nth_root(-5, 3)
-        assert len([p for p in calls if p == cube_unit]) <= 1
-        assert is_root_of(a, P(2, 0, 0, 1)) and is_root_of(b, P(5, 0, 0, 1))
-        assert a.box.re > 0 and a.box.im > 0 and b.box.re > 0 and b.box.im > 0
+        for k in range(2, 9):
+            a = alg_nth_root(Fraction(-5, 3), k)
+            assert a.box.im > a.box.rad, k
+        assert calls == []
+
+    def test_unit_root_is_principal(self):
+        # the certified disc holds one root of z^k + 1, and every other root
+        # lies 2 sin(pi/k) or more from e^(i pi/k), so a disc this close to
+        # e^(i pi/k) (mpmath, 60 digits) holds it; ordering every isolated
+        # root confirms it where that is cheap
+        for k in list(range(2, 41)) + [100]:
+            unit = algebraic._unit_root(k, algebraic.DEFAULT_PRECISION)
+            box = unit.box
+            assert box.im > box.rad, k
+            assert unit.poly == Polynomial((1,) + (0,) * (k - 1) + (1,))
+            with mpmath.workdps(60):
+                z = mpmath.exp(1j * mpmath.pi / k)
+                x = Fraction(mpmath.nstr(z.real, 55, strip_zeros=False))
+                y = Fraction(mpmath.nstr(z.imag, 55, strip_zeros=False))
+            assert near_box(box, x, y), k
+            if k <= 16:
+                oracle = canonical_root(unit.poly)
+                assert alg_equals(unit, oracle) and alg_equals(oracle, unit), k
 
     def test_div_contains_quotient(self):
         dps = 60
@@ -616,7 +632,7 @@ class TestRoots:
         for q in (2, -2, Fraction(9, 4), Fraction(-9, 4), 27, -27, -8,
                   Fraction(13, 17), Fraction(-13, 17)):
             n, d = Fraction(q).numerator, Fraction(q).denominator
-            for k in range(1, 7):
+            for k in range(1, 13):
                 a = alg_nth_root(q, k)
                 b = canonical_root(Polynomial((-n,) + (0,) * (k - 1) + (d,)))
                 assert alg_equals(a, b) and alg_equals(b, a), (q, k)

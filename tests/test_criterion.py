@@ -158,6 +158,15 @@ class TestMulti:
         cert = certify_single(ef_bessel_j0(), [2, 3])
         assert cert.verdict == CERTIFIED
 
+    def test_singular_set_read_once_per_function(self, monkeypatch):
+        reads = []
+        real = criterion.singularity_superset
+        monkeypatch.setattr(criterion, "singularity_superset",
+                            lambda f: reads.append(f) or real(f))
+        cert = certify_single(ef_bessel_j0(), [2, 3, 5, 7, 11])
+        assert cert.verdict == CERTIFIED
+        assert len(reads) == 1
+
     def test_mixed_functions_points(self):
         cert = certify_multi([ef_exp(), ef_bessel_j0()], [3, 3])
         assert cert.verdict == CERTIFIED

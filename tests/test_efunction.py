@@ -633,6 +633,18 @@ class TestFreeIndices:
         with pytest.raises(PrecisionExceededError, match="1000000002 seed coefficients"):
             ef_scale(f, 2)
 
+    def test_scale_reads_the_free_indices_of_f(self):
+        # band (t + 1)(2t - 5) changes sign: f isolates it once when built
+        # and the scaled function once; the scaled seed count is read off
+        # f's free indices, not off a third isolation
+        with mock.patch.object(efunction, "isolate_roots",
+                               wraps=efunction.isolate_roots) as spy:
+            f = EFunction(op_from_text("(2*z)*D^2 + (-5)*D^1 + (-1)"), ["1", "-1/5"])
+            g = ef_scale(f, 2)
+        assert spy.call_count <= 2
+        assert g.free_indices == f.free_indices
+        assert g.seed_count == isolated_seed_length(g.annihilator)
+
     def test_a_zero_class_meets_its_free_row(self, monkeypatch):
         # the row of free index 400001 reads c_400000, in a class whose
         # seeds are zero, and coefficient 5 of z f'' - 4 f' - z f is odd

@@ -227,7 +227,8 @@ class TestPowerSums:
                     assert power_set_poly(p, n) == elimination_power_set(p, n)
 
     def test_alg_pow_takes_the_power_set(self):
-        from elindep.algebraic import alg_pow, canonical_root
+        from elindep.algebraic import alg_pow
+        from support import canonical_root
 
         p = P(5, 1, 0, 1, 1)
         a = canonical_root(p)

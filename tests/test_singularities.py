@@ -13,7 +13,6 @@ from elindep.algebraic import (
     AlgebraicNumber,
     alg_div,
     alg_nth_root,
-    canonical_root,
     is_root_of,
     isolate_roots,
 )
@@ -43,7 +42,7 @@ from elindep.singularities import (
     singularity_superset,
 )
 
-from support import transform_superset
+from support import canonical_root, transform_superset
 
 
 def P(*coeffs):
