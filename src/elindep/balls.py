@@ -39,7 +39,8 @@ class Ball:
     """The disc of radius `rad` around re + i*im, all exact rationals.
 
     `heuristic_tail` marks a radius that rests on an unproven series tail;
-    it is carried through arithmetic and reported, never used in decisions.
+    it is carried through arithmetic and reported, and
+    `numeric.find_integer_relation` proves no exclusion on such a ball.
     """
 
     re: Fraction

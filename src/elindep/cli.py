@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebraic import AlgebraicNumber, Precision
+from .algebraic import DEFAULT_PRECISION, AlgebraicNumber, Precision
 from .criterion import (
     Certificate,
     certificate_text,
@@ -280,9 +280,8 @@ def _certify_spec(spec: ProblemSpec, ctx: Precision) -> Certificate:
 
 
 def run(spec: ProblemSpec, digits: int = 60, coeff_bound: int = 10**6,
-        max_precision_bits: int = 1 << 16) -> dict:
-    """Execute the task and return the report document."""
-    ctx = Precision(max_bits=max_precision_bits)
+        ctx: Precision = DEFAULT_PRECISION) -> dict:
+    """Execute the task under `ctx` and return the report document."""
     report = {"version": SPEC_VERSION, "task": spec.task}
 
     if spec.task == "singularities":
@@ -376,59 +375,60 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def demo_suite(digits: int = 40, coeff_bound: int = 10**3):
-    """Worked examples: (name, certificate, relation report or None)."""
+def demo_suite(digits: int = 40, coeff_bound: int = 10**3, ctx: Precision = DEFAULT_PRECISION):
+    """Worked examples, certified under `ctx`: (name, certificate, relation
+    report or None)."""
     exp = ef_exp()
     j0 = ef_bessel_j0()
     si = ef_sin_integral()
     items = []
 
-    cert = certify_single(exp, [1, 2, Fraction(1, 2)])
+    cert = certify_single(exp, [1, 2, Fraction(1, 2)], ctx)
     items.append(("exp at {1, 2, 1/2}", cert, falsify(cert, digits, coeff_bound)))
 
-    cert = certify_main([exp, j0], 1)
+    cert = certify_main([exp, j0], 1, ctx)
     items.append(("exp and J0 at 1", cert, falsify(cert, digits, coeff_bound)))
 
-    cert = certify_main([j0, si], 1)
+    cert = certify_main([j0, si], 1, ctx)
     items.append(("J0 and Si at 1 (shared singularities)", cert, None))
 
-    cert = certify_single(j0, [2, -2])
+    cert = certify_single(j0, [2, -2], ctx)
     items.append(("J0 at {2, -2} (opposite points)", cert, None))
 
-    cert = certify_single(j0, [2, 3])
+    cert = certify_single(j0, [2, 3], ctx)
     items.append(("J0 at {2, 3}", cert, falsify(cert, digits, coeff_bound)))
 
-    cert = certify_si_integrals([(1, 2), (3, 4)])
+    cert = certify_si_integrals([(1, 2), (3, 4)], ctx)
     items.append(("sine-integral over [1,2], [3,4]", cert, falsify(cert, digits, coeff_bound)))
 
-    cert = certify_si_integrals([(1, -1)])
+    cert = certify_si_integrals([(1, -1)], ctx)
     items.append(("sine-integral over [1,-1] (equal squares)", cert, None))
 
-    cert = certify_si_integrals([(0, 1)])
+    cert = certify_si_integrals([(0, 1)], ctx)
     items.append(("sine-integral over [0,1] (transcendence)", cert, falsify(cert, digits, coeff_bound)))
 
     hyp_k1 = HypergeometricParams((), (Fraction(1),))
     hyp_k2 = HypergeometricParams((), (Fraction(1), Fraction(1)))
-    cert = certify_hypergeometric([hyp_k1, hyp_k2], [Fraction(1, 2), 1])
+    cert = certify_hypergeometric([hyp_k1, hyp_k2], [Fraction(1, 2), 1], ctx)
     items.append(("hypergeometric k=(1,2) at (1/2, 1)", cert, falsify(cert, digits, coeff_bound)))
 
-    cert = certify_hypergeometric([hyp_k1, hyp_k2], [2, 1])
+    cert = certify_hypergeometric([hyp_k1, hyp_k2], [2, 1], ctx)
     items.append(("hypergeometric k=(1,2) at (2, 1) boundary", cert, None))
 
-    cert = certify_hypergeometric([hyp_k2, hyp_k2], [1, 3])
+    cert = certify_hypergeometric([hyp_k2, hyp_k2], [1, 3], ctx)
     items.append(("hypergeometric equal k, distinct points", cert, falsify(cert, digits, coeff_bound)))
 
     combo = ef_lagrange_combo(exp, [1, 2])
-    cert = certify_multi([combo, combo], [1, 2])
+    cert = certify_multi([combo, combo], [1, 2], ctx)
     items.append(("interpolated-combination counterexample at {1, 2}", cert,
                   falsify(cert, digits, coeff_bound)))
     return items
 
 
-def _run_demo(digits: int, coeff_bound: int) -> tuple[dict, int]:
+def _run_demo(digits: int, coeff_bound: int, ctx: Precision) -> tuple[dict, int]:
     demos = []
     exit_code = 0
-    for name, cert, rel in demo_suite(digits, coeff_bound):
+    for name, cert, rel in demo_suite(digits, coeff_bound, ctx):
         outcome = cert.verdict
         entry = {"name": name, "outcome": outcome, "certificate": cert.to_json()}
         if rel is not None:
@@ -494,8 +494,9 @@ def main(argv=None) -> int:
                 f"max precision bits must be at most {MAX_PRECISION_BITS}, "
                 f"got {args.max_precision_bits}"
             )
+        ctx = Precision(max_bits=args.max_precision_bits)
         if args.command == "demo":
-            report, code = _run_demo(args.digits, args.coeff_bound)
+            report, code = _run_demo(args.digits, args.coeff_bound, ctx)
         else:
             with open(args.spec, encoding="utf-8") as fh:
                 spec = parse_spec(fh.read())
@@ -508,7 +509,7 @@ def main(argv=None) -> int:
                 spec,
                 digits=args.digits,
                 coeff_bound=args.coeff_bound,
-                max_precision_bits=args.max_precision_bits,
+                ctx=ctx,
             )
             code = 0
             rel = report.get("relation_report")

@@ -61,17 +61,18 @@ Many E-functions (J0, Si, cosh, I0, the hypergeometric series in z^k)
 have recurrences whose nonzero rows row_d all have d divisible by a
 stride g >= 2 (`EFunction.stride`, the gcd of those d).  Then c_m is tied
 only to c_{m-g}, c_{m-2g}, ..., and the indices split into g residue
-classes c + g j that never meet.  An EFunction's sum is summed one class
-at a time (`_ClassSums`): each class runs the order r/g recurrence of
-v_j = c_{c+gj}, whose rows row_{ge}(c - offset + g j) are integer
-polynomials in j (`EFunction.residue_classes`), a class whose seeds are
-all zero stays zero and is not run at all, and the classes' sums meet in
-one division at the end.  J0's sum is thus one scalar recurrence over
-every other index instead of a 2x2 matrix recurrence over all of them;
-a recurrence of stride 1 is the one-class case of the same code.
-The index past the seeds at which a sum stops, because the recurrence
-leaves that coefficient free, is found before any class moves, so it is
-the same least index a single sum over every m reports.
+classes c + g j that never meet.  Sums at x (`_ClassSums`), coefficient
+streams and the first free row's check all run an EFunction's recurrence
+one class at a time, on sums built by `EFunction._class_sum`: class c runs
+the order r/g recurrence of v_j = c_{c+gj} on f's own rows of every g-th
+band, [den, row_g, row_2g, ...], at t = c + g j - offset
+(`EFunction.residue_classes`).  A class whose seeds are all zero stays
+zero and is never run, and the classes' sums meet in one division at the
+end.  J0's sum is thus one scalar recurrence over every other index
+instead of a 2x2 matrix recurrence over all of them; stride 1 is the
+one-class case of the same code.  The least free index past the seeds
+that a sum or a coefficient read reaches is found before any class moves
+(`EFunction.check_determined`), so it is the one a single sum reports.
 
 Each series type gives `numeric` its running partial sums at x, `sums`,
 and a majorant M of its terms at x that at least halves past a start,
@@ -138,15 +139,6 @@ def _scaled_rows(rows: list[list[int]], x: Fraction) -> list[list[int]]:
     return [[c * f for c in row] for f, row in zip(factors, rows)]
 
 
-def _compose_linear(coeffs: list[int], a: int, b: int) -> list[int]:
-    """Coefficients (ascending) of P(a + b s) for P given by `coeffs`."""
-    acc: list[int] = []
-    for c in reversed(coeffs):
-        acc = [a * x + b * y for x, y in zip(acc + [0], [0] + acc)]
-        acc[0] += c
-    return acc
-
-
 def _undetermined(m: int, name: str) -> UnsupportedOperationError:
     return UnsupportedOperationError(
         f"series coefficient {m} of {name} is not determined "
@@ -202,26 +194,30 @@ _FLOAT_SAFE = 2**32
 
 
 class _RecurrenceSum:
-    """Exact partial sums S_m = u_0 + ... + u_{m-1} of a recurrent sequence.
+    """Exact partial sums S_j = u_0 + ... + u_{j-1} of a recurrent sequence,
+    u_j a series' term at index m = first + stride j.
 
     The first terms are given (`terms`, Fractions); past them
 
-        den(t) u_m = row_1(t) u_{m-1} + ... + row_r(t) u_{m-r},
+        den(t) u_j = row_1(t) u_{j-1} + ... + row_r(t) u_{j-r},
         t = m - offset,
 
     with `rows` = [den, row_1, ..., row_r] integer coefficient lists
-    (ascending).  The state at index m is (u_{m-r}, ..., u_{m-1}, S_m)
-    held as integers over one common denominator, terms before index 0
-    being 0.  advance() moves it on by one binary-splitting product, so
-    successive calls continue the sum and never restart it.  term() reads
-    the terms themselves, appending each new one to `terms`.
+    (ascending).  The state at j is (u_{j-r}, ..., u_{j-1}, S_j) held as
+    integers over one common denominator, terms before j = 0 being 0.
+    advance() moves it on by one binary-splitting product, so successive
+    calls continue the sum and never restart it.  term() reads the terms
+    themselves, appending each new one to `terms`.  A den root at t raises
+    naming the index m.
     """
 
     def __init__(self, terms: list[Fraction], rows: list[list[int]],
-                 offset: int, name: str):
+                 offset: int, name: str, first: int = 0, stride: int = 1):
         self._terms = terms
         self._rows = rows
         self._offset = offset
+        self._first = first
+        self._stride = stride
         self.name = name
         self.m = 0
         self._v = [0] * (len(rows) - 1)
@@ -229,7 +225,7 @@ class _RecurrenceSum:
         self._den = 1
 
     def advance(self, hi: int):
-        """Move the state to index hi (no-op when hi <= m)."""
+        """Move the state to j = hi (no-op when hi <= m, the j reached)."""
         while self.m < min(hi, len(self._terms)):
             self._push(self._terms[self.m])
         if self.m >= hi:
@@ -246,7 +242,8 @@ class _RecurrenceSum:
         return Fraction(self._s, self._den)
 
     def next_term(self) -> tuple[int, int]:
-        """u_m as (numerator, denominator), m past the given terms."""
+        """u_j at the j reached, as (numerator, denominator), past the
+        given terms."""
         last, q = self._step(self.m)
         return _dot(last, self._v), q * self._den
 
@@ -270,9 +267,10 @@ class _RecurrenceSum:
         self._den = den
         self.m += 1
 
-    def _step(self, m: int) -> tuple[list[int], int]:
-        """Index m's step as (last, q): u_m = last.(u_{m-r}, ..., u_{m-1}) / q,
+    def _step(self, j: int) -> tuple[list[int], int]:
+        """The step of j as (last, q): u_j = last.(u_{j-r}, ..., u_{j-1}) / q,
         so row_d sits in column r - d."""
+        m = self._first + self._stride * j
         t = m - self._offset
         q = _horner(self._rows[0], t) if t >= 0 else 0
         if q == 0:
@@ -282,15 +280,17 @@ class _RecurrenceSum:
     def _steps(self, lo: int, hi: int) -> tuple[list[list[int]], list[int]]:
         """The steps of [lo, hi), as _step gives them one at a time, as
         lists over the block ([row_1, ..., row_r], den): each polynomial's
-        values at t = m - offset for m in [lo, hi).  Raises at the least m
-        whose den value is 0 (or t < 0)."""
-        t = lo - self._offset
+        values at t = m - offset for j in [lo, hi).  Raises at the least
+        index m whose den value is 0 (or t < 0)."""
+        g = self._stride
+        m = self._first + g * lo
+        t = m - self._offset
         if t < 0:
-            raise _undetermined(lo, self.name)
-        ts = range(t, t + hi - lo)
+            raise _undetermined(m, self.name)
+        ts = range(t, t + g * (hi - lo), g)
         dens = _horner_all(self._rows[0], ts)
         if 0 in dens:
-            raise _undetermined(lo + dens.index(0), self.name)
+            raise _undetermined(m + g * dens.index(0), self.name)
         return [_horner_all(row, ts) for row in self._rows[1:]], dens
 
     def _product(self, lo: int, hi: int):
@@ -496,26 +496,26 @@ class EFunction:
     def _check_first_free_row(self):
         """The first free index m past the seeds has a row as well,
         0 = row_1(t) c_{m-1} + ... + row_r(t) c_{m-r} at t = m - offset,
-        on coefficients the seeds determine: one sum at x = 1, advanced to
-        m by binary splitting, holds them.  The row reads only m's residue
-        class mod the stride, which stays zero when its seeds are."""
+        on coefficients the seeds determine.  The row reads only m's
+        residue class mod the stride, which stays zero when its seeds are;
+        otherwise its class sum at x = 1, advanced to m, holds them."""
         m = self.first_free_index
-        if m is None or not any(self.seeds[m % self.stride :: self.stride]):
-            return
-        offset = self.recurrence.offset
-        sums = _RecurrenceSum(list(self.seeds), self.rows, offset, self.name)
-        sums.advance(m)
-        t = m - offset
-        if _dot([_horner(row, t) for row in reversed(self.rows[1:])], sums._v):
-            raise InputError(f"initial coefficients violate the recurrence at row {t}")
+        for c, rows, offset in self.residue_classes:
+            if m is not None and c == m % self.stride:
+                sums = self._class_sum(Fraction(1), c, rows, offset)
+                sums.advance(m // self.stride)
+                t = m - offset
+                if _dot([_horner(row, t) for row in reversed(rows[1:])], sums._v):
+                    raise InputError(f"initial coefficients violate the recurrence at row {t}")
 
     @functools.cached_property
-    def _stream(self) -> _RecurrenceSum:
-        """The terms of the sum at x = 1, extended past the seeds on
-        demand; from parameters, the terms t_n of the term ratio's sum."""
+    def _streams(self) -> dict[int, _RecurrenceSum]:
+        """The sums at x = 1 of the classes that are not zero, whose terms
+        are the Taylor coefficients, extended past the seeds on demand; from
+        parameters, the term ratio's sum, its terms t_n = c_{kn}."""
         if self.hypergeometric is not None:
-            return self.hypergeometric.sums(Fraction(1))
-        return _RecurrenceSum(list(self.seeds), self.rows, self.recurrence.offset, self.name)
+            return {0: self.hypergeometric.sums(Fraction(1))}
+        return {cls[0]: self._class_sum(Fraction(1), *cls) for cls in self.residue_classes}
 
     def coefficient(self, n: int) -> Fraction:
         """a_n, the n-th coefficient of the z^n/n! expansion."""
@@ -525,14 +525,19 @@ class EFunction:
 
     def series_coefficient(self, n: int) -> Fraction:
         """c_n = a_n / n!, the plain Taylor coefficient; from parameters,
-        c_{kn} = t_n and zero off multiples of k."""
+        c_{kn} = t_n and zero off multiples of k.  A zero class reads 0
+        without a sum; the least free index up to n raises, in any class."""
         if n < 0:
             return Fraction(0)
         params = self.hypergeometric
         if params is None:
-            return self._stream.term(n)
-        q, r = divmod(n, params.k)
-        return self._stream.term(q) if r == 0 else Fraction(0)
+            self.check_determined(0, n + 1)
+            g = self.stride
+        else:
+            g = params.k
+        j, c = divmod(n, g)
+        stream = self._streams.get(c)
+        return stream.term(j) if stream else Fraction(0)
 
     def coefficients(self, count: int) -> list[Fraction]:
         return [self.coefficient(n) for n in range(count)]
@@ -551,20 +556,13 @@ class EFunction:
         with a nonzero seed; a class whose seeds are all zero stays zero.
 
         v_j = c_{c+gj} obeys den(t) v_j = sum_e row_{ge}(t) v_{j-e} at
-        t = c - jmax + g j, jmax the recurrence's offset, an order r/g
-        recurrence.  Its rows are those polynomials in s = j - offset,
-        offset the least j with t >= 0, so s >= 0 exactly where t >= 0.
+        t = c + g j - offset, an order r/g recurrence on f's own rows of
+        every g-th band, rows = [den, row_g, row_2g, ...], at f's offset.
         """
         g = self.stride
-        jmax = self.recurrence.offset
-        classes = []
-        for c in range(g):
-            if not any(self.seeds[c::g]):
-                continue
-            offset = -((c - jmax) // g)
-            base = c - jmax + g * offset
-            classes.append((c, [_compose_linear(row, base, g) for row in self.rows[::g]], offset))
-        return classes
+        rows = self.rows[::g]
+        offset = self.recurrence.offset
+        return [(c, rows, offset) for c in range(g) if any(self.seeds[c::g])]
 
     @functools.cached_property
     def free_indices(self) -> list[int]:
@@ -589,16 +587,19 @@ class EFunction:
 
     # -- sums at a point ------------------------------------------------------
 
+    def _class_sum(self, x: Fraction, c: int, rows: list[list[int]],
+                   offset: int) -> _RecurrenceSum:
+        """The sum of the terms c_{c+gj} x^(c+gj) of class c mod the stride
+        g (`residue_classes`): its seeds, and its rows scaled by x^g."""
+        g = self.stride
+        seeds = [s * x ** (c + g * j) for j, s in enumerate(self.seeds[c::g])]
+        return _RecurrenceSum(seeds, _scaled_rows(rows, x**g), offset, self.name, c, g)
+
     def sums(self, x: Fraction) -> _ClassSums:
         """Partial sums of sum c_n x^n: one sum per residue class mod the
-        stride g that is not zero, its rows scaled by x^g."""
-        g = self.stride
-        seeds = [c * x**n for n, c in enumerate(self.seeds)]
-        xg = x**g
-        return _ClassSums(self, [
-            (c, _RecurrenceSum(seeds[c::g], _scaled_rows(rows, xg), offset, self.name))
-            for c, rows, offset in self.residue_classes
-        ])
+        stride that is not zero."""
+        classes = self.residue_classes
+        return _ClassSums(self, [(cls[0], self._class_sum(x, *cls)) for cls in classes])
 
     def majorant(self, x: Fraction):
         """(start, log10 M, M) for M(n) = (C|x|)^n / n!, C the proven
@@ -914,18 +915,12 @@ def ef_mul_poly(f: EFunction, p: Polynomial) -> EFunction:
             term = coeffs[i] * math.comb(i, j) * u[i - j] * p ** (order + j - i)
             acc[j] = acc[j] + term
     op = DiffOperator.from_poly_coeffs(acc).primitive_normalized()
-
-    def new_coeff(n: int) -> Fraction:
-        total = Fraction(0)
-        for j in range(min(n, p.degree) + 1):
-            c = p[j]
-            if c != 0:
-                total += c * Fraction(math.factorial(n), math.factorial(n - j)) * f.coefficient(n - j)
-        return total
-
     seed_len = _seed_length(op)
     _check_seed_count(seed_len)
-    seeds = [new_coeff(m) for m in range(seed_len)]
+    # a_n = n! sum_j p_j c_{n-j}, in Taylor coefficients c of f
+    seeds = [math.factorial(n) * sum(p[j] * f.series_coefficient(n - j)
+                                     for j in range(min(n, p.degree) + 1) if p[j])
+             for n in range(seed_len)]
     bound = None
     if f.coeff_bound is not None:
         absum = p.content() * sum(map(abs, p.prim))

@@ -943,6 +943,28 @@ class TestPrecisionBitsCap:
         assert main(["certify", "--spec", path, "--max-precision-bits", str(1 << 18)]) == 0
         assert "CertifiedIndependent" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bits", ["4", "8"])
+    def test_demo_rejects_bits_below_the_start_as_certify_does(self, tmp_path, capsys, bits):
+        path = write_spec(tmp_path, CERTIFY_EXP)
+        assert main(["certify", "--spec", path, "--max-precision-bits", bits]) == 1
+        err = capsys.readouterr().err
+        assert err == ("input error: precision bounds need 8 <= start bits <= max bits, "
+                       f"got 64 and {bits}\n")
+        assert main(["demo", "--max-precision-bits", bits]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_demo_certifies_under_the_given_cap(self, capsys, monkeypatch):
+        caps = []
+        for name in ("certify_single", "certify_main", "certify_multi",
+                     "certify_si_integrals", "certify_hypergeometric"):
+            def spy(*args, _certify=getattr(cli, name)):
+                caps.append(args[-1].max_bits)
+                return _certify(*args)
+            monkeypatch.setattr(cli, name, spy)
+        assert main(["demo", "--max-precision-bits", "128"]) == 0
+        capsys.readouterr()
+        assert caps == [128] * 12
+
     def test_help_states_the_cap(self, capsys):
         with pytest.raises(SystemExit):
             main(["certify", "--help"])

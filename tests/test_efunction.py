@@ -678,9 +678,16 @@ class TestRandom:
             assert all(v == 0 for v in img.values())
 
 
+# strided operators whose recurrence leaves index `free` undetermined,
+# given the seeds 1, 0: index 4 lies in the class that is run, index 5 in
+# the odd class, whose seeds are zero
+STRIDED_FREE = [("(z)*D^2 + (-3)*D^1 + (-2*z-z^3)", 4), ("(z)*D^2 + (-4)*D^1 + (-z)", 5)]
+
+
 class TestCoefficientStream:
     """The binary-splitting engine streams the coefficients that the
-    term-by-term Fraction loop over the recurrence gives."""
+    term-by-term Fraction loop over the recurrence gives, one residue class
+    at a time."""
 
     def test_matches_the_term_loop(self):
         rng = random.Random(13)
@@ -688,10 +695,50 @@ class TestCoefficientStream:
             ef_hypergeometric([], ["-7/2", "1"]),
             ef_hypergeometric(["1/3"], ["1/2", "2/5"]),
             ef_hypergeometric(["-5/2"], ["-1/3", "7/2", "1"], Fraction(-2, 3)),
+            ef_bessel_j0(),
+            ef_sin_integral(),
+            EFunction(op_from_text("(z)*D^2 + (1)*D^1 + (-z)"), ["1", "0"], name="I0"),
+            EFunction(op_from_text("(1)*D^2 + (-4)"), ["1", "0"], name="cosh2"),
+            EFunction(op_from_text("(1)*D^2 + (9)"), ["0", "3"], name="sin3"),
         ]
+        for text, free in STRIDED_FREE:
+            # seeds up to the free index, and a_free = 7 past them
+            f = EFunction(op_from_text(text), ["1", "0"], name="g")
+            with pytest.raises(UnsupportedOperationError, match=f"coefficient {free} of g "):
+                reference_series(f, free + 1)
+            functions.append(EFunction(op_from_text(text), f.coefficients(free) + [7], name="g"))
+        assert [f.stride for f in functions[9:]] == [2] * 7
         for f in functions:
             stream = [f.series_coefficient(n) for n in range(120)]
             assert stream == reference_series(f, 120), f.name
+
+    @pytest.mark.parametrize("text, initial, free", [
+        (text, ["1", "0"], free) for text, free in STRIDED_FREE
+    ] + [("(z)*D^2 + (-3-z)*D^1 + (-1)", ["0", "0"], 4)])
+    def test_a_read_past_the_free_index_raises_there(self, text, initial, free):
+        # in order, or first at an index past the free one, in either class
+        message = (f"series coefficient {free} of g is not determined by the "
+                   "recurrence; supply it as an initial coefficient")
+        for reads in (range(free + 41), [free + 1], [free + 2], [free + 40]):
+            f = EFunction(op_from_text(text), initial, name="g")
+            with pytest.raises(UnsupportedOperationError) as err:
+                for n in reads:
+                    f.series_coefficient(n)
+            assert str(err.value) == message
+
+    def test_j0_runs_one_class_sum(self, monkeypatch):
+        # J0's odd coefficients are zero: reading 80 coefficients builds the
+        # even class's sum alone, at stride 2, and never steps an odd index
+        built = []
+        init = efunction._RecurrenceSum.__init__
+        monkeypatch.setattr(efunction._RecurrenceSum, "__init__",
+                            lambda self, *args: built.append(args[4:]) or init(self, *args))
+        f = ef_bessel_j0()
+        assert f.coefficients(80) == [
+            0 if n % 2 else Fraction((-1) ** (n // 2) * math.comb(n, n // 2), 2**n)
+            for n in range(80)
+        ]
+        assert built == [(0, 2)]
 
     def test_degenerate_row_with_consistent_seeds(self):
         # z f'' - (3 + z) f' + 3 f is solved by e^z and by its Taylor
