@@ -319,8 +319,28 @@ def psi_transform(op: DiffOperator, initial_values: Sequence) -> DiffOperator:
     acc = DiffOperator({b: Polynomial(p.coeffs[shared:]) for b, p in acc.terms.items()})
     remainder = Polynomial(rem.coeffs[shared:])
     if not remainder.is_zero:
-        acc = op_compose(DiffOperator({remainder.degree + 1: Polynomial.one()}), acc)
+        acc = _left_d_power(remainder.degree + 1, acc)
     return acc.primitive_normalized()
+
+
+def _left_d_power(m: int, op: DiffOperator) -> DiffOperator:
+    """D^m op times the common denominator of op's coefficients, by
+    D^m p D^o = sum_j C(m,j) p^(j) D^(o+m-j) on whole integer coefficient
+    lists."""
+    den = math.lcm(*(p.scale.denominator for p in op.terms.values()))
+    size = max(len(p.prim) for p in op.terms.values())
+    rows: dict[int, list[int]] = {}
+    for o, p in op.terms.items():
+        s = p.scale.numerator * (den // p.scale.denominator)
+        ints = [c * s for c in p.prim]
+        for j in range(m + 1):
+            if not ints:
+                break
+            w = math.comb(m, j)
+            row = rows.setdefault(o + m - j, [0] * size)
+            row[: len(ints)] = [x + w * c for x, c in zip(row, ints)]
+            ints = [k * c for k, c in enumerate(ints)][1:]
+    return DiffOperator({order: Polynomial(row) for order, row in rows.items()})
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,16 @@ gcd is taken when the partial sum becomes a Fraction; a term-by-term sum
 takes one on numbers of the same size at every term.  The halving stops
 at blocks of _BLOCK steps, run one after another on each row's values
 over the whole block, which one Horner pass over the block's t values
-gives.  At order 1 (every residue class of exp, J0, Si, I0 and cosh, and
-every hypergeometric series) a step is three products of plain integers,
-a <- p a, b <- a + q b, den <- q den.  At higher order a step is a
-companion matrix, so it shifts the rows of the block's matrix up and
-appends one new row, and no step builds a matrix of its own.
+gives.  A block runs in fraction-free form (Haible & Papanikolaou, "Fast
+multiprecision evaluation of series of rational numbers", ANTS 1998;
+Mezzarobba, "NumGfun", ISSAC 2010): a term carries the product of the
+den values before it, so it obeys an integer recurrence and no state is
+rescaled at a step, and each column of the block's matrix is that scalar
+recurrence run from a unit vector.  At order 1 (every residue class of
+exp, J0, Si, I0 and cosh, and every hypergeometric series) a step is
+three products of plain integers, a <- p a, b <- a + q b, den <- q den;
+order 2 (zexp, expmix) is written out as one tuple update per column,
+and every other order shares one loop.
 
 Many E-functions (J0, Si, cosh, I0, the hypergeometric series in z^k)
 have recurrences whose nonzero rows row_d all have d divisible by a
@@ -177,14 +182,15 @@ def _band_roots(band: Sequence[int], ctx: Precision = DEFAULT_PRECISION) -> list
     return sorted(roots)
 
 
-# steps a leaf of the splitting tree runs one after another.  Bench rounds
-# in process (Python 3.11, shared 2-core Xeon, median of 21), blocks of 8,
-# 16, 32 and 64 steps: eval at seed 1 59.8, 57.5, 54.5 and 52.7 ms, at
-# seed 9 58.1, 51.6, 49.5 and 48.0 ms; falsify at seed 1 72.7, 70.2, 68.9
-# and 69.9 ms, at seed 9 80.2, 76.1, 74.1 and 71.0 ms.  exp at 136/7 to
-# 4000 digits took 13.4, 13.8, 13.2 and 12.6 ms, and 128 steps timed as 64.
-# A leaf step costs less than a merge since each row is evaluated over the
-# whole block at once, so longer leaves pay.
+# steps a leaf of the splitting tree runs one after another.  In-process
+# bench rounds with fraction-free leaves (Python 3.11, shared 2-core Xeon,
+# median of 21, sizes alternating), blocks of 32, 64 and 128 steps, two
+# runs each: eval at seed 1 42.0, 40.2, 40.3 and 67.1, 67.3, 64.9 ms, at
+# seed 9 52.1, 46.6, 46.5 and 56.7, 53.1, 53.9 ms; falsify at seed 1 98.0,
+# 97.0, 79.7 and 74.9, 76.4, 75.3 ms, at seed 9 106.8, 102.7, 98.4 and
+# 67.3, 67.1, 67.8 ms.  No size wins on both workloads in both runs, and
+# 32 loses on eval.  A leaf step costs less than a merge since each row is
+# evaluated over the whole block at once, so longer leaves pay.
 _BLOCK = 64
 
 # p = u/v with |u|, v below this is 1/v or more from every integer and its
@@ -309,31 +315,63 @@ class _RecurrenceSum:
 
     def _block(self, lo: int, hi: int):
         """The steps of [lo, hi) one after another, on the rows' values
-        over the whole block.  At order 1 a step is a <- p a, b <- a + q b,
-        den <- q den, on plain integers.  Otherwise it is a companion
-        matrix: it shifts the rows of A up, scaled by its q, and appends
-        the new row last.A, which is also what it adds to q b."""
+        over the whole block, as (A, b, den) of `_product`.  With q_j the
+        den value of step j (1 before the block), W_j = q_0 ... q_j u_j
+        obeys
+
+            W_j = sum_d row_d(t_j) q_{j-d+1} ... q_{j-1} W_{j-d},
+
+        W before the block being the state itself, and
+        sigma_j = q_j sigma_{j-1} + W_j.  Each column of A runs this
+        scalar recurrence from a unit vector: at block length L, row i is
+        W_{L-r+i} q_{L-r+i+1} ... q_{L-1}, b is sigma and den is
+        q_0 ... q_{L-1}, the integers a product of companion matrices gives.
+        Order 1 is a <- p a, b <- a + q b, den <- q den; order 2 is written
+        out; other orders, 0 included, share one loop."""
         rows, dens = self._steps(lo, hi)
-        if len(rows) == 1:
+        r = len(rows)
+        if r == 1:
             a, b, den = 1, 0, 1
             for p, q in zip(rows[0], dens):
                 a *= p
                 b = a + q * b
                 den *= q
             return [[a]], [b], den
-        r = len(rows)
-        a = [[int(i == j) for j in range(r)] for i in range(r)]
-        b = [0] * r
-        den = 1
-        # last = (row_r, ..., row_1) at each step, for (u_{m-r}, ..., u_{m-1})
-        lasts = list(zip(*reversed(rows))) or [()] * len(dens)
-        for last, q in zip(lasts, dens):
-            new = [_dot(last, col) for col in zip(*a)]
-            if r:
-                a = [[q * x for x in row] for row in a[1:]] + [new]
-            b = [x + q * y for x, y in zip(new, b)]
-            den *= q
-        return a, b, den
+        if r == 2:
+            # (W_{j-1}, W_{j-2}) and sigma of the columns from u_{-2} = 1
+            # (x) and from u_{-1} = 1 (y); last is q_{j-1}
+            x1, x2, y1, y2 = 0, 1, 1, 0
+            sx = sy = 0
+            den = last = 1
+            for p1, p2, q in zip(rows[0], rows[1], dens):
+                p2 *= last
+                x1, x2 = p1 * x1 + p2 * x2, x1
+                y1, y2 = p1 * y1 + p2 * y2, y1
+                sx = q * sx + x1
+                sy = q * sy + y1
+                den *= q
+                last = q
+            return [[x2 * last, y2 * last], [x1, y1]], [sx, sy], den
+        # scale[d - 1] = q_{j-d+1} ... q_{j-1}, and steps holds each step's
+        # row_d(t_j) times it, for d = 1, ..., r
+        scale = [1] * r
+        steps = []
+        for ps, q in zip(zip(*rows), dens):
+            steps.append(list(map(operator.mul, ps, scale)))
+            scale = [1] + [s * q for s in scale[:-1]]
+        # window[d - 1] = W_{j-d} of each column, and b its sigma
+        windows, b = [], []
+        for c in range(r):
+            window = [int(d == r - c) for d in range(1, r + 1)]
+            sigma = 0
+            for coeffs, q in zip(steps, dens):
+                w = _dot(coeffs, window)
+                window = [w] + window[:-1]
+                sigma = q * sigma + w
+            windows.append(window)
+            b.append(sigma)
+        a = [[w[r - 1 - i] * scale[r - 1 - i] for w in windows] for i in range(r)]
+        return a, b, math.prod(dens)
 
 
 class _ClassSums:

@@ -255,6 +255,27 @@ def ladder_psi_transform(op, initial_values):
     return acc.primitive_normalized()
 
 
+def companion_block(rows, dens):
+    """The old `_RecurrenceSum._block` past order 1, on the values of one
+    block's steps ([row_1, ..., row_r], dens) as `_RecurrenceSum._steps`
+    gives them: each step is a companion matrix, which shifts the rows of
+    A up, scaled by its q, and appends the new row last.A, which is also
+    what it adds to q b.  Returns (A, b, den)."""
+    r = len(rows)
+    a = [[int(i == j) for j in range(r)] for i in range(r)]
+    b = [0] * r
+    den = 1
+    # last = (row_r, ..., row_1) at each step, for (u_{m-r}, ..., u_{m-1})
+    lasts = list(zip(*reversed(rows))) or [()] * len(dens)
+    for last, q in zip(lasts, dens):
+        new = [sum(x * y for x, y in zip(last, col)) for col in zip(*a)]
+        if r:
+            a = [[q * x for x in row] for row in a[1:]] + [new]
+        b = [x + q * y for x, y in zip(new, b)]
+        den *= q
+    return a, b, den
+
+
 def consistent_seeds(op, count, rng):
     """count Taylor coefficients c_0, c_1, ... that some solution of op has:
     random where the recurrence leaves them free, the rest from the

@@ -836,6 +836,27 @@ class TestEvalDocuments:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("point", ["22/7", "-38/7"])
+    def test_order_2_sums_meet_their_closed_forms(self, tmp_path, capsys, point):
+        # zexp = (1 + x) e^x and expmix = e^x + e^(-2x), whose a_n = 1 + (-2)^n
+        # needs the bound 3: 2 fails at n = 2
+        doc = {"version": 1, "task": "eval", "functions": [ZEXP, dict(EXPMIX, coeff_bound="3")],
+               "points": [point]}
+        spec = write_spec(tmp_path, doc)
+        assert main(["eval", "--spec", spec, "--format", "json", "--digits", "300"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        q = Fraction(point)
+        with mpmath.workdps(340):
+            x = mpmath.mpf(q.numerator) / q.denominator
+            truths = [(1 + x) * mpmath.exp(x), mpmath.exp(x) + mpmath.exp(-2 * x)]
+            truths = [Fraction(mpmath.nstr(t, 335, strip_zeros=False)) for t in truths]
+        assert [r["function"] for r in results] == ["zexp", "expmix"]
+        for result, truth in zip(results, truths):
+            value = result["value"]
+            radius = Fraction(value["radius"])
+            assert radius < Fraction(1, 10**299)
+            assert abs(Fraction(value["re"]) - truth) <= radius
+
 
 class TestParserReuse:
     """`main` builds its parser once per process; every later call must

@@ -37,10 +37,12 @@ from elindep.efunction import (
 )
 from elindep import efunction
 from elindep.errors import InputError, PrecisionExceededError, UnsupportedOperationError
+from elindep.numeric import eval_efunction
 from elindep.polynomials import Polynomial
 
 from support import (
     cauchy_check_determined,
+    companion_block,
     consistent_seeds,
     isolated_seed_length,
     random_efunction,
@@ -848,3 +850,55 @@ class TestRecurrenceSum:
             sums.advance(2)
             with pytest.raises(UnsupportedOperationError, match="series coefficient 2 of u "):
                 read(sums)
+
+
+class TestLeafBlock:
+    """A leaf of the splitting tree, `_RecurrenceSum._block`, in fraction-free
+    form, against the companion-matrix steps it replaced (`companion_block`):
+    the same (A, b, den), integer for integer."""
+
+    @staticmethod
+    def _assert_block_matches(sums, lo, hi):
+        assert sums._block(lo, hi) == companion_block(*sums._steps(lo, hi)), (lo, hi)
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_random_rows(self, order):
+        rng = random.Random(30 + order)
+        for _ in range(12):
+            # den has positive coefficients, so no root at t >= 0; a row may
+            # be zero ([]), as the rows of a strided recurrence's bands are
+            rows = [[rng.randint(1, 9) for _ in range(rng.randint(1, 4))]]
+            rows += [[] if rng.random() < 0.25 else
+                     [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+                     for _ in range(order)]
+            sums = efunction._RecurrenceSum([], rows, 0, "u")
+            lengths = list(range(1, order + 2)) + [rng.randint(order + 2, 70), 64, 70]
+            for length in lengths:
+                lo = rng.randint(0, 100)
+                self._assert_block_matches(sums, lo, lo + length)
+
+    def test_the_leaves_of_order_2_and_4_sums(self, monkeypatch):
+        # zexp and expmix at the bench's eval points, and the interpolated
+        # combination of exp at 1 and 2 of the demo (order 4)
+        leaves = []
+        block = efunction._RecurrenceSum._block
+
+        def spy(sums, lo, hi):
+            ours = block(sums, lo, hi)
+            leaves.append((len(sums._rows) - 1, ours, companion_block(*sums._steps(lo, hi))))
+            return ours
+
+        monkeypatch.setattr(efunction._RecurrenceSum, "_block", spy)
+        zexp = EFunction(op_from_text("(1+z)*D^1 + (-2-z)"), [1, 2], coeff_bound=2)
+        expmix = EFunction(op_from_text("(1)*D^2 + (1)*D^1 + (-2)"), [2, -1], coeff_bound=3)
+        for f in (zexp, expmix):
+            for whole, digits in [(0, 300), (2, 250), (5, 200), (19, 250)]:
+                for a in (3, 4):
+                    eval_efunction(f, whole + Fraction(a, 7), digits)
+        combo = ef_lagrange_combo(ef_exp(), [1, 2])
+        for x in (1, 2):
+            eval_efunction(combo, x, 60)
+        orders = [order for order, _, _ in leaves]
+        assert orders.count(2) >= 40 and orders.count(4) >= 6
+        for order, ours, theirs in leaves:
+            assert ours == theirs, order
