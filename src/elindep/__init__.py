@@ -1,9 +1,10 @@
 """Symbolic-numeric toolkit for linear independence of E-function values.
 
 The pipeline: build an E-function from its differential equation (or a
-builtin/hypergeometric constructor), transform the annihilator to the
-power-series side, read off a finite set that contains the transformed
-function's singularities, and check the point conditions that certify
+builtin/hypergeometric constructor), read off a finite set that contains
+the singularities of its factorial-removed series (from the annihilator
+L's top-degree coefficients, without transforming L, or in closed form
+for the curated families), and check the point conditions that certify
 {1, f_1(a_1), ..., f_n(a_n)} linearly independent over the algebraic
 numbers.  A lattice-based relation search cross-checks certificates
 numerically.

@@ -40,8 +40,10 @@ r = jmax - jmin, offset jmax, in integers one band at a time, divided by
 the gcd of all their entries.  A hypergeometric series has r = 1 and its
 term ratio t_{n+1}/t_n as row_1 / den (`HypergeometricParams.ratio_rows`).
 The sum of u_n x^n at x = p/q runs the same recurrence with row_d times
-p^d q^(r-d), and the coefficients are the terms of the sum at x = 1, one
-Fraction each.
+p^d q^(r-d), and the coefficients are the terms of the sum at x = 1, read
+off the leaves' fraction-free steps as integer pairs
+(`_RecurrenceSum.read`): `growth_check` takes its floats from the pairs,
+and a coefficient read becomes one Fraction.
 
 The engine's state at index m is (u_{m-r}, ..., u_{m-1}, S_m),
 S_m = u_0 + ... + u_{m-1}, as integers over one common denominator.  The
@@ -88,7 +90,8 @@ A function built by `ef_hypergeometric` is summed by `numeric` as the
 hypergeometric series in z^k, against its terms.
 
 Closure operations build their operator exactly, so it is proven to
-annihilate the result: a rational scale rescales the operator, p f is
+annihilate the result: a rational scale rescales the operator (or, for a
+function given by its parameters, the series' scale), p f is
 killed by L composed with division by p (denominators cleared), and a sum
 takes the least common left multiple of both operators
 (`diffop.op_lclm`), a left multiple of each.  No operator is guessed from
@@ -101,6 +104,7 @@ builds any.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -212,9 +216,9 @@ class _RecurrenceSum:
     (ascending).  The state at j is (u_{j-r}, ..., u_{j-1}, S_j) held as
     integers over one common denominator, terms before j = 0 being 0.
     advance() moves it on by one binary-splitting product, so successive
-    calls continue the sum and never restart it.  term() reads the terms
-    themselves, appending each new one to `terms`.  A den root at t raises
-    naming the index m.
+    calls continue the sum and never restart it.  read() moves it on term
+    by term and hands the terms over as integer pairs; term() keeps them
+    as Fractions.  A den root at t raises naming the index m.
     """
 
     def __init__(self, terms: list[Fraction], rows: list[list[int]],
@@ -229,6 +233,7 @@ class _RecurrenceSum:
         self._v = [0] * (len(rows) - 1)
         self._s = 0
         self._den = 1
+        self._known: list[Fraction] = []
 
     def advance(self, hi: int):
         """Move the state to j = hi (no-op when hi <= m, the j reached)."""
@@ -249,20 +254,69 @@ class _RecurrenceSum:
 
     def next_term(self) -> tuple[int, int]:
         """u_j at the j reached, as (numerator, denominator), past the
-        given terms."""
+        given terms, leaving the state where it is."""
         last, q = self._step(self.m)
         return _dot(last, self._v), q * self._den
 
+    def read(self, hi: int) -> list[tuple[int, int]]:
+        """The terms j in [m, hi) as (numerator, denominator) pairs, not
+        reduced, with the state moved on to hi.
+
+        Given terms are read as they are.  Past them the terms are those
+        of the fraction-free run of `_block`, started from the state
+        itself: with D its denominator, q_j the den value of step j and W
+        before the block the state's u, u_j = W_j / (D q_0 ... q_j).  The
+        rows' values over the whole range come first (`_steps`), so a den
+        root raises before the state moves."""
+        lo = max(self.m, len(self._terms))
+        pairs = [(u.numerator, u.denominator) for u in self._terms[self.m:hi]]
+        if lo >= hi:
+            self.advance(hi)
+            return pairs
+        rows, dens = self._steps(lo, hi)
+        self.advance(lo)
+        den, s = self._den, self._s
+        if len(rows) == 1:
+            (w,) = self._v
+            for p, q in zip(rows[0], dens):
+                w *= p
+                den *= q
+                s = q * s + w
+                pairs.append((w, den))
+            self._v = [w]
+        else:
+            # window[d - 1] = W_{j-d} and scale[d - 1] = q_{j-d+1} ... q_{j-1}
+            r = len(rows)
+            window, scale = self._v[::-1], [1] * r
+            for q, *ps in zip(dens, *rows):
+                w = _dot(map(operator.mul, ps, scale), window)
+                window = ([w] + window)[:r]
+                scale = ([1] + [x * q for x in scale])[:r]
+                den *= q
+                s = q * s + w
+                pairs.append((w, den))
+            self._v = [w * x for w, x in zip(window, scale)][::-1]
+        self._s, self._den, self.m = s, den, hi
+        return pairs
+
     def term(self, n: int) -> Fraction:
-        """u_n, for a sum that is only read through this method: each
-        missing term is read off the state and appended to the given
-        terms, which the state then takes in as it does the seeds."""
-        terms = self._terms
-        while len(terms) <= n:
-            self.advance(len(terms))
-            num, den = self.next_term()
-            terms.append(Fraction(num, den))
-        return terms[n]
+        """u_n, for a sum that is only read through this method: the terms
+        read so far are kept as Fractions, and the missing ones read on.
+        The state is then divided by the gcd of its integers, so that they
+        stay the size of reduced terms (read one at a time, a fraction-free
+        state of order 2 or more grows by the product of all den values).
+        That gcd starts from D / b, D the state's denominator and b the
+        last term's reduced one, which divides D: when u has entries, its
+        last one over D is that term, so D / b is their gcd, a small
+        number."""
+        known = self._known
+        if len(known) <= n:
+            known += [Fraction(num, den) for num, den in self.read(n + 1)]
+            g = math.gcd(self._den // known[-1].denominator, self._s, *self._v)
+            self._v = [v // g for v in self._v]
+            self._s //= g
+            self._den //= g
+        return known[n]
 
     def _push(self, u: Fraction):
         den = math.lcm(self._den, u.denominator)
@@ -381,7 +435,8 @@ class _ClassSums:
 
     advance(n) counts original indices m, as a single sum over every m
     would, and raises at the least index that sum would stop at, also in
-    a class that is not run.  value() is the one division of all classes.
+    a class that is not run.  state() is the sum over the product of the
+    classes' denominators, and value() its one division.
     """
 
     def __init__(self, f: EFunction, sums: list[tuple[int, _RecurrenceSum]]):
@@ -400,11 +455,15 @@ class _ClassSums:
             sums.advance(-((c - hi) // g))
         self.m = hi
 
-    def value(self) -> Fraction:
+    def state(self) -> tuple[int, int]:
+        """The partial sum as (numerator, denominator), not reduced."""
         num, den = 0, 1
         for _, sums in self._sums:
             num, den = num * sums._den + sums._s * den, den * sums._den
-        return Fraction(num, den)
+        return num, den
+
+    def value(self) -> Fraction:
+        return Fraction(*self.state())
 
 
 class EFunction:
@@ -416,7 +475,8 @@ class EFunction:
     index past them included.  `rows` is the integer recurrence
     [den, row_1, ..., row_r] of the Taylor coefficients c_n = a_n / n!,
     with offset `recurrence.offset` (module docstring).  `ctx` bounds
-    the root isolation that finds the free indices (`_band_roots`).
+    the root isolation that finds the free indices (`_band_roots`); a
+    closure that knows them already (`ef_scale`) hands them over instead.
 
     A function built by `ef_hypergeometric`, f(z) = sum t_n z^(kn), is its
     parameters, `hypergeometric`; it is given no annihilator and no initial
@@ -436,6 +496,8 @@ class EFunction:
         psi_singularity_poly: Polynomial | None = None,
         hypergeometric: HypergeometricParams | None = None,
         ctx: Precision = DEFAULT_PRECISION,
+        *,
+        _free_indices: list[int] | None = None,
     ):
         if coeff_bound is not None and Fraction(coeff_bound) < 0:  # |a_1| <= C < 0 never holds
             raise InputError(f"coefficient bound must be nonnegative, got {coeff_bound}")
@@ -462,6 +524,8 @@ class EFunction:
         self._check_seed_consistency(seeds)
         self.seeds = seeds
         self.seed_count = len(seeds)
+        if _free_indices is not None:
+            self.free_indices = _free_indices
         self._check_first_free_row()
 
     @functools.cached_property
@@ -540,20 +604,27 @@ class EFunction:
         m = self.first_free_index
         for c, rows, offset in self.residue_classes:
             if m is not None and c == m % self.stride:
-                sums = self._class_sum(Fraction(1), c, rows, offset)
+                sums = self._class_sum(1, c, rows, offset)
                 sums.advance(m // self.stride)
                 t = m - offset
                 if _dot([_horner(row, t) for row in reversed(rows[1:])], sums._v):
                     raise InputError(f"initial coefficients violate the recurrence at row {t}")
 
+    def _unit_sums(self) -> tuple[int, dict[int, _RecurrenceSum]]:
+        """(g, sums): sums[c] is the sum at x = 1 of class c mod g, whose
+        terms are the Taylor coefficients c_{c+gj}, for f's classes mod its
+        stride that are not zero; from parameters, the term ratio's sum,
+        its terms t_n = c_{kn}, as the one class 0 mod k."""
+        params = self.hypergeometric
+        if params is not None:
+            return params.k, {0: params.sums(Fraction(1))}
+        return self.stride, {cls[0]: self._class_sum(1, *cls) for cls in self.residue_classes}
+
     @functools.cached_property
-    def _streams(self) -> dict[int, _RecurrenceSum]:
-        """The sums at x = 1 of the classes that are not zero, whose terms
-        are the Taylor coefficients, extended past the seeds on demand; from
-        parameters, the term ratio's sum, its terms t_n = c_{kn}."""
-        if self.hypergeometric is not None:
-            return {0: self.hypergeometric.sums(Fraction(1))}
-        return {cls[0]: self._class_sum(Fraction(1), *cls) for cls in self.residue_classes}
+    def _streams(self) -> tuple[int, dict[int, _RecurrenceSum]]:
+        """The unit sums that `series_coefficient` reads term by term,
+        extended past the seeds on demand."""
+        return self._unit_sums()
 
     def coefficient(self, n: int) -> Fraction:
         """a_n, the n-th coefficient of the z^n/n! expansion."""
@@ -567,14 +638,11 @@ class EFunction:
         without a sum; the least free index up to n raises, in any class."""
         if n < 0:
             return Fraction(0)
-        params = self.hypergeometric
-        if params is None:
+        if self.hypergeometric is None:
             self.check_determined(0, n + 1)
-            g = self.stride
-        else:
-            g = params.k
+        g, streams = self._streams
         j, c = divmod(n, g)
-        stream = self._streams.get(c)
+        stream = streams.get(c)
         return stream.term(j) if stream else Fraction(0)
 
     def coefficients(self, count: int) -> list[Fraction]:
@@ -625,13 +693,17 @@ class EFunction:
 
     # -- sums at a point ------------------------------------------------------
 
-    def _class_sum(self, x: Fraction, c: int, rows: list[list[int]],
+    def _class_sum(self, x: Fraction | int, c: int, rows: list[list[int]],
                    offset: int) -> _RecurrenceSum:
         """The sum of the terms c_{c+gj} x^(c+gj) of class c mod the stride
-        g (`residue_classes`): its seeds, and its rows scaled by x^g."""
+        g (`residue_classes`): its seeds, and its rows scaled by x^g; at
+        x = 1 the seeds and rows themselves."""
         g = self.stride
-        seeds = [s * x ** (c + g * j) for j, s in enumerate(self.seeds[c::g])]
-        return _RecurrenceSum(seeds, _scaled_rows(rows, x**g), offset, self.name, c, g)
+        seeds = self.seeds[c::g]
+        if x != 1:
+            seeds = [s * x ** (c + g * j) for j, s in enumerate(seeds)]
+            rows = _scaled_rows(rows, x**g)
+        return _RecurrenceSum(seeds, rows, offset, self.name, c, g)
 
     def sums(self, x: Fraction) -> _ClassSums:
         """Partial sums of sum c_n x^n: one sum per residue class mod the
@@ -900,11 +972,14 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
     """g(z) = f(factor * z), factor a rational or a rational AlgebraicNumber.
 
     The factor rescales the annihilator directly.  An irrational factor
-    raises UnsupportedOperationError: the coefficients would leave Q.
+    raises UnsupportedOperationError: the coefficients would leave Q.  A
+    function given by its parameters stays so, its scale times factor^k,
+    and nothing is built.
 
     g's free indices are f's: c_m lam^m obeys f's recurrence with row_d
     times lam^d, so the rescaled operator has f's offset and, up to a
-    constant factor, f's leading band.
+    constant factor, f's leading band.  g is handed them, and its leading
+    band is not isolated again.
     """
     if isinstance(factor, AlgebraicNumber):
         factor = factor.as_rational(ctx)
@@ -913,6 +988,11 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
     lam = Fraction(factor)
     if lam == 0:
         raise InputError("scale factor must be nonzero")
+    name = f"{f.name}({lam}z)" if lam != 1 else f.name
+    params = f.hypergeometric
+    if params is not None:
+        scale = params.scale * lam**params.k
+        return _hypergeometric_function(HypergeometricParams(params.upper, params.lower, scale), name)
     coeffs = _poly_coeff_list(f.annihilator)
     order = len(coeffs) - 1
     new = [coeffs[i].compose_scale(lam) * lam ** (order - i) for i in range(order + 1)]
@@ -927,11 +1007,12 @@ def ef_scale(f: EFunction, factor, ctx: Precision = DEFAULT_PRECISION) -> EFunct
     return EFunction(
         op,
         seeds,
-        name=f"{f.name}({lam}z)" if lam != 1 else f.name,
+        name=name,
         coeff_bound=bound,
         values_transcendental=f.values_transcendental,
         psi_singularity_poly=None,
         ctx=ctx,
+        _free_indices=free,
     )
 
 
@@ -1035,8 +1116,27 @@ def growth_check(f: EFunction, terms: int = 80) -> float:
     """max |a_n|^(1/n) over the nonzero a_n with 1 <= n < terms (at least
     8 terms), 0.0 when there is none.
 
+    Each class of Taylor coefficients c_n = num / den is read once, as
+    integer pairs (`_RecurrenceSum.read`), and |a_n| = |num| n! / |den| is
+    one int / int division, correctly rounded as float(Fraction) is; only
+    a quotient past the float range becomes a Fraction, for `_abs_root`.
+
     Heuristic only: it suggests, and never proves, a bound on the
     coefficients' growth.
     """
-    coeffs = f.coefficients(max(8, terms))
-    return max((_abs_root(a, n) for n, a in enumerate(coeffs) if n and a), default=0.0)
+    count = max(8, terms)
+    if f.hypergeometric is None:
+        f.check_determined(0, count)
+    g, streams = f._unit_sums()
+    factorials = list(itertools.accumulate(range(1, count), operator.mul, initial=1))
+    best = 0.0
+    for c, sums in streams.items():
+        for n, (num, den) in zip(range(c, count, g), sums.read(-((c - count) // g))):
+            if n and num:
+                a = abs(num) * factorials[n]
+                try:
+                    root = (a / abs(den)) ** (1.0 / n)
+                except OverflowError:
+                    root = _abs_root(Fraction(a, den), n)
+                best = max(best, root)
+    return best

@@ -241,24 +241,27 @@ def _eval_heuristic(f: EFunction, q: Fraction, digits: int) -> Ball:
 
     Each doubling continues the same sum over [terms, 2 terms).  A doubling
     that moves the sum no less than the one before ends the search: the
-    partial sums do not settle, as for a divergent series."""
+    partial sums do not settle, as for a divergent series.  The partial
+    sums stay integer pairs (`_ClassSums.state`) and the moves |num| / |den|
+    are compared by cross-multiplying, so only the sum returned becomes a
+    Fraction."""
     c_emp = max(2.0, growth_check(f) * 1.5)
     if not math.isfinite(c_emp):
         raise PrecisionExceededError("unbounded coefficient growth estimate")
     terms = max(32, int(Fraction(2 * c_emp) * abs(q)) + digits)
     _check_terms(terms)
-    target = Fraction(1, 10**digits)
+    target = 10**digits
     sums = f.sums(q)
     sums.advance(terms)
-    prev, moved = sums.value(), None
+    prev, moved = sums.state(), None
     while terms <= MAX_TERMS:
         terms *= 2
         sums.advance(terms)
-        cur = sums.value()
-        step = abs(cur - prev)
-        if step * 2 < target:
-            return Ball(cur, Fraction(0), target, heuristic_tail=True)
-        if moved is not None and step >= moved:
+        cur = sums.state()
+        step = abs(cur[0] * prev[1] - prev[0] * cur[1]), abs(cur[1] * prev[1])
+        if 2 * step[0] * target < step[1]:
+            return Ball(Fraction(*cur), Fraction(0), Fraction(1, target), heuristic_tail=True)
+        if moved is not None and step[0] * moved[1] >= moved[0] * step[1]:
             raise PrecisionExceededError("partial sums do not settle")
         prev, moved = cur, step
     raise PrecisionExceededError("heuristic evaluation did not stabilize")

@@ -22,6 +22,7 @@ from elindep.efunction import (
     MAX_TERMS,
     EFunction,
     HypergeometricParams,
+    _abs_root,
     _band_roots,
     _seed_length,
     ef_bessel_j0,
@@ -213,17 +214,56 @@ class TestHypergeometricParameters:
             f.seeds
 
     def test_closure_bounds_are_unchanged(self):
+        # a sum reads f's bound; a scaled function is its parameters again,
+        # and reads its own
         for upper, lower, bound in (([], ["-7/2", 1], Fraction(637272064, 7)),
                                     (["1/3"], ["1/2", "2/5"], 16)):
             f = ef_hypergeometric(upper, lower)
-            assert ef_scale(f, 2).coeff_bound == 2 * bound
+            assert ef_sum(f, f).coeff_bound == 2 * bound
+            scaled = ef_hypergeometric(upper, lower, 2**f.hypergeometric.k)
+            assert ef_scale(f, 2).coeff_bound == scaled.coeff_bound
+
+    @staticmethod
+    def _scaled_by_operator(f, lam):
+        """f(lam z) by the operator route: f's annihilator rescaled, and
+        its seeds times lam^m."""
+        coeffs = [f.annihilator.coefficient(b) for b in range(f.order + 1)]
+        order = f.order
+        op = DiffOperator.from_poly_coeffs(
+            [c.compose_scale(lam) * lam ** (order - i) for i, c in enumerate(coeffs)])
+        seeds = [f.coefficient(m) * lam**m for m in range(f.seed_count)]
+        return EFunction(op.primitive_normalized(), seeds)
+
+    @pytest.mark.parametrize("upper, lower, scale, lam", [
+        ([], ["-7/2", 1], 1, 2),
+        (["1/3"], ["1/2", "2/5"], 1, Fraction(-3, 2)),
+        ([], [1, 1, 1], -2, Fraction(1, 3)),
+        (["5/2"], ["1/3", 1], 3, -2),
+    ])
+    def test_scale_keeps_the_parameters(self, upper, lower, scale, lam):
+        f = ef_hypergeometric(upper, lower, scale)
+        g = ef_scale(f, lam)
+        params = f.hypergeometric
+        assert g.hypergeometric == HypergeometricParams(
+            params.upper, params.lower, params.scale * Fraction(lam) ** params.k)
+        assert g.name == f"{f.name}({lam}z)"
+        assert g.coefficients(60) == self._scaled_by_operator(f, Fraction(lam)).coefficients(60)
+
+    def test_scale_of_a_tall_parameter_builds_nothing(self):
+        # by the operator route this took 1.4 s: 2001 seeds and the m!
+        # round trip
+        f = ef_hypergeometric([], ["-1999/2", 1])
+        start = time.perf_counter()
+        g = ef_scale(f, 2)
+        assert time.perf_counter() - start < 0.1
+        assert g.hypergeometric.scale == 4
 
     def test_a_31_digit_parameter_builds_and_fails_closures_at_once(self):
         start = time.perf_counter()
         f = ef_hypergeometric([], [self.BIG_B, 1])
         assert f.seed_count == 10**30 + 4 and f.order == 3
-        for closure in (lambda: ef_scale(f, 2),
-                        lambda: ef_sum(f, ef_exp()),
+        assert ef_scale(f, 2).hypergeometric.scale == 4
+        for closure in (lambda: ef_sum(f, ef_exp()),
                         lambda: ef_mul_poly(f, Polynomial((0, 1)))):
             with pytest.raises(PrecisionExceededError, match="seed coefficients"):
                 closure()
@@ -407,9 +447,29 @@ class TestLagrangeCombo:
 
 def growth_by_hand(f, terms):
     """max |a_n|^(1/n) over 1 <= n < terms, the estimate `growth_check`
-    returns, from floats of the coefficients."""
-    return max((float(abs(a)) ** (1.0 / n) for n, a in enumerate(f.coefficients(terms)) if n and a),
+    returns, from the coefficients as Fractions (`_abs_root`)."""
+    return max((_abs_root(a, n) for n, a in enumerate(f.coefficients(terms)) if n and a),
                default=0.0)
+
+
+def random_strided_efunction(rng):
+    """A random function whose recurrence links only indices 2 apart (in
+    every monomial z^a D^b, b - a has the parity of the order), with the
+    seeds of one residue class mod 2 zero."""
+    while True:
+        order = rng.randint(1, 3)
+        coeffs = [Polynomial([random_fraction(rng) if (b - a - order) % 2 == 0 else 0
+                              for a in range(4)]) for b in range(order + 1)]
+        coeffs[order] = coeffs[order] + Polynomial((rng.choice([1, -2, 3]),))
+        c = rng.randint(0, 1) if order > 1 else 0
+        seeds = [random_fraction(rng) if n % 2 == c else 0 for n in range(order)]
+        seeds[c] = seeds[c] or Fraction(1)
+        try:
+            f = EFunction(DiffOperator.from_poly_coeffs(coeffs), seeds)
+        except InputError:
+            continue
+        if f.stride == 2 and len(f.residue_classes) == 1:
+            return f
 
 
 class TestGrowth:
@@ -441,14 +501,38 @@ class TestGrowth:
         assert growth_check(g, terms=60) == pytest.approx(22.82, abs=0.01)
 
     def test_growth_past_the_float_range(self):
-        # exp(10^6 z): |a_n| = 10^(6n) passes 1e308 from n = 52 on
+        # exp(10^6 z): |a_n| = 10^(6n) passes 1e308 from n = 52 on, so its
+        # quotient overflows and its root does not
         op = DiffOperator.from_poly_coeffs([Polynomial((-10**6,)), Polynomial.one()])
-        assert growth_check(EFunction(op, [1], name="e6")) == pytest.approx(1e6, rel=1e-9)
-        # a root beyond the float range reads as unbounded
+        f = EFunction(op, [1], name="e6")
+        assert growth_check(f) == growth_by_hand(f, 80) == pytest.approx(1e6, rel=1e-9)
+        # a root beyond the float range reads as unbounded, also over a
+        # negative denominator row ((-1) f' + f = 0)
         op = DiffOperator.from_poly_coeffs([Polynomial((-1,)), Polynomial.one()])
         assert growth_check(EFunction(op, [10**400], name="big")) == math.inf
+        neg = DiffOperator.from_poly_coeffs([Polynomial((1,)), Polynomial((-1,))])
+        assert growth_check(EFunction(neg, [-10**400], name="neg")) == math.inf
         # a zero function has no estimate to give
         assert growth_check(EFunction(op, [0], name="zero")) == 0.0
+
+    def test_matches_the_fraction_reference(self):
+        # the integer pairs of each class give the floats the coefficients
+        # as Fractions give; a coefficient the recurrence leaves free below
+        # 80 raises in both, at the same index
+        rng = random.Random(41)
+        functions = [random_efunction(rng, check_terms=8) for _ in range(400)]
+        functions += [random_strided_efunction(rng) for _ in range(60)]
+        raised = 0
+        for f in functions:
+            try:
+                want = growth_by_hand(f, 80)
+            except UnsupportedOperationError as exc:
+                raised += 1
+                with pytest.raises(UnsupportedOperationError, match=str(exc)):
+                    growth_check(f)
+                continue
+            assert growth_check(f) == want, f.annihilator
+        assert raised < 40
 
 
 
@@ -636,15 +720,16 @@ class TestFreeIndices:
             ef_scale(f, 2)
 
     def test_scale_reads_the_free_indices_of_f(self):
-        # band (t + 1)(2t - 5) changes sign: f isolates it once when built
-        # and the scaled function once; the scaled seed count is read off
-        # f's free indices, not off a third isolation
+        # band (t + 1)(2t - 5) changes sign, so f isolates it when built;
+        # the scaled function is handed f's free indices (none here) and
+        # reads its seed count off them, with no isolation of its own
+        f = EFunction(op_from_text("(2*z)*D^2 + (-5)*D^1 + (-1)"), ["1", "-1/5"])
         with mock.patch.object(efunction, "isolate_roots",
                                wraps=efunction.isolate_roots) as spy:
-            f = EFunction(op_from_text("(2*z)*D^2 + (-5)*D^1 + (-1)"), ["1", "-1/5"])
             g = ef_scale(f, 2)
-        assert spy.call_count <= 2
-        assert g.free_indices == f.free_indices
+        assert spy.call_count == 0
+        isolated = [g.recurrence.offset + t for t in _band_roots(g.rows[0])]
+        assert g.free_indices == f.free_indices == isolated
         assert g.seed_count == isolated_seed_length(g.annihilator)
 
     def test_a_zero_class_meets_its_free_row(self, monkeypatch):
@@ -727,6 +812,16 @@ class TestCoefficientStream:
                 for n in reads:
                     f.series_coefficient(n)
             assert str(err.value) == message
+
+    def test_a_long_stream_keeps_reduced_integers(self):
+        # read one at a time, the state of an order-3 recurrence is divided
+        # by its content: its denominator divides the lcm of the reduced
+        # terms' denominators, not the product of every den value
+        f = EFunction(op_from_text("(1+z)*D^2 + (3)*D^1 + (-2-z)"), ["1", "2"], name="g")
+        taylor = [f.series_coefficient(n) for n in range(400)]
+        assert taylor[:60] == reference_series(f, 60)
+        (stream,) = f._streams[1].values()
+        assert math.lcm(*(c.denominator for c in taylor)) % stream._den == 0
 
     def test_j0_runs_one_class_sum(self, monkeypatch):
         # J0's odd coefficients are zero: reading 80 coefficients builds the

@@ -27,6 +27,7 @@ from elindep.efunction import (
     ef_exp,
     ef_hypergeometric,
     ef_lagrange_combo,
+    ef_mul_poly,
     ef_scale,
     ef_sin_integral,
     ef_sum,
@@ -42,6 +43,7 @@ from elindep.numeric import (
     falsify,
     find_integer_relation,
 )
+from elindep.polynomials import Polynomial
 from elindep.rationals import parse_decimal, sci_rounded, sci_upper
 
 from support import mp_direct_sum, reference_series
@@ -453,6 +455,78 @@ class TestBoundedWork:
         assert b.rad < Fraction(1, 10**11)
 
 
+def heuristic_by_fractions(f, x, digits):
+    """The heuristic path with each doubling's partial sum a Fraction and
+    the test on their difference, as it ran before the sums stayed integer
+    pairs."""
+    c_emp = max(2.0, growth_check(f) * 1.5)
+    terms = max(32, int(Fraction(2 * c_emp) * abs(x)) + digits)
+    target = Fraction(1, 10**digits)
+    sums = f.sums(x)
+    sums.advance(terms)
+    prev, moved = sums.value(), None
+    while True:
+        terms *= 2
+        sums.advance(terms)
+        cur = sums.value()
+        step = abs(cur - prev)
+        if step * 2 < target:
+            return Ball(cur, Fraction(0), target, heuristic_tail=True)
+        if moved is not None and step >= moved:
+            raise PrecisionExceededError("partial sums do not settle")
+        prev, moved = cur, step
+
+
+class TestHeuristicOnIntegers:
+    """Without a proven bound the growth estimate and the doubling test run
+    on integer pairs; the balls are those of the Fraction loop."""
+
+    UNBOUNDED = {
+        "I0": ("(z)*D^2 + (1)*D^1 + (-z)", ["1", "0"]),
+        "cosh2": ("(1)*D^2 + (-4)", ["1", "0"]),
+        "exp": ("(1)*D^1 + (-1)", ["1"]),
+        "exp2": ("(1)*D^1 + (-2)", ["1"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNBOUNDED))
+    def test_balls_match_the_fraction_loop(self, name):
+        f = ode(*self.UNBOUNDED[name], None)
+        for x in (Fraction(-136, 7), Fraction(-1, 3), Fraction(5, 3), Fraction(22, 7)):
+            for digits in (5, 60, 400):
+                got = numeric._eval_heuristic(f, x, digits)
+                want = heuristic_by_fractions(f, x, digits)
+                assert (got.re, got.im, got.rad, got.heuristic_tail) == (
+                    want.re, want.im, want.rad, True), (name, x, digits)
+
+    def test_a_divergent_series_still_stops(self):
+        # Euler's series: a_n = (n!)^2
+        f = ode("(z^2)*D^2 + (3*z-1)*D^1 + (1)", ["1", "1"], None)
+        for run in (heuristic_by_fractions, numeric._eval_heuristic):
+            with pytest.raises(PrecisionExceededError, match="partial sums do not settle"):
+                run(f, Fraction(1, 3), 20)
+
+    def test_builds_no_fraction_per_coefficient_or_doubling(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        f = ode(*self.UNBOUNDED["I0"], None)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        growth_check(f)
+        read = len(made)
+        # about six doublings at 4000 digits
+        b = numeric._eval_heuristic(f, Fraction(137, 7), 4000)
+        monkeypatch.undo()
+        assert read == 0
+        # a handful: the first truncation's product, the class sum's seeds
+        # and x^2, and the ball (10 on Python 3.11)
+        assert len(made) <= 12
+        assert b.rad == Fraction(1, 10**4000)
+
+
 class TestEvalHypergeometric:
     def test_exp_parameters(self):
         params = HypergeometricParams((), (Fraction(1),), Fraction(1))
@@ -541,12 +615,14 @@ class TestHypergeometricEFunction:
         # read by a closure, it is the eager bound: 16, 64 and 2431/7
         for (upper, lower, scale), bound in zip(self.CASES[:3], (16, 64, Fraction(2431, 7))):
             f = ef_hypergeometric(upper, lower, scale)
-            assert ef_scale(f, 2).coeff_bound == 2 * bound
+            assert ef_sum(f, f).coeff_bound == 2 * bound
             assert f.coeff_bound == bound
 
     def test_closure_results_keep_the_coefficient_majorant(self):
+        # a scaled function is its parameters again (ef_scale), so 2 f
+        # stands for the closures that build an operator
         hyp = ef_hypergeometric([], [Fraction(1, 2), 1])
-        for f in (ef_scale(hyp, 2), ef_sum(hyp, ef_exp())):
+        for f in (ef_mul_poly(hyp, Polynomial((2,))), ef_sum(hyp, ef_exp())):
             assert f.hypergeometric is None
             for x in (Fraction(-22, 7), Fraction(5, 3)):
                 b = eval_efunction(f, x, 60)

@@ -183,7 +183,11 @@ def closures():
     out = [EFunction(op_from_text(text), seeds) for text, seeds in BENCH_ODES]
     out += [EFunction(f.annihilator, f.coefficients(f.order)) for f in builtins]
     out += [ef_scale(f, c) for f in builtins for c in (2, Fraction(1, 3), -5)]
-    out += [ef_scale(hyp, Fraction(-3, 2)), ef_scale(ef_hypergeometric([], [1, 1], -1), 2)]
+    # hypergeometric functions scaled through their operators: ef_scale
+    # keeps the parameters instead (test_scaled_parameters_keep_the_closed_form)
+    hyps = [EFunction(h.annihilator, h.coefficients(h.seed_count))
+            for h in (hyp, ef_hypergeometric([], [1, 1], -1))]
+    out += [ef_scale(hyps[0], Fraction(-3, 2)), ef_scale(hyps[1], 2)]
     out += [ef_mul_poly(ef_exp(), P(1, 2, -1)), ef_mul_poly(ef_bessel_j0(), P(0, 3))]
     out += [ef_sum(ef_exp(), ef_scale(ef_exp(), -2)), ef_sum(ef_bessel_j0(), ef_sin_integral())]
     out += [ef_lagrange_combo(ef_exp(), [1, 2]), ef_lagrange_combo(ef_bessel_j0(), [Fraction(1, 2), -3])]
@@ -206,6 +210,21 @@ class TestSingularPoly:
             assert f.psi_singularity_poly is None, f.name
             got = singularity_superset(f)
             assert got == transform_superset(f.annihilator, f.coefficients(f.order)), f.name
+
+    def test_scaled_parameters_keep_the_closed_form(self):
+        # f(lam z) of a function given by its parameters is its parameters
+        # with the scale times lam^k; its closed-form set divides the
+        # superset read off the rescaled operator
+        hyp = ef_hypergeometric([Fraction(1, 2)], [Fraction(1, 3), 1, 1], 2)
+        lam = Fraction(-3, 2)
+        g = ef_scale(hyp, lam)
+        assert g.hypergeometric == HypergeometricParams(
+            hyp.hypergeometric.upper, hyp.hypergeometric.lower, 2 * lam**2)
+        closed = singularity_superset(g)
+        assert closed == hypergeometric_singularities(g.hypergeometric) and closed.is_exact
+        by_operator = ef_scale(EFunction(hyp.annihilator, hyp.coefficients(hyp.seed_count)), lam)
+        _, rest = singularity_superset(by_operator).poly.divmod(closed.poly)
+        assert rest.is_zero
 
     def test_builtin_closed_forms(self):
         for f in (ef_exp(), ef_bessel_j0(), ef_sin_integral()):
